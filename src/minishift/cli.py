@@ -33,8 +33,46 @@ def emit(payload) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
+def nonnegative(ctx, param, value):
+    """Click callback: a horizon, length or power may not be negative."""
+    if value is not None and value < 0:
+        raise ParseError(f"{param.opts[-1]} must be nonnegative, got {value}")
+    return value
+
+
+def parse_word(text: str, letters, option: str) -> str:
+    """``text`` if every letter of it is in ``letters``."""
+    for c in text:
+        if c not in letters:
+            raise ParseError(f"{option}: letter {c!r} not in {''.join(letters)!r}")
+    return text
+
+
+def parse_factor(F: FactorSet, text: str, option: str) -> str:
+    """``text`` if it is a factor of ``F``; too long for the horizon exits 3."""
+    parse_word(text, F.alphabet, option)
+    if len(text) > F.horizon:
+        raise InsufficientHorizon(f"{option} {text!r} is longer than horizon {F.horizon}")
+    if text not in F:
+        raise ParseError(f"{option}: {text!r} is not a factor")
+    return text
+
+
+def parse_cyclic(group: str) -> int | None:
+    """The modulus M of ``cyclic:M``, or None for a permutation group."""
+    if not group.startswith("cyclic:"):
+        return None
+    text = group.split(":", 1)[1]
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise ParseError(f"--group: modulus in {group!r} must be a positive integer")
+    return int(text)
+
+
 def build_factor_set(subst: str, start: str, horizon: int) -> FactorSet:
-    return FactorSet.from_substitution(Substitution.parse(subst), start, horizon)
+    sigma = Substitution.parse(subst)
+    return FactorSet.from_substitution(
+        sigma, parse_word(start, sigma.alphabet, "--start"), horizon
+    )
 
 
 def parse_perm_images(text: str) -> dict[str, str]:
@@ -73,8 +111,8 @@ def parse_weights(text: str) -> dict[str, int]:
 
 
 def group_spec_from_options(group: str, images: str, base_point) -> bifix_mod.GroupCodeSpec:
-    if group.startswith("cyclic:"):
-        m = int(group.split(":", 1)[1])
+    m = parse_cyclic(group)
+    if m is not None:
         return bifix_mod.GroupCodeSpec.cyclic(m, parse_weights(images))
     # permutation images define the group; named groups are only a hint
     cycles = parse_perm_images(images)
@@ -89,8 +127,8 @@ def group_spec_from_options(group: str, images: str, base_point) -> bifix_mod.Gr
 
 
 def morphism_from_options(group: str, images: str) -> shadow_mod.MorphismToFinite:
-    if group.startswith("cyclic:"):
-        m = int(group.split(":", 1)[1])
+    m = parse_cyclic(group)
+    if m is not None:
         M = monoid_mod.cyclic_monoid(m)
         return shadow_mod.MorphismToFinite(M, parse_weights(images))
     cycles = parse_perm_images(images)
@@ -117,16 +155,17 @@ def cli() -> None:
 @click.option("--subst", "subst_text", required=True)
 @click.option("--apply", "apply_word", default=None)
 @click.option("--iterate", "iterate_letter", default=None)
-@click.option("-k", "--power", default=1, show_default=True)
+@click.option("-k", "--power", default=1, show_default=True, callback=nonnegative)
 @click.option("--primitive", is_flag=True)
 def subst_cmd(subst_text, apply_word, iterate_letter, power, primitive):
     """Apply or iterate a substitution, or test primitivity."""
     sigma = Substitution.parse(subst_text)
     out = {"substitution": sigma.serialize()}
     if apply_word is not None:
-        out["apply"] = sigma.apply(apply_word)
+        out["apply"] = sigma.apply(parse_word(apply_word, sigma.alphabet, "--apply"))
     if iterate_letter is not None:
-        out["iterate"] = sigma.iterate(iterate_letter, power)
+        word = parse_word(iterate_letter, sigma.alphabet, "--iterate")
+        out["iterate"] = sigma.iterate(word, power)
     if primitive:
         out["primitive"] = sigma.is_primitive()
     emit(out)
@@ -136,7 +175,7 @@ def subst_cmd(subst_text, apply_word, iterate_letter, power, primitive):
 @click.option("--subst", "subst_text", default=None)
 @click.option("--start", default=None)
 @click.option("--periodic", default=None)
-@click.option("--horizon", default=8, show_default=True)
+@click.option("--horizon", default=8, show_default=True, callback=nonnegative)
 @click.option("--complexity", "complexity_n", default=None, type=int)
 @click.option("--witness", "witness_word", default=None)
 def factors_cmd(subst_text, start, periodic, horizon, complexity_n, witness_word):
@@ -151,14 +190,15 @@ def factors_cmd(subst_text, start, periodic, horizon, complexity_n, witness_word
     if complexity_n is not None:
         out["complexity"] = F.complexity(complexity_n)
     if witness_word is not None:
-        out["witness"] = F.uniform_recurrence_witness(witness_word)
+        word = parse_factor(F, witness_word, "--witness")
+        out["witness"] = F.uniform_recurrence_witness(word)
     emit(out)
 
 
 @cli.command("classify")
 @click.option("--subst", "subst_text", required=True)
 @click.option("--start", required=True)
-@click.option("--maxlen", default=6, show_default=True)
+@click.option("--maxlen", default=6, show_default=True, callback=nonnegative)
 @click.option("--word", "graph_word", default=None)
 @click.option("--dot", "dot_path", default=None, type=click.Path())
 def classify_cmd(subst_text, start, maxlen, graph_word, dot_path):
@@ -173,7 +213,7 @@ def classify_cmd(subst_text, start, maxlen, graph_word, dot_path):
         "max_length": maxlen,
     }
     if graph_word is not None:
-        g = ext_mod.extension_graph(F, graph_word)
+        g = ext_mod.extension_graph(F, parse_factor(F, graph_word, "--word"))
         out["word"] = graph_word
         out["multiplicity"] = g.multiplicity()
         if dot_path:
@@ -186,12 +226,13 @@ def classify_cmd(subst_text, start, maxlen, graph_word, dot_path):
 @click.option("--subst", "subst_text", required=True)
 @click.option("--start", required=True)
 @click.option("--word", required=True)
-@click.option("--horizon", default=32, show_default=True)
+@click.option("--horizon", default=32, show_default=True, callback=nonnegative)
 @click.option("--left", is_flag=True)
 @click.option("--gamma", "gamma_maxlen", default=None, type=int)
 def returns_cmd(subst_text, start, word, horizon, left, gamma_maxlen):
     """Return words to a factor."""
     F = build_factor_set(subst_text, start, horizon)
+    word = parse_factor(F, word, "--word")
     out = {}
     if left:
         out["left"] = ret_mod.left_return_words(F, word).sorted_words()
@@ -208,7 +249,7 @@ def returns_cmd(subst_text, start, word, horizon, left, gamma_maxlen):
 @click.option("--directive", required=True)
 @click.option("--word", default=None)
 @click.option("--pal", "pal_word", default=None)
-@click.option("--horizon", default=None, type=int)
+@click.option("--horizon", default=None, type=int, callback=nonnegative)
 def episturmian_cmd(directive, word, pal_word, horizon):
     """Palindromic closures and left return words of a directed word."""
     out = {"directive": directive}
@@ -234,7 +275,9 @@ def episturmian_cmd(directive, word, pal_word, horizon):
 def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
     """Folded subgroup graph: rank, index, membership, Hall separation."""
     alphabet = Alphabet.of(alphabet_text)
-    gens = [g.strip() for g in generators.split(",") if g.strip()]
+    letters = alphabet_text + alphabet_text.upper()  # capitals are inverses
+    gens = [parse_word(g.strip(), letters, "--generators") for g in generators.split(",")]
+    gens = [g for g in gens if g]
     H = fg_mod.subgroup(gens, alphabet)
     out = {
         "rank": H.rank(),
@@ -243,9 +286,9 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
         "basis": fg_mod.is_basis_of_free_group(gens, alphabet),
     }
     if member is not None:
-        out["member"] = H.membership(member)
+        out["member"] = H.membership(parse_word(member, letters, "--member"))
     if separate is not None:
-        K = fg_mod.separating_subgroup(H, separate)
+        K = fg_mod.separating_subgroup(H, parse_word(separate, letters, "--separate"))
         out["separating_index"] = K.index()
         out["separated"] = not K.membership(separate)
         if dot_path:
@@ -261,7 +304,7 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
 @click.option("--code", required=True, help="comma-separated code words")
 @click.option("--subst", "subst_text", default=None)
 @click.option("--start", default=None)
-@click.option("--horizon", default=24, show_default=True)
+@click.option("--horizon", default=24, show_default=True, callback=nonnegative)
 @click.option("--eggbox", is_flag=True, help="print the F-minimal eggbox as text")
 @click.option("--budget", default=monoid_mod.DEFAULT_MONOID_BUDGET, show_default=True)
 def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
@@ -297,7 +340,7 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
 @click.option("--base-point", default=None)
 @click.option("--subst", "subst_text", required=True)
 @click.option("--start", required=True)
-@click.option("--horizon", default=24, show_default=True)
+@click.option("--horizon", default=24, show_default=True, callback=nonnegative)
 @click.option("--degree/--no-degree", default=True, show_default=True)
 def bifix_cmd(group, images, base_point, subst_text, start, horizon, degree):
     """Group code intersected with a factor set; F-degree and F-group."""

@@ -20,7 +20,6 @@ from .errors import (
 )
 
 DEFAULT_MAX_PREFIX = 10**6
-DEFAULT_MAX_HORIZON = 64
 
 
 @dataclass(frozen=True)
@@ -55,15 +54,13 @@ class Alphabet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.letters)
 
-    def index(self, letter: str) -> int:
-        try:
-            return self._index[letter]
-        except KeyError:
-            raise ValueError(f"letter {letter!r} not in alphabet {self.letters}")
+    @cached_property
+    def _rank(self) -> dict[int, str]:
+        return {ord(c): chr(i) for c, i in self._index.items()}
 
-    def key(self, word: str):
-        """Sort key ordering words by length, then by alphabet order."""
-        return (len(word), [self.index(c) for c in word])
+    def key(self, word: str) -> tuple[int, str]:
+        """Shortlex sort key: length, then letters by their alphabet position."""
+        return (len(word), word.translate(self._rank))
 
     def check_word(self, word: str) -> str:
         for c in word:
@@ -206,6 +203,7 @@ class FactorSet:
         self.factors = frozenset(factors)
         self.complete = complete
         self.source = source
+        self._buckets: dict[int, list[str]] | None = None
         self._by_length: dict[int, tuple[str, ...]] = {}
 
     def __contains__(self, word: str) -> bool:
@@ -215,11 +213,14 @@ class FactorSet:
         return len(self.factors)
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
+        """Members of length ``n`` in shortlex order; buckets by length on first use."""
         if n not in self._by_length:
-            key = self.alphabet.key
-            self._by_length[n] = tuple(
-                sorted((w for w in self.factors if len(w) == n), key=key)
-            )
+            if self._buckets is None:
+                self._buckets = {}
+                for w in self.factors:
+                    self._buckets.setdefault(len(w), []).append(w)
+            bucket = self._buckets.pop(n, ())
+            self._by_length[n] = tuple(sorted(bucket, key=self.alphabet.key))
         return self._by_length[n]
 
     def sorted_words(self) -> list[str]:
@@ -257,53 +258,54 @@ class FactorSet:
         letter: str,
         horizon: int,
         max_prefix: int = DEFAULT_MAX_PREFIX,
-        max_rounds: int = 1000,
     ) -> "FactorSet":
         """Certified factor set of the fixed point of a primitive substitution.
 
-        Seeds the set with factors of iterates of ``letter``, then closes it
-        under "apply the substitution to a maximal factor and re-collect".
-        The closure fixpoint is exactly the set of length-<=horizon factors
-        of all iterates, which certifies completeness for primitive input.
+        Certificate: for primitive σ, the factors of length <= n of its shift
+        are those of σ^k(a)σ^k(b) for ab in L2, its factors of length 2, once
+        every σ^k(c) has length >= n (Queffélec, Substitution Dynamical
+        Systems, LNM 1294; Fogg, Substitutions in Dynamics, Arithmetics and
+        Combinatorics, LNM 1794, ch. 1).  L2 is the least set holding the
+        2-letter factors of every σ(c) and of σ(ab) for each member ab.
+        ``source`` records k and L2.  a->a never grows and stops at the letter.
         """
         if not subst.is_primitive():
             raise NotPrimitive(f"{subst.serialize()} is not primitive")
         subst.alphabet.check_word(letter)
+        if horizon < 0:
+            raise ValueError(f"horizon must be nonnegative, got {horizon}")
+        images = subst.images
 
-        seed: set[str] = set()
-        w = letter
-        seed |= factors_of(w, horizon)
-        while len(w) < 2 * horizon + 2:
-            nxt = subst.apply(w)
-            if nxt == w:
+        pairs: set[str] = set()
+        todo = list(images.values())
+        while todo:
+            w = todo.pop()
+            for ab in {w[i : i + 2] for i in range(len(w) - 1)} - pairs:
+                pairs.add(ab)
+                todo.append(images[ab[0]] + images[ab[1]])
+
+        power, k = {c: c for c in subst.alphabet}, 0
+        while min(map(len, power.values())) < horizon:
+            grown = {c: "".join(power[d] for d in images[c]) for c in power}
+            if grown == power:
                 break
-            w = nxt
-            if len(w) > max_prefix:
+            power, k = grown, k + 1
+            if max(map(len, power.values())) > max_prefix:
                 raise BudgetExceeded("fixed-point prefix budget exceeded")
-            seed |= factors_of(w, horizon)
 
-        factors = set(seed)
-        for _ in range(max_rounds):
-            top = min(horizon, max(len(v) for v in factors))
-            frontier = [v for v in factors if len(v) == top]
-            new: set[str] = set()
-            for v in frontier:
-                for f in factors_of(subst.apply(v), horizon):
-                    if f not in factors:
-                        new.add(f)
-            if not new:
-                break
-            factors |= new
-        else:
-            raise BudgetExceeded("factor-set stabilization budget exceeded")
-
-        return cls(
-            subst.alphabet,
-            horizon,
-            factors,
-            complete=True,
-            source=f"substitution {subst.serialize()} from {letter}",
-        )
+        # windows of the widest length, then their prefixes and suffixes
+        start = "".join(power[c] for c in letter)
+        words = [start] + [power[ab[0]] + power[ab[1]] for ab in pairs]
+        n = min(horizon, len(start))
+        level = {w[i : i + n] for w in words for i in range(len(w) - n + 1)}
+        factors = set(level)
+        for _ in range(n):
+            level = {u[1:] for u in level} | {u[:-1] for u in level}
+            factors |= level
+        l2 = ",".join(sorted(pairs, key=subst.alphabet.key))
+        source = (f"substitution {subst.serialize()} from {letter}: "
+                  f"factors of sigma^{k}(ab) for ab in L2 = {{{l2}}}")
+        return cls(subst.alphabet, horizon, factors, complete=True, source=source)
 
     @classmethod
     def from_periodic(cls, word: str, horizon: int) -> "FactorSet":
@@ -332,9 +334,6 @@ class FactorSet:
         return cls(alphabet, horizon, factors, complete=complete, source=source)
 
     # -- export -------------------------------------------------------
-
-    def to_text(self) -> str:
-        return "\n".join(self.sorted_words())
 
     def to_json(self) -> str:
         return json.dumps(

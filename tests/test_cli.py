@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from minishift.cli import cli
+from minishift.errors import InsufficientHorizon, ParseError
 
 
 @pytest.fixture()
@@ -245,3 +246,45 @@ class TestExitCodes:
         r = self.invoke("arith", "--to-factorial", "0")
         assert r.returncode == 0
         assert json.loads(r.stdout)["digits"] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("argv", [
+        ["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "c"],
+        ["returns", "--subst", "a->ab;b->a", "--start", "c", "--word", "a"],
+        ["subst", "--subst", "a->ab;b->a", "--apply", "abc"],
+        ["freegroup", "--alphabet", "ab", "--generators", "ac"],
+        ["bifix", "--group", "cyclic:x", "--images", "a=1,b=1",
+         "--subst", "a->ab;b->a", "--start", "a", "--horizon", "16"],
+        ["factors", "--subst", "a->ab;b->a", "--start", "a", "--horizon", "-3"],
+    ], ids=["word-letter", "start-letter", "apply-letter", "generator-letter",
+            "cyclic-modulus", "negative-horizon"])
+    def test_malformed_input_is_2(self, argv):
+        r = self.invoke(*argv)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("argv, error", [
+        (["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "b",
+          "--horizon", "-1"], ParseError),
+        (["monoid", "--code", "aa,ab,ba", "--subst", "a->ab;b->a", "--start", "a",
+          "--horizon", "-1"], ParseError),
+        (["bifix", "--group", "cyclic:2", "--images", "a=1,b=1",
+          "--subst", "a->ab;b->a", "--start", "a", "--horizon", "-1"], ParseError),
+        (["episturmian", "--directive", "abab", "--horizon", "-1"], ParseError),
+        (["classify", "--subst", "a->ab;b->a", "--start", "a", "--maxlen", "-3"], ParseError),
+        (["subst", "--subst", "a->ab;b->a", "--iterate", "a", "-k", "-1"], ParseError),
+        (["subst", "--subst", "a->ab;b->a", "--iterate", "c"], ParseError),
+        (["factors", "--subst", "a->ab;b->a", "--start", "a", "--witness", "bb"], ParseError),
+        (["classify", "--subst", "a->ab;b->a", "--start", "a", "--word", "c"], ParseError),
+        (["freegroup", "--alphabet", "ab", "--generators", "ab", "--member", "ac"], ParseError),
+        (["horder", "--subst", "a->ab;b->a", "--group", "cyclic:0", "--images", "a=1,b=1"],
+         ParseError),
+        (["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "abaababaa",
+          "--horizon", "8"], InsufficientHorizon),
+    ], ids=["returns-horizon", "monoid-horizon", "bifix-horizon", "episturmian-horizon",
+            "classify-maxlen", "subst-power", "iterate-letter", "witness-not-factor",
+            "classify-word-letter", "member-letter", "cyclic-zero", "word-beyond-horizon"])
+    def test_rejected_by_an_option_parser(self, runner, argv, error):
+        with pytest.raises(error):
+            runner.invoke(cli, argv, catch_exceptions=False)

@@ -1,7 +1,7 @@
 """Words, substitutions and certified factor sets."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minishift.errors import (
@@ -14,6 +14,32 @@ from minishift.words import Alphabet, FactorSet, Substitution, factors_of, occur
 
 
 words_ab = st.text(alphabet="ab", max_size=12)
+
+
+@st.composite
+def primitive_substitutions(draw):
+    """Random primitive substitutions: 2-3 letters, images of length <= 4."""
+    letters = "abc"[: draw(st.integers(2, 3))]
+    image = st.text(alphabet=letters, min_size=1, max_size=4)
+    rules = ";".join(f"{c}->{draw(image)}" for c in letters)
+    sigma = Substitution.parse(rules)
+    assume(sigma.is_primitive())
+    return sigma
+
+
+def brute_factors(images: dict[str, str], start: str, horizon: int) -> set[str]:
+    """Every factor of length <= horizon of a long iterate of ``start``.
+
+    Iterates the images by hand until the word is 20000 letters long, or 40
+    times, and reads every substring of its windows of length ``horizon``.
+    """
+    w = start
+    for _ in range(40):
+        if len(w) >= 20000:
+            break
+        w = "".join(images[c] for c in w)
+    windows = {w[i : i + horizon] for i in range(max(1, len(w) - horizon + 1))}
+    return {u[a:b] for u in windows for a in range(len(u) + 1) for b in range(a, len(u) + 1)}
 
 
 class TestAlphabet:
@@ -145,3 +171,59 @@ class TestFactorSet:
         two = FactorSet.from_substitution(fib, "a", 6).to_json()
         assert one == two
         assert '"complete": true' in one
+
+
+class TestFactorSetBuilder:
+    """The L2-seeded builder: edge cases and a brute-force differential test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(primitive_substitutions(), st.integers(0, 12), st.data())
+    def test_matches_brute_force_scan(self, sigma, horizon, data):
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        F = FactorSet.from_substitution(sigma, start, horizon)
+        assert F.factors == brute_factors(sigma.images, start, horizon)
+        letters = sigma.alphabet.letters
+        for n in range(horizon + 2):
+            members = [w for w in F.factors if len(w) == n]
+            expect = sorted(members, key=lambda w: [letters.index(c) for c in w])
+            assert list(F.words_of_length(n)) == expect
+
+    @pytest.mark.parametrize("horizon, expect", [
+        (0, {""}),
+        (1, {"", "a", "b"}),
+        (2, {"", "a", "b", "aa", "ab", "ba"}),
+    ])
+    def test_small_horizons(self, fib, horizon, expect):
+        F = FactorSet.from_substitution(fib, "b", horizon)
+        assert F.factors == expect
+        assert F.horizon == horizon and F.complete
+
+    def test_one_letter_doubling(self):
+        F = FactorSet.from_substitution(Substitution.parse("a->aa"), "a", 5)
+        assert F.factors == {"a" * n for n in range(6)}
+
+    def test_one_letter_identity_terminates(self):
+        F = FactorSet.from_substitution(Substitution.parse("a->a"), "a", 50)
+        assert F.factors == {"", "a"}
+
+    def test_every_start_letter_of_tribonacci(self, trib):
+        sets = {c: FactorSet.from_substitution(trib, c, 24).factors for c in "abc"}
+        assert sets["a"] == sets["b"] == sets["c"]
+        assert len([w for w in sets["a"] if len(w) == 24]) == 2 * 24 + 1
+
+    def test_tiny_prefix_budget(self, tm):
+        with pytest.raises(BudgetExceeded):
+            FactorSet.from_substitution(tm, "a", 64, max_prefix=32)
+
+    def test_letter_swap_not_primitive(self):
+        # no image ever grows, so only the primitivity check stops this input
+        with pytest.raises(NotPrimitive):
+            FactorSet.from_substitution(Substitution.parse("a->b;b->a"), "a", 8)
+
+    def test_negative_horizon_rejected(self, fib):
+        with pytest.raises(ValueError):
+            FactorSet.from_substitution(fib, "a", -1)
+
+    def test_source_records_certificate(self, tm):
+        F = FactorSet.from_substitution(tm, "a", 16)
+        assert F.source.endswith("sigma^4(ab) for ab in L2 = {aa,ab,ba,bb}")
