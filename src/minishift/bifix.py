@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InsufficientHorizon
-from .monoid import Automaton, PermGroup, f_group, parse_permutation
-from .words import Alphabet, FactorSet
+from .monoid import Automaton, f_group, parse_permutation
+from .words import Alphabet, FactorSet, shortlex
 
 
 def is_prefix_free(words: Iterable[str]) -> bool:
@@ -45,7 +45,7 @@ class BifixCode:
         return cls(frozenset(words))
 
     def sorted_words(self) -> list[str]:
-        return sorted(self.words, key=lambda w: (len(w), w))
+        return sorted(self.words, key=shortlex)
 
     def max_length(self) -> int:
         return max(len(w) for w in self.words)
@@ -164,31 +164,18 @@ def group_code_intersection(spec: GroupCodeSpec, F: FactorSet) -> BifixCode:
     if not F.complete:
         raise InsufficientHorizon("factor set is not certified complete")
     base = spec.base_point
-    out = set()
-    for w in F.sorted_words():
-        if not w:
-            continue
+
+    def first_return(w: str) -> int | None:
         p = base
-        internal_return = False
-        for a in w[:-1]:
+        for i, a in enumerate(w, 1):
             p = spec.images[a][p]
             if p == base:
-                internal_return = True
-                break
-        if internal_return:
-            continue
-        p = spec.images[w[-1]][p]
-        if p == base:
-            out.add(w)
+                return i
+        return None
+
+    out = {w for w in F.factors if w and first_return(w) == len(w)}
     for w in F.words_of_length(F.horizon):
-        p = base
-        returned = False
-        for a in w:
-            p = spec.images[a][p]
-            if p == base:
-                returned = True
-                break
-        if not returned:
+        if first_return(w) is None:
             raise InsufficientHorizon(
                 f"factor {w!r} has no code-word prefix; horizon too small"
             )
@@ -206,10 +193,7 @@ def minimal_automaton_of_star(X: BifixCode, alphabet: Alphabet | None = None) ->
     """
     if alphabet is None:
         alphabet = Alphabet.of(sorted({c for w in X.words for c in w}))
-    prefixes = sorted(
-        {w[:i] for w in X.words for i in range(len(w))},
-        key=lambda w: (len(w), w),
-    )
+    prefixes = sorted({w[:i] for w in X.words for i in range(len(w))}, key=shortlex)
     states = list(prefixes)  # "" is the root
     trans: dict[tuple[str, str], str | None] = {}
     for p in states:

@@ -22,7 +22,7 @@ from .errors import (
     MinishiftError,
     ParseError,
 )
-from .words import Alphabet, FactorSet, Substitution
+from .words import Alphabet, FactorSet, Substitution, shortlex
 
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
@@ -33,10 +33,24 @@ def emit(payload) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
-def nonnegative(ctx, param, value):
-    """Click callback: a horizon, length or power may not be negative."""
-    if value is not None and value < 0:
-        raise ParseError(f"{param.opts[-1]} must be nonnegative, got {value}")
+def at_least(low: int):
+    """Click callback: an integer option may not be below ``low``."""
+
+    def check(ctx, param, value):
+        if value is not None and value < low:
+            raise ParseError(f"{param.opts[-1]} must be at least {low}, got {value}")
+        return value
+
+    return check
+
+
+nonnegative = at_least(0)  # horizons, lengths and powers
+
+
+def nonempty(ctx, param, value):
+    """Click callback: a word option that may not be empty."""
+    if value == "":
+        raise ParseError(f"{param.opts[-1]} must be nonempty")
     return value
 
 
@@ -70,80 +84,81 @@ def parse_cyclic(group: str) -> int | None:
 
 def build_factor_set(subst: str, start: str, horizon: int) -> FactorSet:
     sigma = Substitution.parse(subst)
+    if not start:
+        raise ParseError("--start must be nonempty")
     return FactorSet.from_substitution(
         sigma, parse_word(start, sigma.alphabet, "--start"), horizon
     )
 
 
-def parse_perm_images(text: str) -> dict[str, str]:
-    """Parse "a:(1 2 3);b:(3 4 5)" into letter -> cycle text."""
+def parse_assignments(text: str, sep: str, eq: str, what: str) -> dict[str, str]:
+    """Parse "a=1,b=1" (``sep`` ",", ``eq`` "=") into letter -> value text."""
     out = {}
-    for part in text.split(";"):
+    for part in text.split(sep):
         part = part.strip()
         if not part:
             continue
-        if ":" not in part:
-            raise ParseError(f"missing ':' in image {part!r}")
-        letter, _, cycles = part.partition(":")
-        out[letter.strip()] = cycles.strip()
+        if eq not in part:
+            raise ParseError(f"missing {eq!r} in {what} {part!r}")
+        letter, _, value = part.partition(eq)
+        out[letter.strip()] = value.strip()
     if not out:
-        raise ParseError("no permutation images given")
+        raise ParseError(f"no {what}s given")
     return out
 
 
 def parse_weights(text: str) -> dict[str, int]:
     """Parse "a=1,b=1" into letter -> integer."""
-    out = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ParseError(f"missing '=' in weight {part!r}")
-        letter, _, value = part.partition("=")
+    out = parse_assignments(text, ",", "=", "weight")
+    try:
+        return {a: int(value) for a, value in out.items()}
+    except ValueError:
+        raise ParseError(f"bad integer in weights {text!r}") from None
+
+
+def parse_images(group: str, images: str, letters) -> tuple[int | None, tuple, dict]:
+    """``--images`` under ``--group``: (M, (), weights) for cyclic:M, else
+    (None, domain, permutations).  Each of ``letters`` needs an image."""
+    m = parse_cyclic(group)
+    if m is not None:
+        domain, out = (), parse_weights(images)
+    else:
+        # permutation images define the group; named groups are only a hint
+        cycles = parse_assignments(images, ";", ":", "image")
+        points = {
+            int(tok) if tok.lstrip("-").isdigit() else tok
+            for text in cycles.values()
+            for tok in text.replace("(", " ").replace(")", " ").split()
+        }
         try:
-            out[letter.strip()] = int(value)
-        except ValueError:
-            raise ParseError(f"bad integer in weight {part!r}")
-    if not out:
-        raise ParseError("no weights given")
-    return out
+            domain = tuple(sorted(points))
+        except TypeError:
+            raise ParseError(f"--images: points {images!r} mix numbers and names") from None
+        out = {a: monoid_mod.parse_permutation(text, domain) for a, text in cycles.items()}
+    missing = sorted(a for a in letters if a not in out)
+    if missing:
+        raise ParseError(f"--images: no image for {''.join(missing)!r}")
+    return m, domain, out
 
 
-def group_spec_from_options(group: str, images: str, base_point) -> bifix_mod.GroupCodeSpec:
-    m = parse_cyclic(group)
+def group_spec_from_options(
+    group: str, images: str, base_point, letters
+) -> bifix_mod.GroupCodeSpec:
+    m, domain, out = parse_images(group, images, letters)
     if m is not None:
-        return bifix_mod.GroupCodeSpec.cyclic(m, parse_weights(images))
-    # permutation images define the group; named groups are only a hint
-    cycles = parse_perm_images(images)
-    points = set()
-    for text in cycles.values():
-        for tok in text.replace("(", " ").replace(")", " ").split():
-            points.add(int(tok) if tok.lstrip("-").isdigit() else tok)
-    domain = tuple(sorted(points))
-    return bifix_mod.GroupCodeSpec.from_cycles(
-        domain, cycles, base_point=base_point if base_point is not None else domain[0]
-    )
+        return bifix_mod.GroupCodeSpec.cyclic(m, out)
+    if not domain:
+        raise ParseError(f"--images: {images!r} moves no point")
+    base = domain[0] if base_point is None else base_point
+    return bifix_mod.GroupCodeSpec(domain, out, base)
 
 
-def morphism_from_options(group: str, images: str) -> shadow_mod.MorphismToFinite:
-    m = parse_cyclic(group)
+def morphism_from_options(group: str, images: str, letters) -> shadow_mod.MorphismToFinite:
+    m, domain, out = parse_images(group, images, letters)
     if m is not None:
-        M = monoid_mod.cyclic_monoid(m)
-        return shadow_mod.MorphismToFinite(M, parse_weights(images))
-    cycles = parse_perm_images(images)
-    points = set()
-    for text in cycles.values():
-        for tok in text.replace("(", " ").replace(")", " ").split():
-            points.add(int(tok) if tok.lstrip("-").isdigit() else tok)
-    domain = tuple(sorted(points))
-    perms = {
-        a: monoid_mod.parse_permutation(text, domain) for a, text in cycles.items()
-    }
-    M = monoid_mod.monoid_from_permutations(perms, domain)
-    pos = {p: i for i, p in enumerate(domain)}
-    gens = {a: tuple(pos[m[p]] for p in domain) for a, m in perms.items()}
-    return shadow_mod.MorphismToFinite(M, gens)
+        return shadow_mod.MorphismToFinite(monoid_mod.cyclic_monoid(m), out)
+    M = monoid_mod.monoid_from_permutations(out, domain)
+    return shadow_mod.MorphismToFinite(M, M.generators)
 
 
 @click.group()
@@ -174,7 +189,7 @@ def subst_cmd(subst_text, apply_word, iterate_letter, power, primitive):
 @cli.command("factors")
 @click.option("--subst", "subst_text", default=None)
 @click.option("--start", default=None)
-@click.option("--periodic", default=None)
+@click.option("--periodic", default=None, callback=nonempty)
 @click.option("--horizon", default=8, show_default=True, callback=nonnegative)
 @click.option("--complexity", "complexity_n", default=None, type=int)
 @click.option("--witness", "witness_word", default=None)
@@ -239,15 +254,13 @@ def returns_cmd(subst_text, start, word, horizon, left, gamma_maxlen):
     else:
         out["right"] = ret_mod.right_return_words(F, word).sorted_words()
     if gamma_maxlen is not None:
-        out["gamma"] = sorted(
-            ret_mod.gamma(F, word, gamma_maxlen), key=lambda w: (len(w), w)
-        )
+        out["gamma"] = sorted(ret_mod.gamma(F, word, gamma_maxlen), key=shortlex)
     emit(out)
 
 
 @cli.command("episturmian")
-@click.option("--directive", required=True)
-@click.option("--word", default=None)
+@click.option("--directive", required=True, callback=nonempty)
+@click.option("--word", default=None, callback=nonempty)
 @click.option("--pal", "pal_word", default=None)
 @click.option("--horizon", default=None, type=int, callback=nonnegative)
 def episturmian_cmd(directive, word, pal_word, horizon):
@@ -256,10 +269,8 @@ def episturmian_cmd(directive, word, pal_word, horizon):
     if pal_word is not None:
         out["pal"] = epi_mod.pal(pal_word)
     if word is not None:
-        out["left"] = sorted(
-            epi_mod.episturmian_left_returns(directive, word),
-            key=lambda w: (len(w), w),
-        )
+        word = parse_word(word, directive, "--word")
+        out["left"] = sorted(epi_mod.episturmian_left_returns(directive, word), key=shortlex)
     if horizon is not None:
         F = epi_mod.episturmian_factor_set(directive, horizon)
         out["factors"] = F.sorted_words()
@@ -274,7 +285,10 @@ def episturmian_cmd(directive, word, pal_word, horizon):
 @click.option("--dot", "dot_path", default=None, type=click.Path())
 def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
     """Folded subgroup graph: rank, index, membership, Hall separation."""
-    alphabet = Alphabet.of(alphabet_text)
+    try:
+        alphabet = Alphabet.of(alphabet_text)
+    except ValueError as exc:
+        raise ParseError(f"--alphabet: {exc}") from None
     letters = alphabet_text + alphabet_text.upper()  # capitals are inverses
     gens = [parse_word(g.strip(), letters, "--generators") for g in generators.split(",")]
     gens = [g for g in gens if g]
@@ -309,8 +323,10 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
 @click.option("--budget", default=monoid_mod.DEFAULT_MONOID_BUDGET, show_default=True)
 def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
     """Transition monoid of the minimal automaton of a code's submonoid."""
-    X = bifix_mod.BifixCode.of(w.strip() for w in code.split(",") if w.strip())
-    A = bifix_mod.minimal_automaton_of_star(X)
+    words = {w.strip() for w in code.split(",") if w.strip()}
+    if not words or not bifix_mod.is_bifix(words):
+        raise ParseError(f"--code: {code!r} is not a nonempty bifix code")
+    A = bifix_mod.minimal_automaton_of_star(bifix_mod.BifixCode.of(words))
     M = monoid_mod.transition_monoid(A, budget)
     structure = monoid_mod.green(M)
     out = {
@@ -320,6 +336,7 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
     }
     if subst_text is not None and start is not None:
         F = build_factor_set(subst_text, start, horizon)
+        parse_word("".join(F.alphabet), A.alphabet, "--subst")  # the code's letters
         rank, word, _ = monoid_mod.f_min_rank_data(A, F)
         G, base, image = monoid_mod.f_group(A, F)
         out["f_min_rank"] = rank
@@ -344,7 +361,8 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
 @click.option("--degree/--no-degree", default=True, show_default=True)
 def bifix_cmd(group, images, base_point, subst_text, start, horizon, degree):
     """Group code intersected with a factor set; F-degree and F-group."""
-    spec = group_spec_from_options(group, images, base_point)
+    letters = Substitution.parse(subst_text).alphabet
+    spec = group_spec_from_options(group, images, base_point, letters)
     F = build_factor_set(subst_text, start, horizon)
     X = bifix_mod.group_code_intersection(spec, F)
     out = {"code": X.sorted_words(), "size": len(X.words)}
@@ -372,14 +390,14 @@ def shadow_eval_cmd(expr, subst_defs, group, images):
             raise ParseError(f"bad substitution definition {d!r}")
         named[name.strip()] = Substitution.parse(body)
     tree = shadow_mod.parse_expression(expr, named)
-    morphism = morphism_from_options(group, images)
+    morphism = morphism_from_options(group, images, shadow_mod.expression_letters(tree))
     value = shadow_mod.evaluate(tree, morphism)
     emit({"expr": expr, "value": str(value)})
 
 
 def _horder_impl(subst_text, group, images):
     sigma = Substitution.parse(subst_text)
-    morphism = morphism_from_options(group, images)
+    morphism = morphism_from_options(group, images, sigma.alphabet)
     result = shadow_mod.h_order(sigma, morphism)
     if isinstance(result, int):
         emit({"h_order": result})
@@ -416,23 +434,21 @@ def horder_cmd(subst_text, group, images):
 def shadow_separate_cmd(code, beta, group, images, u, v):
     """Matrix decoding morphism separating two differently valued words."""
     X = {w.strip() for w in code.split(",") if w.strip()}
-    bmap = {}
-    for part in beta.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        letter, _, word = part.partition("=")
-        bmap[letter.strip()] = word.strip()
-    psi = morphism_from_options(group, images)
-    report = shadow_mod.separation_witness(X, bmap, psi, u, v)
+    bmap = parse_assignments(beta, ",", "=", "--beta entry")
+    if sorted(bmap.values()) != sorted(X):
+        raise ParseError("--beta must map its letters one-to-one onto --code")
+    psi = morphism_from_options(group, images, bmap)
+    report = shadow_mod.separation_witness(
+        X, bmap, psi, parse_word(u, bmap, "-u"), parse_word(v, bmap, "-v")
+    )
     click.echo(report.to_json())
 
 
 @cli.command("arith")
 @click.option("--to-factorial", "to_fact", default=None, type=int)
-@click.option("-k", "--precision", default=4, show_default=True)
+@click.option("-k", "--precision", default=4, show_default=True, callback=at_least(1))
 @click.option("--fib-mod", "fib_args", default=None, nargs=2, type=int)
-@click.option("--fib-limit", "fib_limit_mod", default=None, type=int)
+@click.option("--fib-limit", "fib_limit_mod", default=None, type=int, callback=at_least(2))
 @click.option("--offset", default=0, show_default=True)
 def arith_cmd(to_fact, precision, fib_args, fib_limit_mod, offset):
     """Factorial digits and modular Fibonacci limits."""
@@ -443,6 +459,8 @@ def arith_cmd(to_fact, precision, fib_args, fib_limit_mod, offset):
         out["display"] = str(d)
     if fib_args:
         n, m = fib_args
+        if m < 2:
+            raise ParseError(f"--fib-mod: modulus must be at least 2, got {m}")
         out["fib_mod"] = arith_mod.fib_mod(n, m)
     if fib_limit_mod is not None:
         out["fib_factorial_sequence"] = arith_mod.fib_factorial_limit(
@@ -464,16 +482,13 @@ def main() -> None:
         sys.exit(EXIT_PARSE)
     except click.exceptions.Abort:
         sys.exit(EXIT_PARSE)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
     except (InsufficientHorizon, BudgetExceeded) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
     except InternalInvariantError as exc:
         click.echo(f"internal error: {exc}", err=True)
         sys.exit(EXIT_INTERNAL)
-    except MinishiftError as exc:
+    except MinishiftError as exc:  # ParseError and the other input errors
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
 

@@ -18,30 +18,12 @@ class ExtensionGraph:
     right: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def multiplicity(self) -> int:
         return len(self.edges) - len(self.left) - len(self.right) + 1
 
     def is_connected(self) -> bool:
         """Connected as an undirected bipartite graph (vacuously for <= 1 vertex)."""
-        nodes = [("L", a) for a in self.left] + [("R", b) for b in self.right]
-        if len(nodes) <= 1:
-            return True
-        adj: dict[tuple[str, str], list[tuple[str, str]]] = {v: [] for v in nodes}
-        for a, b in self.edges:
-            adj[("L", a)].append(("R", b))
-            adj[("R", b)].append(("L", a))
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(nodes)
+        return self._component_count() <= 1
 
     def is_acyclic(self) -> bool:
         # a bipartite multigraph-free graph is acyclic iff every connected

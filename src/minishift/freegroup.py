@@ -118,9 +118,6 @@ class SubgroupGraph:
         inc = {(w, a): v for v, a, w in self.triples}
         return out, inc
 
-    def edge_count(self) -> int:
-        return len(self.triples)
-
     def rank(self) -> int:
         return len(self.triples) - len(self.vertices) + 1
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
 from .errors import BudgetExceeded, InsufficientHorizon, InternalInvariantError, ParseError
-from .words import Alphabet, FactorSet
+from .words import Alphabet, FactorSet, shortlex
 
 DEFAULT_MONOID_BUDGET = 20000
 DEFAULT_ORDER_BUDGET = 10080
@@ -37,9 +37,6 @@ class Automaton:
                 raise ValueError(f"transition ({q!r},{a!r})->{r!r} uses unknown state")
             if a not in self.alphabet:
                 raise ValueError(f"transition letter {a!r} outside alphabet")
-
-    def step(self, q: Hashable, a: str) -> Hashable | None:
-        return self.transitions.get((q, a))
 
     def run(self, word: str, start: Hashable | None = None) -> Hashable | None:
         q = self.initial if start is None else start
@@ -407,13 +404,18 @@ def cycle_notation(mapping: dict) -> str:
 
 
 class PermGroup:
-    """Permutation group given by generator mappings on a finite domain."""
+    """Permutation group given by generator mappings on a finite domain.
+
+    The mappings are kept for display; the group itself is computed on
+    position tuples over the sorted domain, composed by ``compose``.
+    """
 
     def __init__(self, domain: tuple, generators: list[dict]) -> None:
         try:
             self.domain = tuple(sorted(domain))
         except TypeError:
             self.domain = tuple(sorted(domain, key=str))
+        self._pos = {p: i for i, p in enumerate(self.domain)}
         self.generators = []
         for g in generators:
             if sorted(g, key=str) != sorted(self.domain, key=str):
@@ -421,56 +423,33 @@ class PermGroup:
             if set(g.values()) != set(self.domain):
                 raise ValueError(f"not a permutation: {g}")
             self.generators.append(dict(g))
-        self._elements: list[tuple] | None = None
+        self._perms = [tuple(self._pos[g[p]] for p in self.domain) for g in self.generators]
+        self._closure: FiniteMonoid | None = None
 
-    def _key(self, mapping: dict) -> tuple:
-        return tuple(mapping[p] for p in self.domain)
-
-    def identity(self) -> dict:
-        return {p: p for p in self.domain}
-
-    def elements(self, budget: int = DEFAULT_ORDER_BUDGET) -> list[dict]:
-        if self._elements is None:
-            seen = {self._key(self.identity())}
-            queue = [self.identity()]
-            out = [self.identity()]
-            while queue:
-                x = queue.pop()
-                for g in self.generators:
-                    y = {p: g[x[p]] for p in self.domain}
-                    k = self._key(y)
-                    if k not in seen:
-                        seen.add(k)
-                        out.append(y)
-                        queue.append(y)
-                        if len(out) > budget:
-                            raise BudgetExceeded(
-                                f"group order exceeds budget {budget}"
-                            )
-            self._elements = [self._key(x) for x in out]
-        return [dict(zip(self.domain, t)) for t in self._elements]
+    def elements(self, budget: int = DEFAULT_ORDER_BUDGET) -> list[tuple[int, ...]]:
+        """Every group element, as the positions of the images of ``domain``."""
+        if self._closure is None:
+            gens = {str(i): t for i, t in enumerate(self._perms)}
+            identity = tuple(range(len(self.domain)))
+            self._closure = FiniteMonoid.from_generators(gens, compose, identity, budget)
+        return self._closure.elements
 
     def order(self, budget: int = DEFAULT_ORDER_BUDGET) -> int:
         return len(self.elements(budget))
 
     def contains(self, mapping: dict) -> bool:
-        keys = {tuple(m[p] for p in self.domain) for m in self.elements()}
-        return tuple(mapping[p] for p in self.domain) in keys
+        self.elements()  # builds the closure on first use
+        return tuple(self._pos[mapping[p]] for p in self.domain) in self._closure.pos
 
     def generator_cycles(self) -> list[str]:
         return [cycle_notation(g) for g in self.generators]
 
 
-def perm_group_order(G: PermGroup, budget: int = DEFAULT_ORDER_BUDGET) -> int:
-    return G.order(budget)
-
-
-def _element_order(mapping: dict, domain: tuple) -> int:
-    acc = dict(mapping)
-    n = 1
-    ident = {p: p for p in domain}
-    while acc != ident:
-        acc = {p: mapping[acc[p]] for p in domain}
+def _element_order(t: tuple[int, ...]) -> int:
+    identity = tuple(range(len(t)))
+    acc, n = t, 1
+    while acc != identity:
+        acc = compose(acc, t)
         n += 1
     return n
 
@@ -484,35 +463,28 @@ def is_isomorphic_small(G: PermGroup, H: PermGroup, budget: int = 240) -> bool:
     if len(gel) > budget:
         raise BudgetExceeded(f"isomorphism search capped at order {budget}")
 
-    gdom, hdom = G.domain, H.domain
-    gkey = lambda m: tuple(m[p] for p in gdom)
-    hkey = lambda m: tuple(m[p] for p in hdom)
-    gmul = lambda x, y: {p: y[x[p]] for p in gdom}
-    hmul = lambda x, y: {p: y[x[p]] for p in hdom}
-
-    gens = G.generators
-    horders = {}
+    gens = G._perms
+    horders: dict[int, list[tuple[int, ...]]] = {}
     for h in hel:
-        horders.setdefault(_element_order(h, hdom), []).append(h)
+        horders.setdefault(_element_order(h), []).append(h)
 
-    def search(i: int, images: list[dict]) -> bool:
+    def search(i: int, images: list[tuple[int, ...]]) -> bool:
         if i == len(gens):
             # closure of the partial map over generator words
-            table: dict[tuple, tuple] = {gkey(G.identity()): hkey(H.identity())}
-            queue = [(G.identity(), H.identity())]
+            table = {gel[0]: hel[0]}
+            queue = [(gel[0], hel[0])]
             while queue:
                 gx, hx = queue.pop()
                 for g, h in zip(gens, images):
-                    gy, hy = gmul(gx, g), hmul(hx, h)
-                    k = gkey(gy)
-                    if k in table:
-                        if table[k] != hkey(hy):
+                    gy, hy = compose(gx, g), compose(hx, h)
+                    if gy in table:
+                        if table[gy] != hy:
                             return False
                     else:
-                        table[k] = hkey(hy)
+                        table[gy] = hy
                         queue.append((gy, hy))
             return len(table) == len(gel) and len(set(table.values())) == len(hel)
-        for h in horders.get(_element_order(gens[i], gdom), []):
+        for h in horders.get(_element_order(gens[i]), []):
             if search(i + 1, images + [h]):
                 return True
         return False
@@ -532,11 +504,10 @@ def schutzenberger_group(M: FiniteMonoid, h_members: list) -> PermGroup:
         translated = [M.mul(x, m) for x in order]
         if set(translated) != hset:
             continue
-        mapping = {i: pos[t] for i, t in zip(domain, translated)}
-        key = tuple(mapping[i] for i in domain)
+        key = tuple(pos[t] for t in translated)
         if key not in seen:
             seen.add(key)
-            gens.append(mapping)
+            gens.append(dict(enumerate(key)))
     return PermGroup(domain, gens)
 
 
@@ -607,26 +578,16 @@ def f_group(
     if transformation_rank(t) != rank:
         raise InternalInvariantError(f"base word {word!r} does not reach minimal rank")
     image = sorted(transformation_image(t))
-    letter_maps = A.letter_transformations()
     gens = []
-    for r in sorted(right_return_words(F, word).words, key=lambda w: (len(w), w)):
-        action = tuple(range(len(A.states)))
-        for a in r:
-            action = compose(action, letter_maps[a])
-        mapping = {}
-        for q in image:
-            target = action[q]
-            if target not in image:
-                raise InternalInvariantError(
-                    f"return word {r!r} does not permute the minimal image"
-                )
-            mapping[q] = target
-        gens.append(mapping)
+    for r in sorted(right_return_words(F, word).words, key=shortlex):
+        action = A.transformation(r)
+        if any(action[q] not in image for q in image):
+            raise InternalInvariantError(
+                f"return word {r!r} does not permute the minimal image"
+            )
+        gens.append({A.states[q]: A.states[action[q]] for q in image})
     names = tuple(A.states[q] for q in image)
-    renamed = [
-        {A.states[q]: A.states[m[q]] for q in image} for m in gens
-    ]
-    return PermGroup(names, renamed), word, names
+    return PermGroup(names, gens), word, names
 
 
 # ---------------------------------------------------------------- constructors

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InsufficientHorizon, InternalInvariantError
-from .words import FactorSet, Substitution, occurrences
+from .words import FactorSet, Substitution, occurrences, shortlex
 
 
 @dataclass(frozen=True)
@@ -18,7 +19,7 @@ class ReturnSet:
     words: frozenset[str]
 
     def sorted_words(self) -> list[str]:
-        return sorted(self.words, key=lambda w: (len(w), w))
+        return sorted(self.words, key=shortlex)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -50,18 +51,20 @@ def right_return_words(F: FactorSet, x: str) -> ReturnSet:
     return ReturnSet(x, "right", frozenset(out))
 
 
+def conjugate(words: Iterable[str], c: str) -> frozenset[str]:
+    """The conjugates c w c^{-1}; each c + w must end with ``c``."""
+    out = set()
+    for w in words:
+        z = c + w
+        if not z.endswith(c):
+            raise InternalInvariantError(f"{z!r} does not end with {c!r}")
+        out.add(z[: len(z) - len(c)])
+    return frozenset(out)
+
+
 def left_return_words(F: FactorSet, x: str) -> ReturnSet:
     """Left return words: the right set conjugated, x w x^{-1}."""
-    right = right_return_words(F, x)
-    if not x:
-        return ReturnSet(x, "left", right.words)
-    out = set()
-    for w in right.words:
-        z = x + w
-        if not z.endswith(x):
-            raise InternalInvariantError(f"complete return {z!r} does not end with base")
-        out.add(z[: len(z) - len(x)])
-    return ReturnSet(x, "left", frozenset(out))
+    return ReturnSet(x, "left", conjugate(right_return_words(F, x).words, x))
 
 
 def gamma(F: FactorSet, x: str, maxlen: int) -> set[str]:
@@ -135,7 +138,7 @@ class LimitReturnTruncation:
                 {
                     "left": s.left_part,
                     "right": s.right_part,
-                    "words": sorted(s.words, key=lambda w: (len(w), w)),
+                    "words": sorted(s.words, key=shortlex),
                 }
                 for s in self.stages
             ],
@@ -157,17 +160,8 @@ def limit_return_truncation(
         raise ValueError("not enough seeds for requested depth")
     stages: list[TruncationStage] = []
     for l_part, r_part in seeds[:depth]:
-        x = l_part + r_part
-        returns = right_return_words(F, x).words
-        words = set()
-        for w in returns:
-            z = r_part + w
-            if not z.endswith(r_part):
-                raise InternalInvariantError(
-                    f"conjugation by {r_part!r} failed on return word {w!r}"
-                )
-            words.add(z[: len(z) - len(r_part)] if r_part else w)
-        stage = TruncationStage(l_part, r_part, frozenset(words))
+        returns = right_return_words(F, l_part + r_part).words
+        stage = TruncationStage(l_part, r_part, conjugate(returns, r_part))
         if stages:
             prev = stages[-1].words
             for w in stage.words:

@@ -20,8 +20,8 @@ from .errors import (
     ParseError,
 )
 from .monoid import FiniteMonoid, DEFAULT_MONOID_BUDGET
-from .returns import right_return_words
-from .words import FactorSet, Substitution
+from .returns import conjugate, right_return_words
+from .words import FactorSet, Substitution, shortlex
 
 
 # ------------------------------------------------------------ expressions
@@ -106,6 +106,17 @@ def evaluate(expr: PseudowordExpr, morphism: MorphismToFinite):
     raise TypeError(f"not an expression: {expr!r}")
 
 
+def expression_letters(expr: PseudowordExpr) -> set[str]:
+    """The letters whose images ``evaluate`` reads."""
+    if isinstance(expr, Letter):
+        return {expr.letter}
+    if isinstance(expr, Concat):
+        return expression_letters(expr.left) | expression_letters(expr.right)
+    if isinstance(expr, OmegaPower):
+        return expression_letters(expr.body)
+    return set(expr.subst.alphabet)
+
+
 def eval_by_iteration(
     subst: Substitution, letter: str, morphism: MorphismToFinite, n: int
 ):
@@ -169,6 +180,8 @@ def parse_expression(
             name, a = parts
             if name not in substitutions:
                 raise ParseError(f"unknown substitution {name!r}")
+            if a not in substitutions[name].alphabet:
+                raise ParseError(f"{a!r} is not a letter of {name!r}")
             return SubstOmega(substitutions[name], a)
         if peek() == "(":
             pos += 1
@@ -331,9 +344,7 @@ def separation_witness(
         raise NothingToSeparate("the two words have equal images already")
 
     decode = {x: y for y, x in beta.items()}
-    prefixes = sorted(
-        {x[:i] for x in X for i in range(len(x))}, key=lambda w: (len(w), w)
-    )
+    prefixes = sorted({x[:i] for x in X for i in range(len(x))}, key=shortlex)
     index = {p: i for i, p in enumerate(prefixes)}
     n = len(prefixes)
     alphabet = sorted({c for x in X for c in x})
@@ -357,13 +368,10 @@ def separation_witness(
     ident = tuple(
         tuple(M.identity if i == j else None for j in range(n)) for i in range(n)
     )
-    mul = lambda A, B: _matrix_mul(A, B, M.mul)
-
-    def alpha(word: str):
-        acc = ident
-        for a in word:
-            acc = mul(acc, letter_matrix[a])
-        return acc
+    matrices = FiniteMonoid.from_generators(
+        letter_matrix, lambda A, B: _matrix_mul(A, B, M.mul), ident, budget
+    )
+    alpha = matrices.image_of_word
 
     def encode(word: str) -> str:
         return "".join(beta[y] for y in word)
@@ -382,25 +390,8 @@ def separation_witness(
             raise InternalInvariantError(f"decoder identity fails on {w!r}")
         checks += 1
 
-    # size of the matrix monoid generated by the letter matrices
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        m0 = queue.pop()
-        for a in alphabet:
-            m1 = mul(m0, letter_matrix[a])
-            if m1 not in seen:
-                seen.add(m1)
-                queue.append(m1)
-                if len(seen) > budget:
-                    raise InternalInvariantError(
-                        f"matrix monoid larger than budget {budget}"
-                    )
-
     au, av = alpha(encode(u)), alpha(encode(v))
-    return SeparationReport(
-        tuple(prefixes), au, av, au != av, checks, len(seen)
-    )
+    return SeparationReport(tuple(prefixes), au, av, au != av, checks, len(matrices))
 
 
 # ------------------------------------------------------------ convenience
@@ -408,10 +399,4 @@ def separation_witness(
 
 def connective_code(F: FactorSet, a: str, b: str) -> set[str]:
     """The conjugated return-word code: a-conjugates of returns to ba."""
-    out = set()
-    for w in right_return_words(F, b + a).words:
-        z = a + w
-        if not z.endswith(a):
-            raise InternalInvariantError("return word does not end as expected")
-        out.add(z[: len(z) - len(a)])
-    return out
+    return set(conjugate(right_return_words(F, b + a).words, a))

@@ -69,6 +69,11 @@ class Alphabet:
         return word
 
 
+def shortlex(word: str) -> tuple[int, str]:
+    """Shortlex sort key in code-point order; ``Alphabet.key`` orders by letter position."""
+    return (len(word), word)
+
+
 def factors_of(word: str, maxlen: int) -> set[str]:
     """All factors of ``word`` of length at most ``maxlen`` (including '')."""
     out = {""}
@@ -130,8 +135,10 @@ class Substitution:
             images[left] = right
         if not images:
             raise ParseError("no rules given")
-        alphabet = Alphabet.of(sorted(images))
-        return cls(alphabet, images)
+        try:
+            return cls(Alphabet.of(sorted(images)), images)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
     def serialize(self) -> str:
         return ";".join(f"{a}->{self.images[a]}" for a in self.alphabet)
@@ -271,6 +278,8 @@ class FactorSet:
         """
         if not subst.is_primitive():
             raise NotPrimitive(f"{subst.serialize()} is not primitive")
+        if not letter:
+            raise ValueError("start word must be nonempty")
         subst.alphabet.check_word(letter)
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")

@@ -1,8 +1,14 @@
 """Shared fixtures: the recurring substitutions and their factor sets."""
 
 import pytest
+from hypothesis import settings
 
 from minishift.words import FactorSet, Substitution
+
+# The same examples on every run (no example database, no deadline), so two
+# runs of the suite on two versions of the code are a fixed comparison.
+settings.register_profile("minishift", derandomize=True, deadline=None)
+settings.load_profile("minishift")
 
 
 @pytest.fixture(scope="session")

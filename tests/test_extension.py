@@ -5,7 +5,7 @@ import json
 import pytest
 
 from minishift.errors import InsufficientHorizon
-from minishift.extension import classify, extension_graph, multiplicity
+from minishift.extension import ExtensionGraph, classify, extension_graph, multiplicity
 
 
 class TestExtensionGraph:
@@ -21,6 +21,13 @@ class TestExtensionGraph:
         assert set(g.edges) == {(x, y) for x in "ab" for y in "ab"}
         assert g.multiplicity() == 1
         assert not g.is_acyclic()
+
+    @pytest.mark.parametrize("left, right", [((), ()), (("a",), ()), ((), ("b",))])
+    def test_at_most_one_vertex_is_connected(self, left, right):
+        assert ExtensionGraph("w", left, right, ()).is_connected()
+
+    def test_two_isolated_vertices_are_not_connected(self):
+        assert not ExtensionGraph("w", ("a",), ("b",), ()).is_connected()
 
     def test_quad_aa_two_disjoint_edges(self, quad_set):
         g = extension_graph(quad_set, "aa")

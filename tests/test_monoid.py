@@ -209,6 +209,12 @@ class TestPermutations:
         assert G.contains(parse_permutation("(1 3 2)", dom))
         assert not G.contains(parse_permutation("(1 2)", dom))
 
+    def test_elements_are_position_tuples(self):
+        dom = ("p", "q", "r")
+        G = PermGroup(dom, [parse_permutation("(p q r)", dom)])
+        assert G.elements() == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        assert G.generators[0]["p"] == "q"
+
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             PermGroup((1, 2), [{1: 1, 2: 1}])

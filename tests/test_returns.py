@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from minishift.errors import InsufficientHorizon
+from minishift.errors import InsufficientHorizon, InternalInvariantError
 from minishift.returns import (
     check_gamma_identity,
+    conjugate,
     gamma,
     left_return_words,
     limit_return_truncation,
@@ -57,6 +58,16 @@ class TestRightReturns:
     def test_json(self, fib_set):
         payload = json.loads(right_return_words(fib_set, "a").to_json())
         assert payload == {"base": "a", "side": "right", "words": ["a", "ba"]}
+
+
+class TestConjugate:
+    def test_conjugates_by_the_suffix(self):
+        assert conjugate({"ba", "a"}, "a") == {"ab", "a"}
+        assert conjugate({"ba", "a"}, "") == {"ba", "a"}
+
+    def test_word_not_ending_with_the_suffix(self):
+        with pytest.raises(InternalInvariantError):
+            conjugate({"ab"}, "a")
 
 
 class TestLeftReturns:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from minishift.errors import (
+    BudgetExceeded,
     NotACode,
     NothingToSeparate,
     NotPrimitive,
@@ -162,6 +163,11 @@ class TestSeparation:
     def test_not_a_code(self, mod2):
         with pytest.raises(NotACode):
             separation_witness({"a", "ab", "b"}, {"a": "a", "b": "ab", "c": "b"}, mod2, "a", "aa")
+
+    def test_matrix_monoid_budget(self, fib_set, mod2):
+        X = connective_code(fib_set, "a", "b")
+        with pytest.raises(BudgetExceeded):
+            separation_witness(X, {"a": "ab", "b": "aab"}, mod2, "a", "ab", budget=2)
 
     def test_bad_bijection(self, mod2):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Words, substitutions and certified factor sets."""
 
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from minishift.errors import (
     NotPrimitive,
     ParseError,
 )
+from minishift.extension import classify
+from minishift.returns import left_return_words, right_return_words
 from minishift.words import Alphabet, FactorSet, Substitution, factors_of, occurrences
 
 
@@ -27,17 +31,22 @@ def primitive_substitutions(draw):
     return sigma
 
 
-def brute_factors(images: dict[str, str], start: str, horizon: int) -> set[str]:
-    """Every factor of length <= horizon of a long iterate of ``start``.
-
-    Iterates the images by hand until the word is 20000 letters long, or 40
-    times, and reads every substring of its windows of length ``horizon``.
-    """
+def long_iterate(images: dict[str, str], start: str) -> str:
+    """The images applied by hand until the word is 20000 letters long, or 40 times."""
     w = start
     for _ in range(40):
         if len(w) >= 20000:
             break
         w = "".join(images[c] for c in w)
+    return w
+
+
+def brute_factors(images: dict[str, str], start: str, horizon: int) -> set[str]:
+    """Every factor of length <= horizon of a long iterate of ``start``.
+
+    Reads every substring of the iterate's windows of length ``horizon``.
+    """
+    w = long_iterate(images, start)
     windows = {w[i : i + horizon] for i in range(max(1, len(w) - horizon + 1))}
     return {u[a:b] for u in windows for a in range(len(u) + 1) for b in range(a, len(u) + 1)}
 
@@ -66,6 +75,10 @@ class TestSubstitution:
         for bad in ["", "a->", "->ab", "a->ab;a->b", "noarrow"]:
             with pytest.raises(ParseError):
                 Substitution.parse(bad)
+
+    def test_parse_rejects_a_letter_without_rule(self):
+        with pytest.raises(ParseError):
+            Substitution.parse("a->ab")
 
     def test_apply(self, fib, tm):
         assert fib.apply("ab") == "aba"
@@ -224,6 +237,45 @@ class TestFactorSetBuilder:
         with pytest.raises(ValueError):
             FactorSet.from_substitution(fib, "a", -1)
 
+    def test_empty_start_rejected(self, fib):
+        with pytest.raises(ValueError):
+            FactorSet.from_substitution(fib, "", 4)
+
     def test_source_records_certificate(self, tm):
         F = FactorSet.from_substitution(tm, "a", 16)
         assert F.source.endswith("sigma^4(ab) for ab in L2 = {aa,ab,ba,bb}")
+
+
+class TestDifferentialOracles:
+    """Certified queries against direct scans of a long iterate."""
+
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), st.data())
+    def test_return_words_are_gaps_between_occurrences(self, sigma, data):
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        F = FactorSet.from_substitution(sigma, start, 20)
+        w = long_iterate(sigma.images, start)
+        # the prefix holding a first occurrence of every factor of F shows
+        # every complete return, which is a factor of length <= horizon
+        first = {u: w.find(u) for u in F.factors}
+        assert min(first.values()) >= 0
+        w = w[: max(i + len(u) for u, i in first.items())]
+        for x in [u for n in range(4) for u in F.words_of_length(n)]:
+            try:
+                right = right_return_words(F, x).words
+            except InsufficientHorizon:
+                continue
+            at = [m.start() for m in re.finditer(f"(?={re.escape(x)})", w)]
+            k = len(x)
+            assert right == {w[p + k : q + k] for p, q in zip(at, at[1:])}
+            assert left_return_words(F, x).words == {w[p:q] for p, q in zip(at, at[1:])}
+
+    @settings(max_examples=40)
+    @given(primitive_substitutions())
+    def test_neutral_sets_follow_the_complexity_law(self, sigma):
+        F = FactorSet.from_substitution(sigma, sigma.alphabet.letters[0], 14)
+        if classify(F, F.horizon - 2).neutral:
+            k = len(F.alphabet)
+            assert [F.complexity(m) for m in range(F.horizon + 1)] == [
+                (k - 1) * m + 1 for m in range(F.horizon + 1)
+            ]
