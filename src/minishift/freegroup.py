@@ -67,32 +67,47 @@ class SubgroupGraph:
         return current
 
     def fold(self) -> None:
-        """Merge endpoints of equally labeled edges until deterministic."""
-        while True:
-            pair = self._find_conflict()
-            if pair is None:
-                return
-            self._merge(*pair)
+        """Merge endpoints of equally labeled edges until deterministic.
 
-    def _find_conflict(self) -> tuple[int, int] | None:
-        out: dict[tuple[int, str], int] = {}
-        inc: dict[tuple[int, str], int] = {}
+        One worklist pass with union-find (path halving): a merge moves the
+        dropped vertex's out/in label maps to the kept one and queues every
+        label clash.  Each class is named by its least vertex, so the base
+        (vertex 0) survives; the folded quotient is unique (Stallings,
+        "Topology of finite graphs", Invent. Math. 71, 1983).
+        """
+        parent = list(range(self._next))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        out: list[dict[str, int]] = [{} for _ in parent]
+        inc: list[dict[str, int]] = [{} for _ in parent]
+        pending: list[tuple[int, int]] = []
         for v, a, w in self.triples:
-            if (v, a) in out and out[(v, a)] != w:
-                return w, out[(v, a)]
-            out[(v, a)] = w
-            if (w, a) in inc and inc[(w, a)] != v:
-                return v, inc[(w, a)]
-            inc[(w, a)] = v
-        return None
-
-    def _merge(self, x: int, y: int) -> None:
-        if x == y:
-            return
-        keep, drop = (x, y) if (x == self.base or (y != self.base and x < y)) else (y, x)
-        sub = lambda v: keep if v == drop else v
-        self.triples = {(sub(v), a, sub(w)) for v, a, w in self.triples}
-        self.vertices.discard(drop)
+            t = out[v].setdefault(a, w)
+            if t != w:
+                pending.append((t, w))
+            t = inc[w].setdefault(a, v)
+            if t != v:
+                pending.append((t, v))
+        while pending:
+            x, y = pending.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            keep, drop = (x, y) if x < y else (y, x)
+            parent[drop] = keep
+            for maps in (out, inc):
+                kept = maps[keep]
+                for a, w in maps[drop].items():
+                    t = kept.setdefault(a, w)
+                    if t != w:
+                        pending.append((t, w))
+        self.vertices = {v for v in self.vertices if parent[v] == v}
+        self.triples = {(find(v), a, find(w)) for v, a, w in self.triples}
 
     def prune(self) -> None:
         """Drop non-base vertices of degree <= 1 (core graph)."""

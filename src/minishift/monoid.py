@@ -432,13 +432,16 @@ class PermGroup:
             gens = {str(i): t for i, t in enumerate(self._perms)}
             identity = tuple(range(len(self.domain)))
             self._closure = FiniteMonoid.from_generators(gens, compose, identity, budget)
+        elif len(self._closure) > budget:
+            raise BudgetExceeded(f"monoid larger than budget {budget}")
         return self._closure.elements
 
     def order(self, budget: int = DEFAULT_ORDER_BUDGET) -> int:
         return len(self.elements(budget))
 
     def contains(self, mapping: dict) -> bool:
-        self.elements()  # builds the closure on first use
+        if self._closure is None:
+            self.elements()
         return tuple(self._pos[mapping[p]] for p in self.domain) in self._closure.pos
 
     def generator_cycles(self) -> list[str]:
@@ -525,6 +528,9 @@ def f_min_rank_data(
     if not F.complete:
         raise InsufficientHorizon("factor set is not certified complete")
     letter_maps = A.letter_transformations()
+    missing = [a for a in F.words_of_length(1) if a not in letter_maps]
+    if missing:
+        raise ValueError(f"automaton has no letter {''.join(missing)!r} of the factor set")
     identity = tuple(range(len(A.states)))
     current: dict[str, tuple[int | None, ...]] = {"": identity}
     best_rank = transformation_rank(identity)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InsufficientHorizon, InternalInvariantError
-from .words import FactorSet, Substitution, occurrences, shortlex
+from .words import FactorSet, Substitution, shortlex
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,14 @@ def right_return_words(F: FactorSet, x: str) -> ReturnSet:
 
     A return word w satisfies: xw is a factor ending with x whose only
     occurrences of x are the prefix and the suffix.  Any such xw has length
-    at most witness(x) + 1, which bounds the scan and certifies completeness.
+    at most witness(x) + 1, which bounds the search and certifies
+    completeness: every factor of length witness(x) contains x.
+
+    The search walks right extensions from x in the (factorial) set: an
+    extension y that ends with x is a complete first return and yields
+    y[len(x):]; any other is extended again.  So it visits only the
+    prefixes of complete first returns, and no branch can pass length
+    witness(x) + 1 while the certificate holds.
     """
     if x not in F:
         raise ValueError(f"{x!r} is not a factor")
@@ -43,11 +50,22 @@ def right_return_words(F: FactorSet, x: str) -> ReturnSet:
             f"return words to {x!r} may have complete-return length {n + 1}, "
             f"beyond horizon {F.horizon}"
         )
+    factors, letters = F.factors, tuple(F.alphabet)
     out = set()
-    for length in range(len(x) + 1, n + 2):
-        for z in F.words_of_length(length):
-            if z.startswith(x) and z.endswith(x) and occurrences(x, z) == 2:
-                out.add(z[len(x):])
+    branches = [x]
+    while branches:
+        z = branches.pop()
+        if len(z) > n:
+            raise InternalInvariantError(
+                f"{z!r} has no second occurrence of {x!r} within witness {n}"
+            )
+        for a in letters:
+            y = z + a
+            if y in factors:
+                if y.endswith(x):
+                    out.add(y[len(x):])
+                else:
+                    branches.append(y)
     return ReturnSet(x, "right", frozenset(out))
 
 

@@ -1,11 +1,14 @@
 """Free group words, folded subgroup graphs, and separating subgroups."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from minishift.errors import NotSeparable
 from minishift.freegroup import (
+    SubgroupGraph,
     generates,
     invert,
     is_basis_of_free_group,
@@ -19,6 +22,49 @@ from minishift.words import Alphabet
 
 AB = Alphabet.of("ab")
 group_words = st.text(alphabet="abAB", max_size=12)
+
+
+def quadratic_fold(g: SubgroupGraph) -> None:
+    """Oracle: merge one clash at a time, rescanning every edge after each."""
+
+    def find_conflict():
+        out, inc = {}, {}
+        for v, a, w in g.triples:
+            if (v, a) in out and out[(v, a)] != w:
+                return w, out[(v, a)]
+            out[(v, a)] = w
+            if (w, a) in inc and inc[(w, a)] != v:
+                return v, inc[(w, a)]
+            inc[(w, a)] = v
+        return None
+
+    while (pair := find_conflict()) is not None:
+        x, y = pair
+        keep, drop = (x, y) if (x == g.base or (y != g.base and x < y)) else (y, x)
+        sub = lambda v: keep if v == drop else v
+        g.triples = {(sub(v), a, sub(w)) for v, a, w in g.triples}
+        g.vertices.discard(drop)
+
+
+@st.composite
+def generator_lists(draw):
+    """An alphabet ab or abc, group words over it (capitals are inverses), one target."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    word = st.text(alphabet=letters + letters.upper(), max_size=10)
+    return Alphabet.of(letters), draw(st.lists(word, max_size=5)), draw(word)
+
+
+def separation(H: SubgroupGraph, x: str) -> str:
+    try:
+        return separating_subgroup(H, x).to_dot()
+    except NotSeparable as e:
+        return f"NotSeparable: {e}"
+
+
+def is_deterministic(g: SubgroupGraph) -> bool:
+    return len({(v, a) for v, a, _ in g.triples}) == len(g.triples) == len(
+        {(w, a) for _, a, w in g.triples}
+    )
 
 
 class TestReduce:
@@ -151,3 +197,48 @@ class TestSeparation:
             assert K.membership("aabb")
             assert not K.membership(x)
             assert K.index() is not None
+
+
+class TestFoldOracle:
+    """The union-find fold against the one-clash-at-a-time fold."""
+
+    @given(generator_lists())
+    def test_same_graph_as_quadratic_fold(self, case):
+        A, gens, x = case
+        H = subgroup(gens, A)
+        with mock.patch.object(SubgroupGraph, "fold", quadratic_fold):
+            K = subgroup(gens, A)
+            expected_separation = separation(K, x)
+        assert H.to_dot() == K.to_dot()
+        assert H.vertices == K.vertices
+        assert (H.rank(), H.index()) == (K.rank(), K.index())
+        assert separation(H, x) == expected_separation
+
+    @given(generator_lists())
+    def test_folded_graph_holds_every_generator(self, case):
+        A, gens, x = case
+        H = subgroup(gens, A)
+        assert is_deterministic(H)
+        assert all(H.membership(g) for g in gens)
+        try:
+            K = separating_subgroup(H, x)
+        except NotSeparable:
+            return
+        assert is_deterministic(K)
+        assert not K.membership(x)
+
+    def test_classes_are_named_by_their_least_vertex(self):
+        g = SubgroupGraph(AB)
+        g.add_loop("ab")  # 0 -a-> 1 -b-> 0
+        g.add_loop("aa")  # 0 -a-> 2 -a-> 0, so 2 joins 1
+        g.fold()
+        assert g.vertices == {0, 1}
+        assert g.triples == {(0, "a", 1), (1, "b", 0), (1, "a", 0)}
+
+    def test_base_survives_a_merge(self):
+        g = SubgroupGraph(AB)
+        g.add_loop("aa")  # 0 -a-> 1 -a-> 0
+        g.add_loop("a")  # 0 -a-> 0, so 1 joins the base
+        g.fold()
+        assert g.vertices == {0}
+        assert g.triples == {(0, "a", 0)}

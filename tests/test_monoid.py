@@ -2,6 +2,7 @@
 
 import pytest
 
+from minishift.bifix import BifixCode, minimal_automaton_of_star
 from minishift.errors import BudgetExceeded, InternalInvariantError, ParseError
 from minishift.monoid import (
     Automaton,
@@ -231,6 +232,31 @@ class TestPermutations:
         with pytest.raises(BudgetExceeded):
             G.order(budget=100)
 
+    def test_budget_of_a_later_call(self):
+        dom = (1, 2, 3, 4, 5)
+        A5 = [parse_permutation("(1 2 3)", dom), parse_permutation("(3 4 5)", dom)]
+        G = PermGroup(dom, A5)
+        assert G.order() == 60
+        with pytest.raises(BudgetExceeded) as cached:
+            G.order(budget=10)
+        with pytest.raises(BudgetExceeded) as fresh:
+            PermGroup(dom, A5).order(budget=10)
+        assert str(cached.value) == str(fresh.value)
+        assert G.order(budget=60) == 60
+
+    def test_contains_reads_the_closure_built(self):
+        # S8 has 40320 elements, above the default budget of elements()
+        dom = tuple(range(1, 9))
+        G = PermGroup(
+            dom,
+            [
+                parse_permutation("(1 2 3 4 5 6 7 8)", dom),
+                parse_permutation("(1 2)", dom),
+            ],
+        )
+        assert G.order(budget=40320) == 40320
+        assert G.contains(parse_permutation("(1 8)(2 7)", dom))
+
 
 class TestIsomorphism:
     def dom_group(self, text, dom):
@@ -275,6 +301,11 @@ class TestFMinimal:
     def test_bad_base_rejected(self, three_state, fib_set):
         with pytest.raises(InternalInvariantError):
             f_group(three_state, fib_set, base="")
+
+    def test_letter_missing_from_the_automaton(self, fib_set):
+        only_a = minimal_automaton_of_star(BifixCode.of(["a"]))
+        with pytest.raises(ValueError, match="'b'"):
+            f_min_rank_data(only_a, fib_set)
 
 
 class TestMonoidFromPermutations:

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from minishift.episturmian import episturmian_factor_set
 from minishift.errors import InsufficientHorizon, InternalInvariantError
 from minishift.returns import (
     check_gamma_identity,
@@ -14,6 +17,43 @@ from minishift.returns import (
     right_return_words,
     substitution_seeds,
 )
+from minishift.words import Alphabet, FactorSet, occurrences
+from test_words import primitive_substitutions
+
+
+def scanned_return_words(F, x):
+    """Oracle: every factor of each length up to witness + 1 that starts and
+    ends with x and holds exactly two occurrences of it."""
+    if x not in F:
+        raise ValueError(f"{x!r} is not a factor")
+    n = F.uniform_recurrence_witness(x)
+    if n + 1 > F.horizon:
+        raise InsufficientHorizon(
+            f"return words to {x!r} may have complete-return length {n + 1}, "
+            f"beyond horizon {F.horizon}"
+        )
+    out = set()
+    for length in range(len(x) + 1, n + 2):
+        for z in F.words_of_length(length):
+            if z.startswith(x) and z.endswith(x) and occurrences(x, z) == 2:
+                out.add(z[len(x):])
+    return frozenset(out)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def assert_walk_matches_scan(F, maxlen=4):
+    for n in range(min(maxlen, F.horizon) + 1):
+        for x in F.words_of_length(n):
+            right = outcome(scanned_return_words, F, x)
+            left = right if isinstance(right, tuple) else conjugate(right, x)
+            assert outcome(lambda: right_return_words(F, x).words) == right
+            assert outcome(lambda: left_return_words(F, x).words) == left
 
 
 class TestRightReturns:
@@ -58,6 +98,51 @@ class TestRightReturns:
     def test_json(self, fib_set):
         payload = json.loads(right_return_words(fib_set, "a").to_json())
         assert payload == {"base": "a", "side": "right", "words": ["a", "ba"]}
+
+
+class TestWalkAgainstScan:
+    """The right-extension walk against the scan over every length."""
+
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), st.integers(0, 24), st.data())
+    def test_primitive_substitutions(self, sigma, horizon, data):
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        assert_walk_matches_scan(FactorSet.from_substitution(sigma, start, horizon))
+
+    @pytest.mark.parametrize("word", ["a", "ab", "aab", "abcabba"])
+    def test_periodic(self, word):
+        assert_walk_matches_scan(FactorSet.from_periodic(word, 24))
+
+    def test_episturmian(self):
+        assert_walk_matches_scan(episturmian_factor_set("bca" * 12, 32))
+
+    def test_fixtures(self, fib_set, tm_set, trib_set, quad_set):
+        for F in (fib_set, tm_set, trib_set, quad_set):
+            assert_walk_matches_scan(F, maxlen=6)
+
+    def test_empty_base_returns_the_letters(self, trib_set):
+        assert right_return_words(trib_set, "").words == {"a", "b", "c"}
+        assert left_return_words(trib_set, "").words == {"a", "b", "c"}
+
+    def test_empty_base_at_horizon_zero(self, fib):
+        with pytest.raises(InsufficientHorizon):
+            right_return_words(FactorSet.from_substitution(fib, "a", 0), "")
+
+    def test_horizon_at_the_witness(self, fib, fib_set_64):
+        n = fib_set_64.uniform_recurrence_witness("aba")
+        short = FactorSet.from_substitution(fib, "a", n)
+        with pytest.raises(InsufficientHorizon, match=f"length {n + 1}"):
+            right_return_words(short, "aba")
+        enough = FactorSet.from_substitution(fib, "a", n + 1)
+        assert right_return_words(enough, "aba") == right_return_words(fib_set_64, "aba")
+
+    def test_branch_past_the_witness(self):
+        # not factorial: "bb" is missing, so "abb" holds one "a" while the
+        # only factor of length 2 contains "a" (witness 2)
+        F = FactorSet(Alphabet.of("ab"), 3, ["", "a", "b", "ab", "abb"], True, "bad")
+        assert F.uniform_recurrence_witness("a") == 2
+        with pytest.raises(InternalInvariantError):
+            right_return_words(F, "a")
 
 
 class TestConjugate:
