@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import BudgetExceeded, InsufficientHorizon, InternalInvariantError
-from .words import Alphabet, FactorSet, Substitution, factors_of
+from .words import Alphabet, FactorSet, Substitution
 
 DEFAULT_PAL_BUDGET = 10**6
 
@@ -25,17 +25,6 @@ def palindromic_closure(w: str) -> str:
     return w  # n == 0
 
 
-def palindromic_closure_bruteforce(w: str) -> str:
-    """Oracle: scan extensions of ``w`` by increasing length."""
-    candidate = w
-    while not is_palindrome(candidate):
-        candidate = w + candidate[: len(candidate) - len(w) + 1][::-1]
-        # the closure never exceeds 2|w|
-        if len(candidate) > 2 * len(w):
-            raise InternalInvariantError("palindromic closure overran 2|w|")
-    return candidate
-
-
 def pal(u: str, budget: int = DEFAULT_PAL_BUDGET) -> str:
     """Iterated palindromic closure: Pal(ua) = (Pal(u)a)^(+), Pal('') = ''."""
     out = ""
@@ -43,17 +32,6 @@ def pal(u: str, budget: int = DEFAULT_PAL_BUDGET) -> str:
         out = palindromic_closure(out + a)
         if len(out) > budget:
             raise BudgetExceeded(f"palindromic prefix longer than {budget}")
-    return out
-
-
-def tower(u: str, budget: int = DEFAULT_PAL_BUDGET) -> list[str]:
-    """The palindromic prefixes u_0 = '', u_1, ..., u_n for n = |u|."""
-    out = [""]
-    for a in u:
-        nxt = palindromic_closure(out[-1] + a)
-        if len(nxt) > budget:
-            raise BudgetExceeded(f"palindromic prefix longer than {budget}")
-        out.append(nxt)
     return out
 
 
@@ -79,48 +57,30 @@ def justin_check(u: str, v: str, alphabet: Alphabet | None = None) -> bool:
     return pal(u + v) == psi(u, alphabet).apply(pal(v)) + pal(u)
 
 
-def episturmian_factor_set(
-    directive: str,
-    horizon: int,
-    alphabet: Alphabet | None = None,
-    budget: int = DEFAULT_PAL_BUDGET,
-) -> FactorSet:
+def episturmian_factor_set(directive: str, horizon: int) -> FactorSet:
     """Certified factor set of the standard word directed by ``directive``.
 
-    Grows the palindromic prefix until it is at least 2*horizon long and its
-    set of factors of length <= horizon has been stable for a full cycle of
-    alphabet letters; new short factors only arise from closure steps, so
-    stability over every letter certifies completeness.
+    The directive of elementary morphisms psi_x for x in ``directive``
+    (``FactorSet.from_directive``).  The tail s_k is psi_x(s_{k+1}) with
+    x = directive[k], so its length-2 factors are xc and cx for every letter
+    c of s_{k+1}; the finite directive fixes those letters only when every
+    letter occurs in directive[k+1:].
     """
-    if alphabet is None:
-        alphabet = Alphabet.of(sorted(set(directive)))
-    u = ""
-    seen = factors_of(u, horizon)
-    stable = 0
-    done = False
-    for a in directive:
-        alphabet.check_word(a)
-        u = palindromic_closure(u + a)
-        if len(u) > budget:
-            raise BudgetExceeded(f"palindromic prefix longer than {budget}")
-        current = factors_of(u, horizon)
-        stable = stable + 1 if current == seen else 0
-        seen = current
-        if len(u) >= 2 * horizon and stable >= len(alphabet):
-            done = True
-            break
-    if not done and horizon > 0:
-        raise InsufficientHorizon(
-            f"directive prefix {directive!r} reaches only length {len(u)} "
-            f"without the length-{horizon} factors stabilizing"
-        )
-    return FactorSet.from_words(
-        alphabet,
-        [u],
-        horizon,
-        complete=True,
-        source=f"episturmian directive {directive}",
-    )
+    alphabet = Alphabet.of(sorted(set(directive)))
+
+    def tail_pairs(k: int) -> set[str]:
+        missing = set(alphabet) - set(directive[k + 1 :])
+        if missing:
+            raise InsufficientHorizon(
+                f"horizon {horizon} needs depth {k} of directive {directive!r}, whose "
+                f"tail {directive[k + 1 :]!r} lacks the letters {''.join(sorted(missing))!r}"
+            )
+        x = directive[k]
+        return {x + c for c in alphabet} | {c + x for c in alphabet}
+
+    morphisms = (elementary_morphism(x, alphabet) for x in directive)
+    source = f"episturmian directive {directive}"
+    return FactorSet.from_directive(alphabet, morphisms, tail_pairs, horizon, source)
 
 
 def episturmian_left_returns(

@@ -117,22 +117,6 @@ def expression_letters(expr: PseudowordExpr) -> set[str]:
     return set(expr.subst.alphabet)
 
 
-def eval_by_iteration(
-    subst: Substitution, letter: str, morphism: MorphismToFinite, n: int
-):
-    """Oracle: image of the n!-th iterate, computed by n! update steps."""
-    import math
-
-    letters = subst.alphabet.letters
-    M = morphism.target
-    vector = {a: morphism.images[a] for a in letters}
-    for _ in range(math.factorial(n)):
-        vector = {
-            a: M.product(vector[b] for b in subst.images[a]) for a in letters
-        }
-    return vector[letter]
-
-
 def h_order(
     subst: Substitution, morphism: MorphismToFinite
 ) -> int | tuple[None, int, int]:

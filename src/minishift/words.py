@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -259,6 +260,51 @@ class FactorSet:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def from_directive(
+        cls,
+        alphabet: Alphabet,
+        morphisms: Iterable[Substitution],
+        tail_pairs: Callable[[int], set[str]],
+        horizon: int,
+        source: str,
+        max_prefix: int = DEFAULT_MAX_PREFIX,
+    ) -> "FactorSet":
+        """Certified factor set of the S-adic word s = tau_0 tau_1 ... tau_{k-1}(s_k).
+
+        Certificate: once every image of tau_[0,k) = tau_0 ... tau_{k-1} has
+        length >= L, the factors of s of length <= L are those of
+        tau_[0,k)(cd) for cd in L2(s_k), the length-2 factors of the tail
+        (Fogg, Substitutions in Dynamics, Arithmetics and Combinatorics,
+        LNM 1794, ch. 1; Droubay, Justin, Pirillo, TCS 255, 2001).
+        ``tail_pairs(k)`` gives L2(s_k) for the depth k reached, and raises
+        ``InsufficientHorizon`` past the end of a finite directive; horizon 0
+        does not ask it.  A one-letter shift is the constant word.
+        """
+        if horizon < 0:
+            raise ValueError(f"horizon must be nonnegative, got {horizon}")
+        if len(alphabet) == 1:
+            return cls.from_periodic(alphabet.letters[0], horizon)
+        power, k = {c: c for c in alphabet}, 0
+        for tau in morphisms:
+            if min(map(len, power.values())) >= horizon:
+                break
+            power = {c: "".join(power[d] for d in tau.images[c]) for c in power}
+            k += 1
+            if max(map(len, power.values())) > max_prefix:
+                raise BudgetExceeded("fixed-point prefix budget exceeded")
+
+        # windows of the widest length, then their prefixes and suffixes
+        pairs = sorted(tail_pairs(k), key=alphabet.key) if horizon else []
+        words = [power[ab[0]] + power[ab[1]] for ab in pairs]
+        level = {w[i : i + horizon] for w in words for i in range(len(w) - horizon + 1)}
+        factors = level | {""}
+        for _ in range(horizon):
+            level = {u[1:] for u in level} | {u[:-1] for u in level}
+            factors |= level
+        source = f"{source}: factors of tau_[0,{k})(ab) for ab in L2 = {{{','.join(pairs)}}}"
+        return cls(alphabet, horizon, factors, complete=True, source=source)
+
+    @classmethod
     def from_substitution(
         cls,
         subst: Substitution,
@@ -268,21 +314,18 @@ class FactorSet:
     ) -> "FactorSet":
         """Certified factor set of the fixed point of a primitive substitution.
 
-        Certificate: for primitive σ, the factors of length <= n of its shift
-        are those of σ^k(a)σ^k(b) for ab in L2, its factors of length 2, once
-        every σ^k(c) has length >= n (Queffélec, Substitution Dynamical
-        Systems, LNM 1294; Fogg, Substitutions in Dynamics, Arithmetics and
-        Combinatorics, LNM 1794, ch. 1).  L2 is the least set holding the
-        2-letter factors of every σ(c) and of σ(ab) for each member ab.
-        ``source`` records k and L2.  a->a never grows and stops at the letter.
+        The directive sigma, sigma, ... of ``from_directive``, whose tail has
+        the length-2 factors L2 of the shift: the least set holding the
+        2-letter factors of every sigma(c) and of sigma(ab) for each member
+        ab (Queffélec, Substitution Dynamical Systems, LNM 1294).  The start
+        word is checked and recorded in ``source`` but not read: a start
+        that is not a factor would add non-factors.
         """
         if not subst.is_primitive():
             raise NotPrimitive(f"{subst.serialize()} is not primitive")
         if not letter:
             raise ValueError("start word must be nonempty")
         subst.alphabet.check_word(letter)
-        if horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {horizon}")
         images = subst.images
 
         pairs: set[str] = set()
@@ -292,29 +335,10 @@ class FactorSet:
             for ab in {w[i : i + 2] for i in range(len(w) - 1)} - pairs:
                 pairs.add(ab)
                 todo.append(images[ab[0]] + images[ab[1]])
-
-        power, k = {c: c for c in subst.alphabet}, 0
-        while min(map(len, power.values())) < horizon:
-            grown = {c: "".join(power[d] for d in images[c]) for c in power}
-            if grown == power:
-                break
-            power, k = grown, k + 1
-            if max(map(len, power.values())) > max_prefix:
-                raise BudgetExceeded("fixed-point prefix budget exceeded")
-
-        # windows of the widest length, then their prefixes and suffixes
-        start = "".join(power[c] for c in letter)
-        words = [start] + [power[ab[0]] + power[ab[1]] for ab in pairs]
-        n = min(horizon, len(start))
-        level = {w[i : i + n] for w in words for i in range(len(w) - n + 1)}
-        factors = set(level)
-        for _ in range(n):
-            level = {u[1:] for u in level} | {u[:-1] for u in level}
-            factors |= level
-        l2 = ",".join(sorted(pairs, key=subst.alphabet.key))
-        source = (f"substitution {subst.serialize()} from {letter}: "
-                  f"factors of sigma^{k}(ab) for ab in L2 = {{{l2}}}")
-        return cls(subst.alphabet, horizon, factors, complete=True, source=source)
+        source = f"substitution {subst.serialize()} from {letter}"
+        return cls.from_directive(
+            subst.alphabet, repeat(subst), lambda k: pairs, horizon, source, max_prefix
+        )
 
     @classmethod
     def from_periodic(cls, word: str, horizon: int) -> "FactorSet":
@@ -352,12 +376,4 @@ class FactorSet:
                 "factors": self.sorted_words(),
             },
             sort_keys=True,
-        )
-
-    def check_factorial(self) -> bool:
-        """Every factor of a member is a member (test support)."""
-        return all(
-            w[1:] in self.factors and w[:-1] in self.factors
-            for w in self.factors
-            if w
         )

@@ -51,6 +51,14 @@ class TestFactors:
         assert out["witness"] == 3
         assert out["complete"] is True
 
+    def test_start_word_that_is_not_a_factor(self, runner):
+        # aa is no factor of this shift, whose length-2 factors are ab and ba
+        out = run(
+            runner, "factors", "--subst", "a->bab;b->a", "--start", "aa",
+            "--horizon", "2",
+        )
+        assert out == '{"complete": true, "factors": ["", "a", "b", "ab", "ba"], "horizon": 2}\n'
+
     def test_periodic(self, runner):
         out = json.loads(run(
             runner, "factors", "--periodic", "abc", "--horizon", "3",

@@ -1,5 +1,7 @@
 """Palindromic closure, elementary morphisms, directed words and left returns."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +13,7 @@ from minishift.episturmian import (
     justin_check,
     pal,
     palindromic_closure,
-    palindromic_closure_bruteforce,
     psi,
-    tower,
 )
 from minishift.errors import InsufficientHorizon
 from minishift.returns import left_return_words
@@ -22,6 +22,42 @@ from minishift.words import Alphabet, FactorSet
 
 AB = Alphabet.of("ab")
 words_ab = st.text(alphabet="ab", max_size=10)
+
+
+def palindromic_closure_bruteforce(w: str) -> str:
+    """Oracle: scan extensions of ``w`` by increasing length."""
+    candidate = w
+    while not is_palindrome(candidate):
+        candidate = w + candidate[: len(candidate) - len(w) + 1][::-1]
+        # the closure never exceeds 2|w|
+        assert len(candidate) <= 2 * len(w), "palindromic closure overran 2|w|"
+    return candidate
+
+
+def justin_prefix(unit: str, length: int) -> str:
+    """Prefix of the standard word directed by ``unit`` repeated, by Justin's recurrence.
+
+    Pal(wa) = Pal(w) a Pal(w) if a does not occur in w, else
+    Pal(w) Pal(w1)^-1 Pal(w) with w1 the prefix of w before its last a.
+    """
+    s, lengths, last, i = "", [0], {}, 0
+    while len(s) < length:
+        a = unit[i % len(unit)]
+        s = s + s[lengths[last[a]] :] if a in last else s + a + s
+        last[a] = i
+        lengths.append(len(s))
+        i += 1
+    return s[:length]
+
+
+# every directive unit of length 3 to 5 over ab or abc that uses each letter
+UNITS = [
+    "".join(p)
+    for letters in ("ab", "abc")
+    for n in range(3, 6)
+    for p in product(letters, repeat=n)
+    if set(p) == set(letters)
+]
 
 
 class TestClosure:
@@ -59,14 +95,16 @@ class TestPal:
             assert out.startswith(pal(u[:i])) or pal(u[:i]).startswith(out)
 
     def test_tower_growth_bound(self):
-        u = tower("abababab")
+        d = "abababab"
+        u = [pal(d[:n]) for n in range(len(d) + 1)]
         for n in range(1, len(u) - 1):
             assert len(u[n + 1]) <= 2 * (len(u[n]) + 1)
             assert u[n + 1].startswith(u[n])
 
     def test_fibonacci_tower_recursion(self, fib):
         # the n+1-st palindromic prefix extends by the n-th iterate
-        u = tower("ababababab")
+        d = "ababababab"
+        u = [pal(d[:n]) for n in range(len(d) + 1)]
         for n in range(len(u) - 1):
             assert u[n + 1] == fib.iterate("a", n) + u[n]
             assert len(u[n]) < len(fib.iterate("a", n + 1))
@@ -95,8 +133,6 @@ class TestJustin:
         assert justin_check("ab", "a")
 
     def test_exhaustive_up_to_total_length_8(self):
-        from itertools import product
-
         all_words = [
             "".join(p) for n in range(0, 9) for p in product("ab", repeat=n)
         ]
@@ -124,6 +160,33 @@ class TestFactorSet:
     def test_prefix_too_short(self):
         with pytest.raises(InsufficientHorizon):
             episturmian_factor_set("ab", 10)
+
+    def test_justin_oracle_matches_pal(self):
+        for unit in ("ab", "abc", "aab", "baaa"):
+            d = unit * 4
+            assert justin_prefix(unit, len(pal(d))) == pal(d)
+
+    @pytest.mark.parametrize("horizon, length", [(16, 2**13), (32, 2**14)])
+    def test_every_unit_matches_the_directed_word(self, horizon, length):
+        for unit in UNITS:
+            w = justin_prefix(unit, length)
+            windows = {w[i : i + horizon] for i in range(length - horizon + 1)}
+            F = episturmian_factor_set(unit * 20, horizon)
+            assert set(F.words_of_length(horizon)) == windows, unit
+
+    def test_repeated_orderings_match_fibonacci_and_tribonacci(self, fib, trib):
+        for sigma, unit in ((fib, "ab"), (trib, "abc")):
+            G = FactorSet.from_substitution(sigma, "a", 24)
+            for horizon in range(25):
+                F = episturmian_factor_set(unit * 12, horizon)
+                assert F.factors == {w for w in G.factors if len(w) <= horizon}
+
+    def test_long_run_of_one_letter_keeps_the_other(self):
+        assert episturmian_factor_set("aaab", 1).factors == {"", "a", "b"}
+
+    def test_tail_missing_a_letter(self):
+        with pytest.raises(InsufficientHorizon, match="lacks the letters 'b'"):
+            episturmian_factor_set("baaa", 2)
 
 
 class TestLeftReturns:

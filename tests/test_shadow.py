@@ -1,6 +1,7 @@
 """Limit expressions over finite monoids, decoders and separation witnesses."""
 
 import json
+import math
 
 import pytest
 
@@ -23,7 +24,6 @@ from minishift.shadow import (
     OmegaPower,
     SubstOmega,
     connective_code,
-    eval_by_iteration,
     evaluate,
     h_order,
     is_code,
@@ -31,6 +31,16 @@ from minishift.shadow import (
     separation_witness,
 )
 from minishift.words import Substitution
+
+
+def eval_by_iteration(subst: Substitution, letter: str, morphism: MorphismToFinite, n: int):
+    """Oracle: image of the n!-th iterate, computed by n! update steps."""
+    letters = subst.alphabet.letters
+    M = morphism.target
+    vector = {a: morphism.images[a] for a in letters}
+    for _ in range(math.factorial(n)):
+        vector = {a: M.product(vector[b] for b in subst.images[a]) for a in letters}
+    return vector[letter]
 
 
 @pytest.fixture(scope="module")
