@@ -64,7 +64,7 @@ class Parse:
         return self.prefix + "".join(self.blocks) + self.suffix
 
 
-def _star_factorization(w: str, start: int, X: frozenset[str]) -> dict[int, tuple[str, ...]]:
+def star_factorization(w: str, start: int, X: frozenset[str]) -> dict[int, tuple[str, ...]]:
     """One X-factorization of w[start:j] per reachable endpoint j (X a code)."""
     out: dict[int, tuple[str, ...]] = {start: ()}
     for i in range(start, len(w) + 1):
@@ -84,7 +84,7 @@ def parses(w: str, X: BifixCode) -> list[Parse]:
         p = w[:i]
         if any(p.endswith(x) for x in X.words):
             continue
-        for j, blocks in sorted(_star_factorization(w, i, X.words).items()):
+        for j, blocks in sorted(star_factorization(w, i, X.words).items()):
             q = w[j:]
             if any(q.startswith(x) for x in X.words):
                 continue
@@ -188,79 +188,47 @@ def group_code_intersection(spec: GroupCodeSpec, F: FactorSet) -> BifixCode:
 def minimal_automaton_of_star(X: BifixCode, alphabet: Alphabet | None = None) -> Automaton:
     """Minimal deterministic automaton of the submonoid generated by X.
 
-    Built as the literal trie with code words looping back to the root,
-    then minimized (partial-map Moore refinement with an explicit sink).
+    The states of the literal trie are the proper prefixes p of X, with code
+    words looping back to the root.  Two of them are merged exactly when
+    their residuals p^-1 X = {w : pw in X} are equal, and the root stays in
+    a class of its own.  This is the partition by the residuals p^-1 X*:
+    X is a prefix code, so p^-1 X* = (p^-1 X) X* for every proper prefix
+    p != ""; for prefix codes U and V, U X* = V X* implies U = V; and only
+    the root's residual X* contains the empty word (Berstel, Perrin,
+    Reutenauer, *Codes and Automata*, CUP 2010, ch. 4 and 6).
     """
     if alphabet is None:
         alphabet = Alphabet.of(sorted({c for w in X.words for c in w}))
-    prefixes = sorted({w[:i] for w in X.words for i in range(len(w))}, key=shortlex)
-    states = list(prefixes)  # "" is the root
-    trans: dict[tuple[str, str], str | None] = {}
-    for p in states:
-        for a in alphabet:
-            q = p + a
-            if q in X.words:
-                trans[(p, a)] = ""
-            elif q in set(prefixes):
-                trans[(p, a)] = q
-            else:
-                trans[(p, a)] = None
+    residuals: dict[str, set[str]] = {}
+    for w in X.words:
+        for i in range(len(w)):
+            residuals.setdefault(w[:i], set()).add(w[i:])
+    class_of = {p: frozenset(r) if p else None for p, r in residuals.items()}
 
-    # Moore minimization over states + sink
-    sink = object()
-    everything = states + [sink]
-    block = {s: (0 if s == "" else 1 if s is not sink else 2) for s in everything}
-    while True:
-        signature = {}
-        for s in everything:
-            if s is sink:
-                sig = (block[s], tuple(block[sink] for _ in alphabet))
-            else:
-                sig = (
-                    block[s],
-                    tuple(
-                        block[trans[(s, a)] if trans[(s, a)] is not None else sink]
-                        for a in alphabet
-                    ),
-                )
-            signature[s] = sig
-        relabel = {}
-        for s in everything:
-            relabel.setdefault(signature[s], len(relabel))
-        new_block = {s: relabel[signature[s]] for s in everything}
-        if new_block == block:
-            break
-        block = new_block
+    def target(p: str, a: str) -> str | None:
+        q = p + a
+        if q in X.words:
+            return ""
+        return q if q in residuals else None
 
-    class_of = {s: block[s] for s in states}
-
-    # breadth-first renumbering from the root, states named 1..n
-    root = class_of[""]
-    order = [root]
-    reps = {root: ""}
+    # breadth-first numbering of the classes from the root, states named 1..n
+    number = {class_of[""]: 1}
     queue = [""]
-    while queue:
-        s = queue.pop(0)
+    for p in queue:
         for a in alphabet:
-            t = trans[(s, a)]
-            if t is None:
-                continue
-            c = class_of[t]
-            if c not in reps:
-                reps[c] = t
-                order.append(c)
-                queue.append(t)
-    number = {c: i + 1 for i, c in enumerate(order)}
+            q = target(p, a)
+            if q is not None and class_of[q] not in number:
+                number[class_of[q]] = len(number) + 1
+                queue.append(q)
     transitions = {}
-    for s in states:
+    for p in sorted(residuals, key=shortlex):
         for a in alphabet:
-            t = trans[(s, a)]
-            if t is not None:
-                transitions[(number[class_of[s]], a)] = number[class_of[t]]
-    state_names = tuple(number[c] for c in order)
+            q = target(p, a)
+            if q is not None:
+                transitions[(number[class_of[p]], a)] = number[class_of[q]]
     return Automaton(
         alphabet,
-        state_names,
+        tuple(number.values()),
         initial=1,
         terminals=frozenset({1}),
         transitions=transitions,

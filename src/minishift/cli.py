@@ -72,6 +72,9 @@ def parse_factor(F: FactorSet, text: str, option: str) -> str:
     return text
 
 
+GROUP_HELP = "cyclic:M, or a name that is only a label: the --images define the group"
+
+
 def parse_cyclic(group: str) -> int | None:
     """The modulus M of ``cyclic:M``, or None for a permutation group."""
     if not group.startswith("cyclic:"):
@@ -123,7 +126,7 @@ def parse_images(group: str, images: str, letters) -> tuple[int | None, tuple, d
     if m is not None:
         domain, out = (), parse_weights(images)
     else:
-        # permutation images define the group; named groups are only a hint
+        # permutation images define the group; its name is only a label
         cycles = parse_assignments(images, ";", ":", "image")
         points = {
             int(tok) if tok.lstrip("-").isdigit() else tok
@@ -191,7 +194,7 @@ def subst_cmd(subst_text, apply_word, iterate_letter, power, primitive):
 @click.option("--start", default=None)
 @click.option("--periodic", default=None, callback=nonempty)
 @click.option("--horizon", default=8, show_default=True, callback=nonnegative)
-@click.option("--complexity", "complexity_n", default=None, type=int)
+@click.option("--complexity", "complexity_n", default=None, type=int, callback=nonnegative)
 @click.option("--witness", "witness_word", default=None)
 def factors_cmd(subst_text, start, periodic, horizon, complexity_n, witness_word):
     """Certified factor set of a substitution fixed point or periodic word."""
@@ -243,7 +246,7 @@ def classify_cmd(subst_text, start, maxlen, graph_word, dot_path):
 @click.option("--word", required=True)
 @click.option("--horizon", default=32, show_default=True, callback=nonnegative)
 @click.option("--left", is_flag=True)
-@click.option("--gamma", "gamma_maxlen", default=None, type=int)
+@click.option("--gamma", "gamma_maxlen", default=None, type=int, callback=nonnegative)
 def returns_cmd(subst_text, start, word, horizon, left, gamma_maxlen):
     """Return words to a factor."""
     F = build_factor_set(subst_text, start, horizon)
@@ -337,14 +340,13 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
     if subst_text is not None and start is not None:
         F = build_factor_set(subst_text, start, horizon)
         parse_word("".join(F.alphabet), A.alphabet, "--subst")  # the code's letters
-        rank, word, _ = monoid_mod.f_min_rank_data(A, F)
         G, base, image = monoid_mod.f_group(A, F)
-        out["f_min_rank"] = rank
+        out["f_min_rank"] = len(image)
         out["f_group_order"] = G.order()
         out["f_group_generators"] = G.generator_cycles()
         out["minimal_image"] = list(image)
         if eggbox:
-            t = A.transformation(word)
+            t = A.transformation(base)
             cid = structure.j_class[M.pos[t]]
             click.echo(structure.eggbox(cid))
             return
@@ -352,7 +354,7 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
 
 
 @cli.command("bifix")
-@click.option("--group", required=True, help="cyclic:M or a named permutation group")
+@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
 @click.option("--images", required=True, help='"a=1,b=1" or "a:(1 2 3);b:(3 4 5)"')
 @click.option("--base-point", default=None)
 @click.option("--subst", "subst_text", required=True)
@@ -379,7 +381,7 @@ def shadow_group() -> None:
 @shadow_group.command("eval")
 @click.option("--expr", required=True)
 @click.option("--subst-def", "subst_defs", multiple=True, help='"phi=a->ab;b->a"')
-@click.option("--group", required=True)
+@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
 @click.option("--images", required=True)
 def shadow_eval_cmd(expr, subst_defs, group, images):
     """Evaluate a pseudoword expression under a morphism."""
@@ -408,7 +410,7 @@ def _horder_impl(subst_text, group, images):
 
 @shadow_group.command("horder")
 @click.option("--subst", "subst_text", required=True)
-@click.option("--group", required=True)
+@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
 @click.option("--images", required=True)
 def shadow_horder_cmd(subst_text, group, images):
     """Least n with the substitution's action on letter images returning."""
@@ -417,7 +419,7 @@ def shadow_horder_cmd(subst_text, group, images):
 
 @cli.command("horder")
 @click.option("--subst", "subst_text", required=True)
-@click.option("--group", required=True)
+@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
 @click.option("--images", required=True)
 def horder_cmd(subst_text, group, images):
     """Shortcut for 'shadow horder'."""
@@ -427,7 +429,7 @@ def horder_cmd(subst_text, group, images):
 @shadow_group.command("separate")
 @click.option("--code", required=True, help="comma-separated code words")
 @click.option("--beta", required=True, help='"x=a,y=ab,z=bb"')
-@click.option("--group", required=True)
+@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
 @click.option("--images", required=True)
 @click.option("-u", required=True)
 @click.option("-v", required=True)

@@ -89,6 +89,31 @@ def transformation_image(t: tuple[int | None, ...]) -> frozenset[int]:
     return frozenset(q for q in t if q is not None)
 
 
+# ---------------------------------------------------------------- orbits
+
+
+def orbit(x, step: Callable) -> tuple[list, int, int]:
+    """The iterates x, step(x), step(step(x)), ... up to the first repeat.
+
+    Returns (iterates, preperiod, period): the iterates are distinct and
+    step(iterates[-1]) == iterates[preperiod], so from ``preperiod`` on the
+    n-th iterate is iterates[preperiod + (n - preperiod) % period].
+    """
+    iterates: list = []
+    seen: dict = {}
+    while x not in seen:
+        seen[x] = len(iterates)
+        iterates.append(x)
+        x = step(x)
+    preperiod = seen[x]
+    return iterates, preperiod, len(iterates) - preperiod
+
+
+def omega_index(start: int, period: int) -> int:
+    """The least multiple of ``period`` that is >= ``start``."""
+    return period * -(-start // period)
+
+
 # ---------------------------------------------------------------- monoids
 
 
@@ -130,23 +155,13 @@ class FiniteMonoid:
 
     def index_period(self, s) -> tuple[int, int]:
         """Least (i, p) with s^(i+p) = s^i, i >= 1, p >= 1."""
-        seen = {}
-        power = s
-        k = 1
-        while power not in seen:
-            seen[power] = k
-            power = self._mul(power, s)
-            k += 1
-        i = seen[power]
-        return i, k - i
+        _, preperiod, period = orbit(s, lambda t: self._mul(t, s))
+        return preperiod + 1, period
 
     def omega_power(self, s):
         """The unique idempotent power of ``s``."""
-        i, p = self.index_period(s)
-        m = p * ((i + p - 1) // p)  # smallest multiple of p that is >= i
-        power = s
-        for _ in range(m - 1):
-            power = self._mul(power, s)
+        powers, preperiod, period = orbit(s, lambda t: self._mul(t, s))
+        power = powers[omega_index(preperiod + 1, period) - 1]  # powers[n] is s^(n+1)
         if not self.is_idempotent(power):
             raise InternalInvariantError("omega power not idempotent")
         return power
@@ -449,12 +464,7 @@ class PermGroup:
 
 
 def _element_order(t: tuple[int, ...]) -> int:
-    identity = tuple(range(len(t)))
-    acc, n = t, 1
-    while acc != identity:
-        acc = compose(acc, t)
-        n += 1
-    return n
+    return len(orbit(t, lambda u: compose(u, t))[0])
 
 
 def is_isomorphic_small(G: PermGroup, H: PermGroup, budget: int = 240) -> bool:

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
+from .bifix import star_factorization
 from .errors import InsufficientHorizon, InternalInvariantError
 from .words import FactorSet, Substitution, shortlex
 
@@ -89,6 +90,8 @@ def gamma(F: FactorSet, x: str, maxlen: int) -> set[str]:
     """Words w of length <= maxlen with xw a factor ending with x."""
     if x not in F:
         raise ValueError(f"{x!r} is not a factor")
+    if maxlen < 0:
+        raise ValueError(f"gamma({x!r}, {maxlen}) of a negative length")
     if len(x) + maxlen > F.horizon:
         raise InsufficientHorizon(
             f"gamma({x!r}, {maxlen}) needs horizon {len(x) + maxlen}"
@@ -126,17 +129,6 @@ def check_gamma_identity(F: FactorSet, x: str, maxlen: int) -> bool:
         w for w in star if len(x + w) <= F.horizon and (x + w) in F
     }
     return left_side == right_side
-
-
-def _decomposes(word: str, parts: frozenset[str]) -> bool:
-    ok = [False] * (len(word) + 1)
-    ok[0] = True
-    for i in range(1, len(word) + 1):
-        for p in parts:
-            if p and i >= len(p) and ok[i - len(p)] and word.endswith(p, 0, i):
-                ok[i] = True
-                break
-    return ok[len(word)]
 
 
 @dataclass(frozen=True)
@@ -183,7 +175,7 @@ def limit_return_truncation(
         if stages:
             prev = stages[-1].words
             for w in stage.words:
-                if not _decomposes(w, prev):
+                if len(w) not in star_factorization(w, 0, prev):
                     raise InternalInvariantError(
                         f"stage word {w!r} not a product of previous stage"
                     )

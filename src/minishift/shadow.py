@@ -19,7 +19,7 @@ from .errors import (
     NotPrimitive,
     ParseError,
 )
-from .monoid import FiniteMonoid, DEFAULT_MONOID_BUDGET
+from .monoid import DEFAULT_MONOID_BUDGET, FiniteMonoid, omega_index, orbit
 from .returns import conjugate, right_return_words
 from .words import FactorSet, Substitution, shortlex
 
@@ -64,27 +64,19 @@ class MorphismToFinite:
 
 def _assignment_orbit(
     subst: Substitution, morphism: MorphismToFinite
-) -> tuple[list[dict], int, int]:
+) -> tuple[list[tuple], int, int]:
     """Iterates of the induced update on letter assignments.
 
-    Returns (orbit, preperiod, period) where orbit[n] maps each letter to
-    the image of the n-th iterate of that letter.
+    Returns (orbit, preperiod, period) where orbit[n][i] is the image of the
+    n-th iterate of the i-th letter.
     """
     letters = subst.alphabet.letters
     M = morphism.target
-    vector = {a: morphism.images[a] for a in letters}
-    orbit = [vector]
-    seen = {tuple(vector[a] for a in letters): 0}
-    while True:
-        vector = {
-            a: M.product(vector[b] for b in subst.images[a]) for a in letters
-        }
-        key = tuple(vector[a] for a in letters)
-        if key in seen:
-            start = seen[key]
-            return orbit, start, len(orbit) - start
-        seen[key] = len(orbit)
-        orbit.append(vector)
+    images = [[letters.index(b) for b in subst.images[a]] for a in letters]
+    return orbit(
+        tuple(morphism.images[a] for a in letters),
+        lambda vector: tuple(M.product(vector[i] for i in image) for image in images),
+    )
 
 
 def evaluate(expr: PseudowordExpr, morphism: MorphismToFinite):
@@ -99,10 +91,10 @@ def evaluate(expr: PseudowordExpr, morphism: MorphismToFinite):
     if isinstance(expr, SubstOmega):
         if not expr.subst.is_primitive():
             raise NotPrimitive("omega iterate requires a primitive substitution")
-        orbit, start, period = _assignment_orbit(expr.subst, morphism)
+        iterates, start, period = _assignment_orbit(expr.subst, morphism)
         # factorials are eventually multiples of the period past the preperiod
-        m = period * ((start + period - 1) // period) if start else 0
-        return orbit[m][expr.letter]
+        vector = iterates[omega_index(start, period)]
+        return vector[expr.subst.alphabet.letters.index(expr.letter)]
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -124,7 +116,7 @@ def h_order(
 
     If the orbit never returns, yields (None, preperiod, period) instead.
     """
-    orbit, start, period = _assignment_orbit(subst, morphism)
+    _, start, period = _assignment_orbit(subst, morphism)
     if start == 0:
         return period
     return None, start, period

@@ -236,6 +236,8 @@ class FactorSet:
 
     def complexity(self, n: int) -> int:
         """Number of factors of length exactly ``n``."""
+        if n < 0:
+            raise ValueError(f"complexity({n}) of a negative length")
         if n > self.horizon:
             raise InsufficientHorizon(f"complexity({n}) beyond horizon {self.horizon}")
         if not self.complete:

@@ -1,6 +1,10 @@
 """Bifix codes, parse degrees, group code intersections and star automata."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minishift.bifix import (
     BifixCode,
@@ -15,8 +19,70 @@ from minishift.bifix import (
     parses,
 )
 from minishift.errors import InsufficientHorizon
-from minishift.monoid import transition_monoid
-from minishift.words import FactorSet
+from minishift.monoid import Automaton, transition_monoid
+from minishift.words import Alphabet, FactorSet, shortlex
+
+
+def moore_automaton_of_star(X: BifixCode) -> Automaton:
+    """Oracle: the literal trie of X minimized by Moore refinement.
+
+    The root is the only terminal state; a missing transition goes to an
+    explicit sink.  The classes are numbered breadth-first from the root.
+    """
+    alphabet = Alphabet.of(sorted({c for w in X.words for c in w}))
+    states = sorted({w[:i] for w in X.words for i in range(len(w))}, key=shortlex)
+    trans = {}
+    for p in states:
+        for a in alphabet:
+            q = p + a
+            trans[(p, a)] = "" if q in X.words else q if q in states else None
+    sink = object()
+    everything = states + [sink]
+    block = {s: 0 if s == "" else 1 if s is not sink else 2 for s in everything}
+    while True:
+        signature = {
+            s: (block[s], tuple(
+                block[sink if s is sink or trans[(s, a)] is None else trans[(s, a)]]
+                for a in alphabet
+            ))
+            for s in everything
+        }
+        relabel = {}
+        for s in everything:
+            relabel.setdefault(signature[s], len(relabel))
+        new_block = {s: relabel[signature[s]] for s in everything}
+        if new_block == block:
+            break
+        block = new_block
+    number = {block[""]: 1}
+    queue = [""]
+    for s in queue:
+        for a in alphabet:
+            t = trans[(s, a)]
+            if t is not None and block[t] not in number:
+                number[block[t]] = len(number) + 1
+                queue.append(t)
+    transitions = {
+        (number[block[s]], a): number[block[trans[(s, a)]]]
+        for s in states
+        for a in alphabet
+        if trans[(s, a)] is not None
+    }
+    return Automaton(alphabet, tuple(number.values()), 1, frozenset({1}), transitions)
+
+
+@st.composite
+def bifix_codes(draw):
+    """Random bifix codes over ab or abc: each drawn word is kept unless it
+    is a prefix or a suffix of a kept word, or has one as a prefix or suffix."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    drawn = draw(st.lists(st.text(alphabet=letters, min_size=1, max_size=8), min_size=1, max_size=8))
+    kept: list[str] = []
+    for w in drawn:
+        if not any(u.startswith(w) or w.startswith(u) or u.endswith(w) or w.endswith(u)
+                   for u in kept):
+            kept.append(w)
+    return BifixCode.of(kept)
 
 
 class TestFreeness:
@@ -139,8 +205,6 @@ class TestStarAutomaton:
     def test_accepts_exactly_star(self, fib_set):
         X = BifixCode.of(["aa", "ab", "ba"])
         A = minimal_automaton_of_star(X)
-        from itertools import product
-
         star = {""}
         for _ in range(3):
             star |= {u + x for u in star for x in X.words}
@@ -153,6 +217,34 @@ class TestStarAutomaton:
     def test_transition_monoid_size(self, fib_set):
         X = BifixCode.of(["aa", "ab", "ba"])
         assert len(transition_monoid(minimal_automaton_of_star(X))) == 19
+
+    @settings(max_examples=300)
+    @given(bifix_codes())
+    def test_equals_moore_refinement(self, X):
+        A, B = minimal_automaton_of_star(X), moore_automaton_of_star(X)
+        assert (A.states, A.transitions) == (B.states, B.transitions)
+        assert A.to_dot() == B.to_dot()
+
+    @pytest.mark.parametrize("letters, n", [("ab", 1), ("ab", 4), ("abc", 3)])
+    def test_full_code_equals_moore_refinement(self, letters, n):
+        X = BifixCode.of("".join(p) for p in product(letters, repeat=n))
+        assert minimal_automaton_of_star(X).to_dot() == moore_automaton_of_star(X).to_dot()
+        assert len(minimal_automaton_of_star(X).states) == n
+
+    @pytest.mark.parametrize("fixture", ["fib_set_64", "tm_set_64", "quad_set", "trib_set_64"])
+    def test_group_codes_equal_moore_refinement(self, request, fixture):
+        F = request.getfixturevalue(fixture)
+        letters = F.alphabet.letters
+        specs = [GroupCodeSpec.cyclic(m, dict(zip(letters, w)))
+                 for m in (2, 3) for w in product(range(m), repeat=len(letters))]
+        specs.append(GroupCodeSpec.from_cycles(
+            (1, 2, 3, 4, 5), dict(zip(letters, ["(1 2 3 4 5)", "(1 2 3)", "(1 2)(3 4)"]))
+        ))
+        for spec in specs:
+            X = group_code_intersection(spec, F)
+            if X.words:
+                assert minimal_automaton_of_star(X).to_dot() == \
+                    moore_automaton_of_star(X).to_dot(), X.sorted_words()
 
     def test_thue_morse_z3_size(self, tm_set):
         X = group_code_intersection(

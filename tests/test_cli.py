@@ -268,8 +268,10 @@ class TestExitCodes:
         ["bifix", "--group", "cyclic:x", "--images", "a=1,b=1",
          "--subst", "a->ab;b->a", "--start", "a", "--horizon", "16"],
         ["factors", "--subst", "a->ab;b->a", "--start", "a", "--horizon", "-3"],
+        ["horder", "--subst", "a->ab;b->aaab", "--group", "", "--images",
+         "a:(1 2 3);b:(3 4 5)"],
     ], ids=["word-letter", "start-letter", "apply-letter", "generator-letter",
-            "cyclic-modulus", "negative-horizon"])
+            "cyclic-modulus", "negative-horizon", "empty-group"])
     def test_malformed_input_is_2(self, argv):
         r = self.invoke(*argv)
         assert r.returncode == 2
@@ -321,6 +323,16 @@ class TestExitCodes:
          ParseError),
         (["episturmian", "--directive", "abab", "--word", ""], ParseError),
         (["episturmian", "--directive", "abab", "--word", "c"], ParseError),
+        (["factors", "--subst", "a->ab;b->a", "--start", "a", "--horizon", "6",
+          "--complexity", "-1"], ParseError),
+        (["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "a",
+          "--gamma", "-2"], ParseError),
+        (["bifix", "--group", "", "--images", "a=1,b=1", "--subst", "a->ab;b->a",
+          "--start", "a", "--horizon", "16"], ParseError),
+        (["shadow", "eval", "--expr", "a", "--group", "", "--images", "a:(1 2)"],
+         ParseError),
+        (["shadow", "separate", "--code", "ab,aab", "--beta", "a=ab,b=aab",
+          "--group", "", "--images", "a:(1 2);b:(1 2)", "-u", "a", "-v", "b"], ParseError),
     ], ids=["returns-horizon", "monoid-horizon", "bifix-horizon", "episturmian-horizon",
             "classify-maxlen", "subst-power", "iterate-letter", "witness-not-factor",
             "classify-word-letter", "member-letter", "cyclic-zero", "word-beyond-horizon",
@@ -328,7 +340,9 @@ class TestExitCodes:
             "eval-missing-image", "shadow-horder-missing-image", "separate-letter",
             "duplicate-alphabet", "factorial-precision", "fib-modulus", "fib-limit-modulus",
             "empty-periodic", "empty-start", "rule-missing", "not-bifix", "code-letters",
-            "empty-episturmian-word", "episturmian-word-letter"])
+            "empty-episturmian-word", "episturmian-word-letter", "negative-complexity",
+            "negative-gamma", "bifix-empty-group", "eval-empty-group",
+            "separate-empty-group"])
     def test_rejected_by_an_option_parser(self, runner, argv, error):
         with pytest.raises(error):
             runner.invoke(cli, argv, catch_exceptions=False)

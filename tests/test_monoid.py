@@ -17,6 +17,8 @@ from minishift.monoid import (
     green,
     is_isomorphic_small,
     monoid_from_permutations,
+    omega_index,
+    orbit,
     parse_permutation,
     schutzenberger_group,
     transformation_image,
@@ -83,6 +85,32 @@ class TestAutomaton:
         dot = three_state.to_dot()
         assert dot.startswith("digraph automaton {")
         assert '[label="a"]' in dot
+
+
+class TestOrbit:
+    def test_purely_periodic(self):
+        assert orbit(1, lambda x: (x + 1) % 6) == ([1, 2, 3, 4, 5, 0], 0, 6)
+        assert orbit(0, lambda x: 0) == ([0], 0, 1)
+
+    def test_preperiod(self):
+        collatz = orbit(6, lambda n: n // 2 if n % 2 == 0 else 3 * n + 1)
+        assert collatz == ([6, 3, 10, 5, 16, 8, 4, 2, 1], 6, 3)
+        assert orbit(2, lambda x: x * x % 10) == ([2, 4, 6], 2, 1)
+
+    def test_omega_index(self):
+        assert [omega_index(start, 3) for start in range(8)] == [0, 3, 3, 3, 6, 6, 6, 9]
+        assert omega_index(0, 1) == 0
+        assert omega_index(5, 1) == 5
+        assert omega_index(5, 6) == 6
+
+    def test_index_period_and_omega_of_transformations(self):
+        M = FiniteMonoid.from_generators(
+            {"s": (1, 2, 2), "t": (1, 0, 0)}, compose, (0, 1, 2)
+        )
+        assert M.index_period((1, 2, 2)) == (2, 1)
+        assert M.omega_power((1, 2, 2)) == (2, 2, 2)
+        assert M.index_period((1, 0, 0)) == (1, 2)
+        assert M.omega_power((1, 0, 0)) == (0, 1, 1)
 
 
 class TestFiniteMonoid:

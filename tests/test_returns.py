@@ -196,6 +196,11 @@ class TestGamma:
         with pytest.raises(InsufficientHorizon):
             gamma(fib_set, "a", 20)
 
+    def test_negative_length(self, fib_set):
+        assert gamma(fib_set, "a", 0) == {""}
+        with pytest.raises(ValueError):
+            gamma(fib_set, "a", -2)
+
 
 class TestTruncation:
     def test_fibonacci_two_stages(self, fib, fib_set_64):
@@ -220,6 +225,11 @@ class TestTruncation:
             fib_set_64, substitution_seeds(fib, "a", 2), 2
         )
         assert len(tr.stages) == 2
+
+    def test_stage_that_does_not_nest_is_refused(self, fib_set_64):
+        # b R(ab) b^-1 holds baa, which is no product of aba and ababa
+        with pytest.raises(InternalInvariantError):
+            limit_return_truncation(fib_set_64, [("aba", "aba"), ("a", "b")], 2)
 
     def test_depth_exceeds_seeds(self, fib, fib_set_64):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minishift.errors import (
     BudgetExceeded,
@@ -31,6 +33,8 @@ from minishift.shadow import (
     separation_witness,
 )
 from minishift.words import Substitution
+
+from test_words import primitive_substitutions
 
 
 def eval_by_iteration(subst: Substitution, letter: str, morphism: MorphismToFinite, n: int):
@@ -88,6 +92,18 @@ class TestEvaluate:
             want = evaluate(SubstOmega(fib, "a"), psi)
             for n in (7, 8):
                 assert eval_by_iteration(fib, "a", psi, n) == want
+
+    @settings(max_examples=40)
+    @given(primitive_substitutions(), st.data())
+    def test_subst_omega_matches_iteration_on_random_substitutions(self, sigma, data):
+        # Z/m images with every orbit period dividing 7!: on three letters
+        # Z/3 and Z/5 allow periods such as 13 and 31, so only Z/2 and Z/4
+        letters = sigma.alphabet.letters
+        m = data.draw(st.sampled_from((2, 3, 4, 5, 6) if len(letters) == 2 else (2, 4)))
+        weights = {a: data.draw(st.integers(0, m - 1)) for a in letters}
+        psi = MorphismToFinite(cyclic_monoid(m), weights)
+        a = data.draw(st.sampled_from(letters))
+        assert evaluate(SubstOmega(sigma, a), psi) == eval_by_iteration(sigma, a, psi, 7)
 
     def test_subst_omega_requires_primitive(self, mod2):
         sigma = Substitution.parse("a->ab;b->b")

@@ -155,6 +155,10 @@ class TestFactorSet:
         with pytest.raises(InsufficientHorizon):
             fib_set.complexity(17)
 
+    def test_complexity_of_a_negative_length(self, fib_set):
+        with pytest.raises(ValueError):
+            fib_set.complexity(-1)
+
     def test_witness(self, fib_set):
         assert fib_set.uniform_recurrence_witness("") == 0
         assert fib_set.uniform_recurrence_witness("b") == 3
