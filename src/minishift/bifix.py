@@ -37,6 +37,8 @@ class BifixCode:
     words: frozenset[str]
 
     def __post_init__(self) -> None:
+        if not self.words:
+            raise ValueError("a bifix code needs at least one word")
         if not is_bifix(self.words):
             raise ValueError("word set is not bifix")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InsufficientHorizon
 from .words import FactorSet
@@ -23,14 +24,15 @@ class ExtensionGraph:
 
     def is_connected(self) -> bool:
         """Connected as an undirected bipartite graph (vacuously for <= 1 vertex)."""
-        return self._component_count() <= 1
+        return self._component_count <= 1
 
     def is_acyclic(self) -> bool:
         # a bipartite multigraph-free graph is acyclic iff every connected
         # component has edges = vertices - 1; equivalently edges = vertices - c
         vertices = len(self.left) + len(self.right)
-        return len(self.edges) == vertices - self._component_count()
+        return len(self.edges) == vertices - self._component_count
 
+    @cached_property
     def _component_count(self) -> int:
         nodes = [("L", a) for a in self.left] + [("R", b) for b in self.right]
         adj: dict[tuple[str, str], list[tuple[str, str]]] = {v: [] for v in nodes}

@@ -30,44 +30,15 @@ class ReturnSet:
 
 
 def right_return_words(F: FactorSet, x: str) -> ReturnSet:
-    """Complete set of right return words to ``x``.
-
-    A return word w satisfies: xw is a factor ending with x whose only
-    occurrences of x are the prefix and the suffix.  Any such xw has length
-    at most witness(x) + 1, which bounds the search and certifies
-    completeness: every factor of length witness(x) contains x.
-
-    The search walks right extensions from x in the (factorial) set: an
-    extension y that ends with x is a complete first return and yields
-    y[len(x):]; any other is extended again.  So it visits only the
-    prefixes of complete first returns, and no branch can pass length
-    witness(x) + 1 while the certificate holds.
-    """
-    if x not in F:
-        raise ValueError(f"{x!r} is not a factor")
-    n = F.uniform_recurrence_witness(x)
-    if n + 1 > F.horizon:
+    """Complete set of right return words to ``x``, by ``FactorSet.first_returns``."""
+    words = F.first_returns(x)
+    if words is None:
+        n = F.uniform_recurrence_witness(x)
         raise InsufficientHorizon(
             f"return words to {x!r} may have complete-return length {n + 1}, "
             f"beyond horizon {F.horizon}"
         )
-    factors, letters = F.factors, tuple(F.alphabet)
-    out = set()
-    branches = [x]
-    while branches:
-        z = branches.pop()
-        if len(z) > n:
-            raise InternalInvariantError(
-                f"{z!r} has no second occurrence of {x!r} within witness {n}"
-            )
-        for a in letters:
-            y = z + a
-            if y in factors:
-                if y.endswith(x):
-                    out.add(y[len(x):])
-                else:
-                    branches.append(y)
-    return ReturnSet(x, "right", frozenset(out))
+    return ReturnSet(x, "right", words)
 
 
 def conjugate(words: Iterable[str], c: str) -> frozenset[str]:
@@ -104,29 +75,15 @@ def gamma(F: FactorSet, x: str, maxlen: int) -> set[str]:
     return out
 
 
-def _star_up_to(words: frozenset[str], maxlen: int) -> set[str]:
-    """All concatenations of ``words`` of length <= maxlen."""
-    out = {""}
-    frontier = {""}
-    while frontier:
-        nxt = set()
-        for u in frontier:
-            for w in words:
-                v = u + w
-                if len(v) <= maxlen and v not in out:
-                    out.add(v)
-                    nxt.add(v)
-        frontier = nxt
-    return out
-
-
 def check_gamma_identity(F: FactorSet, x: str, maxlen: int) -> bool:
     """Gamma equals (return words)* intersected with left-quotient factors."""
     left_side = gamma(F, x, maxlen)
     returns = right_return_words(F, x).words
-    star = _star_up_to(returns, maxlen)
     right_side = {
-        w for w in star if len(x + w) <= F.horizon and (x + w) in F
+        z[len(x):]
+        for n in range(len(x), len(x) + maxlen + 1)
+        for z in F.words_of_length(n)
+        if z.startswith(x) and n in star_factorization(z, len(x), returns)
     }
     return left_side == right_side
 

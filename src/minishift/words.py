@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import (
     BudgetExceeded,
     InsufficientHorizon,
+    InternalInvariantError,
     NotPrimitive,
     ParseError,
 )
@@ -244,17 +245,51 @@ class FactorSet:
             raise InsufficientHorizon("factor set is not certified complete")
         return len(self.words_of_length(n))
 
-    def uniform_recurrence_witness(self, x: str) -> int:
-        """Least n such that ``x`` occurs in every factor of length n."""
+    def first_returns(self, x: str) -> frozenset[str] | None:
+        """First returns to ``x``: the w with x only as prefix and suffix of the factor xw.
+
+        Every prefix of a first return is a factor, so extending x by letters
+        until a branch ends with x finds them all, unless a branch reaches the
+        horizon L holding x only at its start: then the walk gives None.  A
+        shorter branch with no right extension cannot occur in a certified set
+        and raises.  The witness of x is max |xw| - 1: xw without its end
+        letters holds no x, and any longer window holds a whole first return
+        (Durand, "A characterization of substitutive sequences using return
+        words", Discrete Math. 179, 1998).
+        """
         if x not in self.factors:
             raise ValueError(f"{x!r} is not a factor")
         if not self.complete:
             raise InsufficientHorizon("factor set is not certified complete")
-        if x == "":
-            return 0
-        for n in range(len(x), self.horizon + 1):
-            if all(x in w for w in self.words_of_length(n)):
-                return n
+        factors, letters = self.factors, self.alphabet.letters
+        out = set()
+        branches = [x]
+        while branches:
+            z = branches.pop()
+            if len(z) >= self.horizon:
+                return None
+            extensions = [y for a in letters if (y := z + a) in factors]
+            if not extensions:
+                raise InternalInvariantError(
+                    f"{z!r} has no right extension below horizon {self.horizon}"
+                )
+            for y in extensions:
+                if y.endswith(x):
+                    out.add(y[len(x):])
+                else:
+                    branches.append(y)
+        return frozenset(out)
+
+    def uniform_recurrence_witness(self, x: str) -> int:
+        """Least n such that ``x`` occurs in every factor of length n.
+
+        Read off ``first_returns``; past a cut walk, L if every length-L factor holds x.
+        """
+        returns = self.first_returns(x)
+        if returns is not None:
+            return len(x) + max(map(len, returns)) - 1
+        if all(x in w for w in self.words_of_length(self.horizon)):
+            return self.horizon
         raise InsufficientHorizon(
             f"no uniform recurrence witness for {x!r} within horizon {self.horizon}"
         )

@@ -106,6 +106,11 @@ class TestFreeness:
         assert X.sorted_words() == ["ab", "ba"]
         assert X.max_length() == 2
 
+    def test_empty_code_is_refused(self):
+        # no root prefix for the automaton and no max_length: refused up front
+        with pytest.raises(ValueError, match="at least one word"):
+            BifixCode.of([])
+
 
 class TestParses:
     def test_example(self):

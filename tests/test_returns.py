@@ -21,12 +21,28 @@ from minishift.words import Alphabet, FactorSet, occurrences
 from test_words import primitive_substitutions
 
 
+def scanned_witness(F, x):
+    """Oracle: the least n <= L with x in every factor of length n."""
+    if x not in F:
+        raise ValueError(f"{x!r} is not a factor")
+    if not F.complete:
+        raise InsufficientHorizon("factor set is not certified complete")
+    if x == "":
+        return 0
+    for n in range(len(x), F.horizon + 1):
+        if all(x in w for w in F.words_of_length(n)):
+            return n
+    raise InsufficientHorizon(
+        f"no uniform recurrence witness for {x!r} within horizon {F.horizon}"
+    )
+
+
 def scanned_return_words(F, x):
     """Oracle: every factor of each length up to witness + 1 that starts and
     ends with x and holds exactly two occurrences of it."""
     if x not in F:
         raise ValueError(f"{x!r} is not a factor")
-    n = F.uniform_recurrence_witness(x)
+    n = scanned_witness(F, x)
     if n + 1 > F.horizon:
         raise InsufficientHorizon(
             f"return words to {x!r} may have complete-return length {n + 1}, "
@@ -54,6 +70,8 @@ def assert_walk_matches_scan(F, maxlen=4):
             left = right if isinstance(right, tuple) else conjugate(right, x)
             assert outcome(lambda: right_return_words(F, x).words) == right
             assert outcome(lambda: left_return_words(F, x).words) == left
+            witness = outcome(scanned_witness, F, x)
+            assert outcome(F.uniform_recurrence_witness, x) == witness
 
 
 class TestRightReturns:
@@ -136,13 +154,26 @@ class TestWalkAgainstScan:
         enough = FactorSet.from_substitution(fib, "a", n + 1)
         assert right_return_words(enough, "aba") == right_return_words(fib_set_64, "aba")
 
-    def test_branch_past_the_witness(self):
-        # not factorial: "bb" is missing, so "abb" holds one "a" while the
-        # only factor of length 2 contains "a" (witness 2)
-        F = FactorSet(Alphabet.of("ab"), 3, ["", "a", "b", "ab", "abb"], True, "bad")
-        assert F.uniform_recurrence_witness("a") == 2
+    def test_dead_end_below_the_horizon(self):
+        # not extendable: "ab" has no right extension, yet it is shorter
+        # than the horizon, so the set cannot be a certified one
+        F = FactorSet(Alphabet.of("ab"), 3, ["", "a", "b", "ab", "ba"], True, "bad")
         with pytest.raises(InternalInvariantError):
             right_return_words(F, "a")
+        with pytest.raises(InternalInvariantError):
+            F.uniform_recurrence_witness("a")
+
+    @pytest.mark.parametrize("x", ["a", "b", "aba"])
+    def test_answered_without_the_length_index(self, fib_set_64, monkeypatch, x):
+        # the walk alone certifies: no scan over the factors of a length
+        expected = right_return_words(fib_set_64, x).words
+
+        def refuse(self, n):
+            raise AssertionError(f"words_of_length({n}) read on the answered path")
+
+        monkeypatch.setattr(FactorSet, "words_of_length", refuse)
+        assert right_return_words(fib_set_64, x).words == expected
+        assert fib_set_64.uniform_recurrence_witness(x) == len(x) + max(map(len, expected)) - 1
 
 
 class TestConjugate:
