@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
 from .errors import BudgetExceeded, InsufficientHorizon, InternalInvariantError, ParseError
@@ -78,7 +78,7 @@ def compose(
     x: tuple[int | None, ...], y: tuple[int | None, ...]
 ) -> tuple[int | None, ...]:
     """Apply x first, then y (action written on the right)."""
-    return tuple(None if q is None else y[q] for q in x)
+    return tuple([None if q is None else y[q] for q in x])
 
 
 def transformation_rank(t: tuple[int | None, ...]) -> int:
@@ -118,22 +118,33 @@ def omega_index(start: int, period: int) -> int:
 
 
 class FiniteMonoid:
-    """Finite monoid with explicit elements and generator witnesses."""
+    """Finite monoid with explicit elements, generator witnesses and Cayley graph.
+
+    Built by ``from_generators``: ``right[i * len(generators) + j]`` is the
+    position of ``elements[i]`` times the j-th generator, and ``found_at[i]``
+    is the slot of ``right`` where ``elements[i]`` was first reached (-1 for
+    the identity).
+    """
 
     def __init__(
         self,
         elements: list,
+        pos: dict,
         mul: Callable,
         identity,
         generators: dict[str, Hashable],
-        witness: dict | None = None,
+        witness: dict,
+        right: list[int],
+        found_at: list[int],
     ) -> None:
         self.elements = elements
-        self.pos = {e: i for i, e in enumerate(elements)}
+        self.pos = pos
         self._mul = mul
         self.identity = identity
         self.generators = generators
-        self.witness = witness or {}
+        self.witness = witness
+        self.right = right
+        self.found_at = found_at
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -180,25 +191,40 @@ class FiniteMonoid:
         identity,
         budget: int = DEFAULT_MONOID_BUDGET,
     ) -> "FiniteMonoid":
-        """Closure of the generators under multiplication, with word witnesses."""
+        """Closure of the generators under multiplication, with word witnesses.
+
+        Elements are numbered in breadth-first order from the identity, each
+        witnessed by its shortlex-least word in the generator order.  Every
+        product x * g_b is recorded as an int in the right Cayley graph
+        ``right``, and ``found_at`` keeps the product that first reached
+        each element.  That is all the left graph needs: if x = y * g_b was
+        first found from y, then g_a * x = (g_a * y) * g_b, a lookup in
+        ``right`` at the left neighbour of the earlier y (Froidure & Pin,
+        "Algorithms for computing finite semigroups", Foundations of
+        Computational Mathematics, 1997).
+        """
+        pairs = list(generators.items())
         elements = [identity]
-        witness = {identity: ""}
-        queue = [identity]
-        while queue:
-            nxt = []
-            for x in queue:
-                for a, g in generators.items():
-                    y = mul(x, g)
-                    if y not in witness:
-                        witness[y] = witness[x] + a
-                        elements.append(y)
-                        nxt.append(y)
-                        if len(elements) > budget:
-                            raise BudgetExceeded(
-                                f"monoid larger than budget {budget}"
-                            )
-            queue = nxt
-        return cls(elements, mul, identity, generators, witness)
+        pos = {identity: 0}
+        words = [""]
+        right: list[int] = []
+        found_at = [-1]
+        i = 0
+        while i < len(elements):
+            x, word = elements[i], words[i]
+            for a, g in pairs:
+                y = mul(x, g)
+                k = pos.setdefault(y, len(elements))
+                if k == len(elements):
+                    if k >= budget:
+                        raise BudgetExceeded(f"monoid larger than budget {budget}")
+                    elements.append(y)
+                    words.append(word + a)
+                    found_at.append(len(right))
+                right.append(k)
+            i += 1
+        witness = dict(zip(elements, words))
+        return cls(elements, pos, mul, identity, generators, witness, right, found_at)
 
 
 def transition_monoid(
@@ -219,46 +245,40 @@ def _sccs(n: int, edges: list[list[int]]) -> list[int]:
     ids = [-1] * n
     low = [0] * n
     num = [0] * n
-    on = [False] * n
     stack: list[int] = []
-    comp = [0]
-    counter = [0]
-
+    comp = 0
+    counter = 0
     for root in range(n):
-        if ids[root] != -1 or num[root]:
+        if num[root]:
             continue
-        work = [(root, 0)]
+        counter += 1
+        num[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(edges[root]))]
         while work:
-            v, ei = work.pop()
-            if ei == 0:
-                counter[0] += 1
-                num[v] = counter[0]
-                low[v] = num[v]
-                stack.append(v)
-                on[v] = True
-            advanced = False
-            for j in range(ei, len(edges[v])):
-                w = edges[v][j]
-                if num[w] == 0:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    advanced = True
+            v, succ = work[-1]
+            for w in succ:
+                if not num[w]:
+                    counter += 1
+                    num[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(edges[w])))
                     break
-                if on[w]:
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    ids[w] = comp[0]
-                    if w == v:
-                        break
-                comp[0] += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if ids[w] < 0 and num[w] < low[v]:  # w is still on the stack
+                    low[v] = num[w]
+            else:
+                work.pop()
+                if low[v] == num[v]:
+                    while True:
+                        w = stack.pop()
+                        ids[w] = comp
+                        if w == v:
+                            break
+                    comp += 1
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return ids
 
 
@@ -270,22 +290,30 @@ class GreenStructure:
     j_class: list[int]
     h_class: list[int]
     idempotent: list[bool]
+    _groups: dict[str, dict[int, list[int]]] = field(default_factory=dict, init=False, repr=False)
 
     def classes(self, kind: str) -> dict[int, list[int]]:
-        ids = {"R": self.r_class, "L": self.l_class, "J": self.j_class, "H": self.h_class}[kind]
-        out: dict[int, list[int]] = {}
-        for i, c in enumerate(ids):
-            out.setdefault(c, []).append(i)
-        return out
+        """Member indices of each class of kind R, L, J or H.
+
+        Grouped on the first call and kept: later calls, ``j_class_members``
+        and ``h_class_of`` return the same lists, which callers must not change.
+        """
+        if kind not in self._groups:
+            ids = {"R": self.r_class, "L": self.l_class, "J": self.j_class, "H": self.h_class}[kind]
+            out: dict[int, list[int]] = {}
+            for i, c in enumerate(ids):
+                out.setdefault(c, []).append(i)
+            self._groups[kind] = out
+        return self._groups[kind]
 
     def j_class_members(self, cid: int) -> list[int]:
-        return [i for i, c in enumerate(self.j_class) if c == cid]
+        return self.classes("J").get(cid, [])
 
     def is_regular_j(self, cid: int) -> bool:
         return any(self.idempotent[i] for i in self.j_class_members(cid))
 
     def h_class_of(self, i: int) -> list[int]:
-        return [j for j, c in enumerate(self.h_class) if c == self.h_class[i]]
+        return self.classes("H")[self.h_class[i]]
 
     def eggbox(self, cid: int) -> str:
         """ASCII grid of the J-class: rows R-classes, columns L-classes."""
@@ -296,21 +324,12 @@ class GreenStructure:
         els = self.monoid.elements
 
         def label(i: int) -> str:
-            w = wit.get(els[i], f"#{i}")
-            text = w if w else "1"
-            return text + ("*" if self.idempotent[i] else "")
+            return (wit[els[i]] or "1") + ("*" if self.idempotent[i] else "")
 
-        grid = []
-        for r in rows:
-            row = []
-            for l in cols:
-                cell = sorted(
-                    label(i)
-                    for i in members
-                    if self.r_class[i] == r and self.l_class[i] == l
-                )
-                row.append(" ".join(cell))
-            grid.append(row)
+        cells: dict[tuple[int, int], list[str]] = {}
+        for i in members:
+            cells.setdefault((self.r_class[i], self.l_class[i]), []).append(label(i))
+        grid = [[" ".join(sorted(cells.get((r, l), []))) for l in cols] for r in rows]
         width = max((len(c) for row in grid for c in row), default=1)
         sep = "+" + "+".join(["-" * (width + 2)] * len(cols)) + "+"
         lines = [sep]
@@ -327,9 +346,7 @@ class GreenStructure:
                 "size": len(els),
                 "j_classes": [
                     {
-                        "members": sorted(
-                            wit.get(els[i], f"#{i}") for i in members
-                        ),
+                        "members": sorted(wit[els[i]] for i in members),
                         "regular": self.is_regular_j(cid),
                         "r_classes": len({self.r_class[i] for i in members}),
                         "l_classes": len({self.l_class[i] for i in members}),
@@ -341,28 +358,41 @@ class GreenStructure:
         )
 
 
+def _left_graph(M: FiniteMonoid) -> list[int]:
+    """Left Cayley graph, laid out like ``M.right``: slot k * |gens| + a holds g_a * x_k."""
+    d = len(M.generators)
+    right = M.right
+    left = right[:d]  # g_a * 1 = 1 * g_a
+    for slot in M.found_at[1:]:
+        p, b = divmod(slot, d)
+        for a in range(p * d, p * d + d):
+            left.append(right[left[a] * d + b])
+    return left
+
+
 def green(M: FiniteMonoid) -> GreenStructure:
+    """Green's relations as strongly connected components of the Cayley graphs.
+
+    x R y iff each is reachable from the other in the right Cayley graph
+    that ``from_generators`` recorded, L likewise in the left one, J in their
+    union, and H = R meet L.  The left graph takes no multiplication and no
+    hashing: if x_k was first found as x_p * g_b, then g_a * x_k =
+    (g_a * x_p) * g_b, so left[k][a] = right[left[p][a]][b] with p < k
+    (Froidure & Pin, "Algorithms for computing finite semigroups",
+    Foundations of Computational Mathematics, 1997).
+    """
     n = len(M)
-    gens = list(M.generators.values())
-    right = [[] for _ in range(n)]
-    left = [[] for _ in range(n)]
-    both = [[] for _ in range(n)]
-    for i, x in enumerate(M.elements):
-        for g in gens:
-            r = M.pos[M.mul(x, g)]
-            l = M.pos[M.mul(g, x)]
-            right[i].append(r)
-            left[i].append(l)
-            both[i].append(r)
-            both[i].append(l)
-    r_class = _sccs(n, right)
-    l_class = _sccs(n, left)
-    j_class = _sccs(n, both)
+    d = len(M.generators)
+    right = M.right
+    left = _left_graph(M)
+    both = [0] * (2 * n * d)
+    both[0::2] = right
+    both[1::2] = left
+    r_class = _sccs(n, [right[i * d : i * d + d] for i in range(n)])
+    l_class = _sccs(n, [left[i * d : i * d + d] for i in range(n)])
+    j_class = _sccs(n, [both[2 * i * d : 2 * i * d + 2 * d] for i in range(n)])
     pair_ids: dict[tuple[int, int], int] = {}
-    h_class = []
-    for i in range(n):
-        key = (r_class[i], l_class[i])
-        h_class.append(pair_ids.setdefault(key, len(pair_ids)))
+    h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
     idem = [M.is_idempotent(x) for x in M.elements]
     return GreenStructure(M, r_class, l_class, j_class, h_class, idem)
 
@@ -613,13 +643,7 @@ def cyclic_monoid(m: int) -> FiniteMonoid:
     """The additive group of integers modulo m, generated by 1."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    return FiniteMonoid(
-        list(range(m)),
-        lambda x, y: (x + y) % m,
-        0,
-        {"g": 1 % m},
-        {i: "g" * i for i in range(m)},
-    )
+    return FiniteMonoid.from_generators({"g": 1 % m}, lambda x, y: (x + y) % m, 0, m)
 
 
 def monoid_from_permutations(

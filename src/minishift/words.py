@@ -288,6 +288,10 @@ class FactorSet:
         returns = self.first_returns(x)
         if returns is not None:
             return len(x) + max(map(len, returns)) - 1
+        return self._cut_walk_witness(x)
+
+    def _cut_walk_witness(self, x: str) -> int:
+        """Witness of ``x`` past a cut ``first_returns`` walk: L if each length-L word holds x."""
         if all(x in w for w in self.words_of_length(self.horizon)):
             return self.horizon
         raise InsufficientHorizon(

@@ -1,6 +1,10 @@
 """Transformation monoids, Green's relations and induced permutation groups."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minishift.bifix import BifixCode, minimal_automaton_of_star
 from minishift.errors import BudgetExceeded, InternalInvariantError, ParseError
@@ -25,10 +29,133 @@ from minishift.monoid import (
     transformation_rank,
     transition_monoid,
 )
+from minishift.monoid import _left_graph, _sccs
 from minishift.words import Alphabet
 
 
 AB = Alphabet.of("ab")
+
+
+@st.composite
+def small_automata(draw, max_states=3):
+    """Partial deterministic automata on at most three states over ab or abc."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    states = tuple(range(draw(st.integers(1, max_states))))
+    targets = st.one_of(st.none(), st.sampled_from(states))
+    transitions = {}
+    for q in states:
+        for a in letters:
+            r = draw(targets)
+            if r is not None:
+                transitions[(q, a)] = r
+    return Automaton(Alphabet.of(letters), states, 0, frozenset({0}), transitions)
+
+
+@st.composite
+def permutation_monoids(draw):
+    """Groups generated by one to three permutations of at most four points."""
+    dom = tuple(range(1, draw(st.integers(1, 4)) + 1))
+    images = {
+        a: dict(zip(dom, draw(st.permutations(dom))))
+        for a in "abc"[: draw(st.integers(1, 3))]
+    }
+    return monoid_from_permutations(images, dom)
+
+
+def parent_sccs(n, edges):
+    """Tarjan resuming each node at an edge index, as ``_sccs`` was before edge iterators."""
+    ids = [-1] * n
+    low = [0] * n
+    num = [0] * n
+    on = [False] * n
+    stack = []
+    comp = [0]
+    counter = [0]
+
+    for root in range(n):
+        if ids[root] != -1 or num[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work.pop()
+            if ei == 0:
+                counter[0] += 1
+                num[v] = counter[0]
+                low[v] = num[v]
+                stack.append(v)
+                on[v] = True
+            advanced = False
+            for j in range(ei, len(edges[v])):
+                w = edges[v][j]
+                if num[w] == 0:
+                    work.append((v, j + 1))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on[w]:
+                    low[v] = min(low[v], num[w])
+            if advanced:
+                continue
+            if low[v] == num[v]:
+                while True:
+                    w = stack.pop()
+                    on[w] = False
+                    ids[w] = comp[0]
+                    if w == v:
+                        break
+                comp[0] += 1
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return ids
+
+
+def brute_green(M):
+    """Green's relations straight from their definitions, as partitions of the positions.
+
+    x R y iff xM = yM, x L y iff Mx = My, x J y iff MxM = MyM, and H = R meet L;
+    M is a monoid, so M stands for M^1.
+    """
+    els, pos, mul = M.elements, M.pos, M.mul
+    right = [frozenset(pos[mul(x, m)] for m in els) for x in els]
+    left = [frozenset(pos[mul(m, x)] for m in els) for x in els]
+    both = [frozenset().union(*(left[y] for y in right[i])) for i in range(len(els))]
+    return {
+        "R": right,
+        "L": left,
+        "J": both,
+        "H": [(r, l) for r, l in zip(right, left)],
+    }
+
+
+def partition(keys):
+    """Each position labelled by the first position with the same key."""
+    first = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+def assert_green_matches_definitions(M):
+    G = green(M)
+    oracle = brute_green(M)
+    ids = {"R": G.r_class, "L": G.l_class, "J": G.j_class, "H": G.h_class}
+    for kind, keys in oracle.items():
+        assert partition(ids[kind]) == partition(keys), kind
+    assert G.idempotent == [M.mul(x, x) == x for x in M.elements]
+
+
+def assert_cayley_graphs(M):
+    gens = list(M.generators.values())
+    d = len(gens)
+    left = _left_graph(M)
+    assert len(M.right) == len(left) == len(M) * d
+    for i, x in enumerate(M.elements):
+        for j, g in enumerate(gens):
+            assert M.right[i * d + j] == M.pos[M.mul(x, g)]
+            assert left[i * d + j] == M.pos[M.mul(g, x)]
+    assert M.found_at[0] == -1
+    for k in range(1, len(M)):
+        slot = M.found_at[k]
+        assert M.right[slot] == k and slot // d < k
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +317,6 @@ class TestGreen:
         assert G.is_regular_j(cid)
 
     def test_json(self, three_state_monoid):
-        import json
-
         payload = json.loads(green(three_state_monoid).to_json())
         assert payload["size"] == 19
         assert len(payload["j_classes"]) == 4
@@ -202,6 +327,99 @@ class TestGreen:
         i = M.pos[M.image_of_word("aa")]
         h = [M.elements[j] for j in G.h_class_of(i)]
         assert schutzenberger_group(M, h).order() == 2
+
+
+    def test_grouped_reads_match_scans(self, three_state_monoid):
+        G = green(three_state_monoid)
+        n = len(three_state_monoid)
+        for cid in set(G.j_class):
+            members = [i for i in range(n) if G.j_class[i] == cid]
+            assert G.j_class_members(cid) == members
+            assert G.is_regular_j(cid) == any(G.idempotent[i] for i in members)
+        for i in range(n):
+            assert G.h_class_of(i) == [j for j in range(n) if G.h_class[j] == G.h_class[i]]
+        assert G.j_class_members(max(G.j_class) + 1) == []
+
+
+class TestCayleyGraph:
+    def test_three_state(self, three_state_monoid):
+        assert_cayley_graphs(three_state_monoid)
+
+    @settings(max_examples=150)
+    @given(small_automata())
+    def test_transition_monoids(self, A):
+        assert_cayley_graphs(transition_monoid(A))
+
+    @settings(max_examples=60)
+    @given(permutation_monoids())
+    def test_permutation_monoids(self, M):
+        assert_cayley_graphs(M)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 12])
+    def test_cyclic(self, m):
+        assert_cayley_graphs(cyclic_monoid(m))
+
+    @pytest.mark.parametrize("m", range(1, 30))
+    def test_cyclic_elements_and_witnesses(self, m):
+        C = cyclic_monoid(m)
+        assert C.elements == list(range(m))
+        assert C.witness == {i: "g" * i for i in range(m)}
+        assert list(C.witness) == C.elements
+
+    @settings(max_examples=100)
+    @given(small_automata())
+    def test_budget_of_exactly_the_size(self, A):
+        M = transition_monoid(A)
+        identity = tuple(range(len(A.states)))
+        gens = A.letter_transformations()
+        same = FiniteMonoid.from_generators(gens, compose, identity, budget=len(M))
+        assert same.elements == M.elements and same.witness == M.witness
+        if len(M) == 1:
+            return
+        with pytest.raises(BudgetExceeded) as cut:
+            FiniteMonoid.from_generators(gens, compose, identity, budget=len(M) - 1)
+        assert str(cut.value) == f"monoid larger than budget {len(M) - 1}"
+
+
+class TestGreenOracle:
+    """``green`` against the definitions of Green's relations by ideals."""
+
+    def test_three_state(self, three_state_monoid):
+        assert_green_matches_definitions(three_state_monoid)
+
+    @settings(max_examples=150)
+    @given(small_automata())
+    def test_transition_monoids(self, A):
+        assert_green_matches_definitions(transition_monoid(A))
+
+    @settings(max_examples=60)
+    @given(permutation_monoids())
+    def test_permutation_monoids(self, M):
+        assert_green_matches_definitions(M)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_cyclic(self, m):
+        assert_green_matches_definitions(cyclic_monoid(m))
+
+    def test_rank_two_code_monoid(self):
+        A = minimal_automaton_of_star(BifixCode.of(["aa", "ab", "ba"]))
+        assert_green_matches_definitions(transition_monoid(A))
+
+
+class TestSccs:
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_same_ids_as_the_parent_tarjan(self, edges):
+        assert _sccs(len(edges), edges) == parent_sccs(len(edges), edges)
+
+    def test_empty_graph(self):
+        assert _sccs(0, []) == []
 
 
 class TestPermutations:

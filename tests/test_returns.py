@@ -175,6 +175,26 @@ class TestWalkAgainstScan:
         assert right_return_words(fib_set_64, x).words == expected
         assert fib_set_64.uniform_recurrence_witness(x) == len(x) + max(map(len, expected)) - 1
 
+    @pytest.mark.parametrize("horizon, x, message", [
+        (3, "a", "return words to 'a' may have complete-return length 4, beyond horizon 3"),
+        (8, "aa", "no uniform recurrence witness for 'aa' within horizon 8"),
+    ], ids=["witness-at-the-horizon", "no-witness"])
+    def test_refused_query_walks_once(self, tm, monkeypatch, horizon, x, message):
+        # a cut walk is worded from the length-L words, not from a second walk
+        F = FactorSet.from_substitution(tm, "a", horizon)
+        walks = []
+        first_returns = FactorSet.first_returns
+
+        def counted(self, y):
+            walks.append(y)
+            return first_returns(self, y)
+
+        monkeypatch.setattr(FactorSet, "first_returns", counted)
+        with pytest.raises(InsufficientHorizon) as refused:
+            right_return_words(F, x)
+        assert walks == [x]
+        assert str(refused.value) == message
+
 
 class TestConjugate:
     def test_conjugates_by_the_suffix(self):
