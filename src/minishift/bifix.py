@@ -8,7 +8,7 @@ from typing import Iterable
 
 from .errors import InsufficientHorizon
 from .monoid import Automaton, f_group, parse_permutation
-from .words import Alphabet, FactorSet, shortlex
+from .words import Alphabet, FactorSet, shortlex, star_factorization
 
 
 def is_prefix_free(words: Iterable[str]) -> bool:
@@ -64,19 +64,6 @@ class Parse:
 
     def word(self) -> str:
         return self.prefix + "".join(self.blocks) + self.suffix
-
-
-def star_factorization(w: str, start: int, X: frozenset[str]) -> dict[int, tuple[str, ...]]:
-    """One X-factorization of w[start:j] per reachable endpoint j (X a code)."""
-    out: dict[int, tuple[str, ...]] = {start: ()}
-    for i in range(start, len(w) + 1):
-        if i not in out:
-            continue
-        for x in X:
-            j = i + len(x)
-            if j <= len(w) and w.startswith(x, i) and j not in out:
-                out[j] = out[i] + (x,)
-    return out
 
 
 def parses(w: str, X: BifixCode) -> list[Parse]:

@@ -1,21 +1,21 @@
-"""Command-line surface: one-shot deterministic computations, JSON output."""
+"""Command-line surface: one-shot deterministic computations, JSON output.
+
+Each process runs one command, and start-up is most of its time, so the
+module imports only ``errors`` and ``words`` at the top.  Every command and
+helper imports the layer modules it runs where it runs them: ``arith`` never
+compiles ``monoid``, and ``returns`` never compiles ``bifix``.
+"""
 
 from __future__ import annotations
 
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
-from . import arith as arith_mod
-from . import bifix as bifix_mod
-from . import episturmian as epi_mod
-from . import extension as ext_mod
-from . import freegroup as fg_mod
-from . import monoid as monoid_mod
-from . import returns as ret_mod
-from . import shadow as shadow_mod
 from .errors import (
+    DEFAULT_MONOID_BUDGET,
     BudgetExceeded,
     InsufficientHorizon,
     InternalInvariantError,
@@ -23,6 +23,10 @@ from .errors import (
     ParseError,
 )
 from .words import Alphabet, FactorSet, Substitution, shortlex
+
+if TYPE_CHECKING:
+    from . import bifix as bifix_mod
+    from . import shadow as shadow_mod
 
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
@@ -126,6 +130,8 @@ def parse_images(group: str, images: str, letters) -> tuple[int | None, tuple, d
     if m is not None:
         domain, out = (), parse_weights(images)
     else:
+        from . import monoid as monoid_mod
+
         # permutation images define the group; its name is only a label
         cycles = parse_assignments(images, ";", ":", "image")
         points = {
@@ -147,6 +153,8 @@ def parse_images(group: str, images: str, letters) -> tuple[int | None, tuple, d
 def group_spec_from_options(
     group: str, images: str, base_point, letters
 ) -> bifix_mod.GroupCodeSpec:
+    from . import bifix as bifix_mod
+
     m, domain, out = parse_images(group, images, letters)
     if m is not None:
         return bifix_mod.GroupCodeSpec.cyclic(m, out)
@@ -157,6 +165,9 @@ def group_spec_from_options(
 
 
 def morphism_from_options(group: str, images: str, letters) -> shadow_mod.MorphismToFinite:
+    from . import monoid as monoid_mod
+    from . import shadow as shadow_mod
+
     m, domain, out = parse_images(group, images, letters)
     if m is not None:
         return shadow_mod.MorphismToFinite(monoid_mod.cyclic_monoid(m), out)
@@ -221,6 +232,8 @@ def factors_cmd(subst_text, start, periodic, horizon, complexity_n, witness_word
 @click.option("--dot", "dot_path", default=None, type=click.Path())
 def classify_cmd(subst_text, start, maxlen, graph_word, dot_path):
     """Tree/neutral classification of the factor set up to a length."""
+    from . import extension as ext_mod
+
     F = build_factor_set(subst_text, start, maxlen + 2)
     cl = ext_mod.classify(F, maxlen)
     out = {
@@ -249,6 +262,8 @@ def classify_cmd(subst_text, start, maxlen, graph_word, dot_path):
 @click.option("--gamma", "gamma_maxlen", default=None, type=int, callback=nonnegative)
 def returns_cmd(subst_text, start, word, horizon, left, gamma_maxlen):
     """Return words to a factor."""
+    from . import returns as ret_mod
+
     F = build_factor_set(subst_text, start, horizon)
     word = parse_factor(F, word, "--word")
     out = {}
@@ -268,6 +283,8 @@ def returns_cmd(subst_text, start, word, horizon, left, gamma_maxlen):
 @click.option("--horizon", default=None, type=int, callback=nonnegative)
 def episturmian_cmd(directive, word, pal_word, horizon):
     """Palindromic closures and left return words of a directed word."""
+    from . import episturmian as epi_mod
+
     out = {"directive": directive}
     if pal_word is not None:
         out["pal"] = epi_mod.pal(pal_word)
@@ -288,6 +305,8 @@ def episturmian_cmd(directive, word, pal_word, horizon):
 @click.option("--dot", "dot_path", default=None, type=click.Path())
 def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
     """Folded subgroup graph: rank, index, membership, Hall separation."""
+    from . import freegroup as fg_mod
+
     try:
         alphabet = Alphabet.of(alphabet_text)
     except ValueError as exc:
@@ -323,9 +342,12 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
 @click.option("--start", default=None)
 @click.option("--horizon", default=24, show_default=True, callback=nonnegative)
 @click.option("--eggbox", is_flag=True, help="print the F-minimal eggbox as text")
-@click.option("--budget", default=monoid_mod.DEFAULT_MONOID_BUDGET, show_default=True)
+@click.option("--budget", default=DEFAULT_MONOID_BUDGET, show_default=True)
 def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
     """Transition monoid of the minimal automaton of a code's submonoid."""
+    from . import bifix as bifix_mod
+    from . import monoid as monoid_mod
+
     words = {w.strip() for w in code.split(",") if w.strip()}
     if not words or not bifix_mod.is_bifix(words):
         raise ParseError(f"--code: {code!r} is not a nonempty bifix code")
@@ -363,6 +385,8 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
 @click.option("--degree/--no-degree", default=True, show_default=True)
 def bifix_cmd(group, images, base_point, subst_text, start, horizon, degree):
     """Group code intersected with a factor set; F-degree and F-group."""
+    from . import bifix as bifix_mod
+
     letters = Substitution.parse(subst_text).alphabet
     spec = group_spec_from_options(group, images, base_point, letters)
     F = build_factor_set(subst_text, start, horizon)
@@ -385,6 +409,8 @@ def shadow_group() -> None:
 @click.option("--images", required=True)
 def shadow_eval_cmd(expr, subst_defs, group, images):
     """Evaluate a pseudoword expression under a morphism."""
+    from . import shadow as shadow_mod
+
     named = {}
     for d in subst_defs:
         name, _, body = d.partition("=")
@@ -398,6 +424,8 @@ def shadow_eval_cmd(expr, subst_defs, group, images):
 
 
 def _horder_impl(subst_text, group, images):
+    from . import shadow as shadow_mod
+
     sigma = Substitution.parse(subst_text)
     morphism = morphism_from_options(group, images, sigma.alphabet)
     result = shadow_mod.h_order(sigma, morphism)
@@ -435,6 +463,8 @@ def horder_cmd(subst_text, group, images):
 @click.option("-v", required=True)
 def shadow_separate_cmd(code, beta, group, images, u, v):
     """Matrix decoding morphism separating two differently valued words."""
+    from . import shadow as shadow_mod
+
     X = {w.strip() for w in code.split(",") if w.strip()}
     bmap = parse_assignments(beta, ",", "=", "--beta entry")
     if sorted(bmap.values()) != sorted(X):
@@ -454,6 +484,8 @@ def shadow_separate_cmd(code, beta, group, images, u, v):
 @click.option("--offset", default=0, show_default=True)
 def arith_cmd(to_fact, precision, fib_args, fib_limit_mod, offset):
     """Factorial digits and modular Fibonacci limits."""
+    from . import arith as arith_mod
+
     out = {}
     if to_fact is not None:
         d = arith_mod.to_factorial(to_fact, precision)

@@ -13,6 +13,9 @@ class BudgetExceeded(MinishiftError):
     """A configured size or iteration budget was exhausted."""
 
 
+DEFAULT_MONOID_BUDGET = 20000  # elements a monoid closure may reach
+
+
 class NotPrimitive(MinishiftError):
     """Operation requires a primitive substitution."""
 

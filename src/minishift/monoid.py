@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Iterable
 
-from .errors import BudgetExceeded, InsufficientHorizon, InternalInvariantError, ParseError
+from .errors import (
+    DEFAULT_MONOID_BUDGET,
+    BudgetExceeded,
+    InsufficientHorizon,
+    InternalInvariantError,
+    ParseError,
+)
 from .words import Alphabet, FactorSet, shortlex
 
-DEFAULT_MONOID_BUDGET = 20000
 DEFAULT_ORDER_BUDGET = 10080
 
 
@@ -133,7 +139,6 @@ class FiniteMonoid:
         mul: Callable,
         identity,
         generators: dict[str, Hashable],
-        witness: dict,
         right: list[int],
         found_at: list[int],
     ) -> None:
@@ -142,12 +147,26 @@ class FiniteMonoid:
         self._mul = mul
         self.identity = identity
         self.generators = generators
-        self.witness = witness
         self.right = right
         self.found_at = found_at
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def witness(self) -> dict:
+        """Each element's shortlex-least generator word, in element order.
+
+        Spelled out on first use from ``found_at``: the element first found
+        at slot s is the one at s // |gens| times generator s % |gens|.
+        """
+        names = list(self.generators)
+        d = len(names)
+        words = [""]
+        for slot in self.found_at[1:]:
+            p, b = divmod(slot, d)
+            words.append(words[p] + names[b])
+        return dict(zip(self.elements, words))
 
     def mul(self, x, y):
         return self._mul(x, y)
@@ -203,28 +222,25 @@ class FiniteMonoid:
         "Algorithms for computing finite semigroups", Foundations of
         Computational Mathematics, 1997).
         """
-        pairs = list(generators.items())
+        gens = list(generators.values())
         elements = [identity]
         pos = {identity: 0}
-        words = [""]
         right: list[int] = []
         found_at = [-1]
         i = 0
         while i < len(elements):
-            x, word = elements[i], words[i]
-            for a, g in pairs:
+            x = elements[i]
+            for g in gens:
                 y = mul(x, g)
                 k = pos.setdefault(y, len(elements))
                 if k == len(elements):
                     if k >= budget:
                         raise BudgetExceeded(f"monoid larger than budget {budget}")
                     elements.append(y)
-                    words.append(word + a)
                     found_at.append(len(right))
                 right.append(k)
             i += 1
-        witness = dict(zip(elements, words))
-        return cls(elements, pos, mul, identity, generators, witness, right, found_at)
+        return cls(elements, pos, mul, identity, generators, right, found_at)
 
 
 def transition_monoid(

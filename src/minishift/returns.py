@@ -6,9 +6,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bifix import star_factorization
 from .errors import InsufficientHorizon, InternalInvariantError
-from .words import FactorSet, Substitution, shortlex
+from .words import FactorSet, Substitution, shortlex, star_factorization
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,19 @@ def occurrences(pattern: str, text: str) -> int:
         start = pos + 1
 
 
+def star_factorization(w: str, start: int, X: frozenset[str]) -> dict[int, tuple[str, ...]]:
+    """One X-factorization of w[start:j] per reachable endpoint j (X a code)."""
+    out: dict[int, tuple[str, ...]] = {start: ()}
+    for i in range(start, len(w) + 1):
+        if i not in out:
+            continue
+        for x in X:
+            j = i + len(x)
+            if j <= len(w) and w.startswith(x, i) and j not in out:
+                out[j] = out[i] + (x,)
+    return out
+
+
 @dataclass(frozen=True)
 class Substitution:
     """A letter-to-word morphism with nonempty images."""

@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -420,3 +421,233 @@ def test_every_argv_keeps_the_exit_contract(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in {0, 2, 3, 4}, argv
+
+
+# `--help` of every command and group, byte for byte, at an 80-column terminal
+HELP = {
+    (): """\
+Usage: cli [OPTIONS] COMMAND [ARGS]...
+
+  Finite computations on substitution shifts, return words and codes.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  arith        Factorial digits and modular Fibonacci limits.
+  bifix        Group code intersected with a factor set; F-degree and F-group.
+  classify     Tree/neutral classification of the factor set up to a length.
+  episturmian  Palindromic closures and left return words of a directed word.
+  factors      Certified factor set of a substitution fixed point or...
+  freegroup    Folded subgroup graph: rank, index, membership, Hall...
+  horder       Shortcut for 'shadow horder'.
+  monoid       Transition monoid of the minimal automaton of a code's...
+  returns      Return words to a factor.
+  shadow       Pseudoword evaluation, h-orders and separation witnesses.
+  subst        Apply or iterate a substitution, or test primitivity.
+""",
+    ("subst",): """\
+Usage: cli subst [OPTIONS]
+
+  Apply or iterate a substitution, or test primitivity.
+
+Options:
+  --subst TEXT         [required]
+  --apply TEXT
+  --iterate TEXT
+  -k, --power INTEGER  [default: 1]
+  --primitive
+  --help               Show this message and exit.
+""",
+    ("factors",): """\
+Usage: cli factors [OPTIONS]
+
+  Certified factor set of a substitution fixed point or periodic word.
+
+Options:
+  --subst TEXT
+  --start TEXT
+  --periodic TEXT
+  --horizon INTEGER     [default: 8]
+  --complexity INTEGER
+  --witness TEXT
+  --help                Show this message and exit.
+""",
+    ("classify",): """\
+Usage: cli classify [OPTIONS]
+
+  Tree/neutral classification of the factor set up to a length.
+
+Options:
+  --subst TEXT      [required]
+  --start TEXT      [required]
+  --maxlen INTEGER  [default: 6]
+  --word TEXT
+  --dot PATH
+  --help            Show this message and exit.
+""",
+    ("returns",): """\
+Usage: cli returns [OPTIONS]
+
+  Return words to a factor.
+
+Options:
+  --subst TEXT       [required]
+  --start TEXT       [required]
+  --word TEXT        [required]
+  --horizon INTEGER  [default: 32]
+  --left
+  --gamma INTEGER
+  --help             Show this message and exit.
+""",
+    ("episturmian",): """\
+Usage: cli episturmian [OPTIONS]
+
+  Palindromic closures and left return words of a directed word.
+
+Options:
+  --directive TEXT   [required]
+  --word TEXT
+  --pal TEXT
+  --horizon INTEGER
+  --help             Show this message and exit.
+""",
+    ("freegroup",): """\
+Usage: cli freegroup [OPTIONS]
+
+  Folded subgroup graph: rank, index, membership, Hall separation.
+
+Options:
+  --alphabet TEXT    [required]
+  --generators TEXT  comma-separated group words  [required]
+  --member TEXT
+  --separate TEXT
+  --dot PATH
+  --help             Show this message and exit.
+""",
+    ("monoid",): """\
+Usage: cli monoid [OPTIONS]
+
+  Transition monoid of the minimal automaton of a code's submonoid.
+
+Options:
+  --code TEXT        comma-separated code words  [required]
+  --subst TEXT
+  --start TEXT
+  --horizon INTEGER  [default: 24]
+  --eggbox           print the F-minimal eggbox as text
+  --budget INTEGER   [default: 20000]
+  --help             Show this message and exit.
+""",
+    ("bifix",): """\
+Usage: cli bifix [OPTIONS]
+
+  Group code intersected with a factor set; F-degree and F-group.
+
+Options:
+  --group TEXT            cyclic:M, or a name that is only a label: the --images
+                          define the group  [required]
+  --images TEXT           "a=1,b=1" or "a:(1 2 3);b:(3 4 5)"  [required]
+  --base-point TEXT
+  --subst TEXT            [required]
+  --start TEXT            [required]
+  --horizon INTEGER       [default: 24]
+  --degree / --no-degree  [default: degree]
+  --help                  Show this message and exit.
+""",
+    ("shadow",): """\
+Usage: cli shadow [OPTIONS] COMMAND [ARGS]...
+
+  Pseudoword evaluation, h-orders and separation witnesses.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  eval      Evaluate a pseudoword expression under a morphism.
+  horder    Least n with the substitution's action on letter images returning.
+  separate  Matrix decoding morphism separating two differently valued words.
+""",
+    ("shadow", "eval"): """\
+Usage: cli shadow eval [OPTIONS]
+
+  Evaluate a pseudoword expression under a morphism.
+
+Options:
+  --expr TEXT       [required]
+  --subst-def TEXT  "phi=a->ab;b->a"
+  --group TEXT      cyclic:M, or a name that is only a label: the --images
+                    define the group  [required]
+  --images TEXT     [required]
+  --help            Show this message and exit.
+""",
+    ("shadow", "horder"): """\
+Usage: cli shadow horder [OPTIONS]
+
+  Least n with the substitution's action on letter images returning.
+
+Options:
+  --subst TEXT   [required]
+  --group TEXT   cyclic:M, or a name that is only a label: the --images define
+                 the group  [required]
+  --images TEXT  [required]
+  --help         Show this message and exit.
+""",
+    ("shadow", "separate"): """\
+Usage: cli shadow separate [OPTIONS]
+
+  Matrix decoding morphism separating two differently valued words.
+
+Options:
+  --code TEXT    comma-separated code words  [required]
+  --beta TEXT    "x=a,y=ab,z=bb"  [required]
+  --group TEXT   cyclic:M, or a name that is only a label: the --images define
+                 the group  [required]
+  --images TEXT  [required]
+  -u TEXT        [required]
+  -v TEXT        [required]
+  --help         Show this message and exit.
+""",
+    ("horder",): """\
+Usage: cli horder [OPTIONS]
+
+  Shortcut for 'shadow horder'.
+
+Options:
+  --subst TEXT   [required]
+  --group TEXT   cyclic:M, or a name that is only a label: the --images define
+                 the group  [required]
+  --images TEXT  [required]
+  --help         Show this message and exit.
+""",
+    ("arith",): """\
+Usage: cli arith [OPTIONS]
+
+  Factorial digits and modular Fibonacci limits.
+
+Options:
+  --to-factorial INTEGER
+  -k, --precision INTEGER  [default: 4]
+  --fib-mod INTEGER...
+  --fib-limit INTEGER
+  --offset INTEGER         [default: 0]
+  --help                   Show this message and exit.
+""",
+}
+
+
+@pytest.mark.parametrize("path", list(HELP), ids=lambda p: " ".join(p) or "minishift")
+def test_help_text(runner, path):
+    result = runner.invoke(cli, [*path, "--help"], terminal_width=80, catch_exceptions=False)
+    assert result.exit_code == 0
+    assert result.output == HELP[path]
+
+
+def test_help_covers_every_command():
+    def paths(group, prefix):
+        for name, command in group.commands.items():
+            yield prefix + (name,)
+            if isinstance(command, click.Group):
+                yield from paths(command, prefix + (name,))
+
+    assert set(paths(cli, ())) | {()} == set(HELP)

@@ -1,5 +1,6 @@
 """Every module imports on its own, so no import cycle hides behind an order."""
 
+import json
 import pkgutil
 import subprocess
 import sys
@@ -22,3 +23,66 @@ def test_module_imports_alone(module):
         capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr
+
+
+CLI_BASE = {"minishift", "minishift.cli", "minishift.errors", "minishift.words"}
+
+RUN_MAIN = """
+from minishift.cli import main
+sys.argv = ["minishift", *json.loads(sys.argv[1])]
+try:
+    main()
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+
+
+def loaded_after(code, *args):
+    """The minishift modules a fresh interpreter holds after running ``code``."""
+    r = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('minishift'))))",
+         *args],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    return set(json.loads(r.stdout.splitlines()[-1]))
+
+
+def test_cli_module_loads_no_layer():
+    assert loaded_after("import minishift.cli") == CLI_BASE
+
+
+FIB = ["--subst", "a->ab;b->a", "--start", "a"]
+SHADOW = {"returns", "monoid", "shadow"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["subst", "--subst", "a->ab;b->a", "--apply", "ab", "--primitive"], set()),
+    (["factors", *FIB, "--horizon", "6", "--complexity", "3", "--witness", "b"], set()),
+    (["classify", *FIB, "--maxlen", "4", "--word", "a"], {"extension"}),
+    (["returns", *FIB, "--word", "aba", "--left", "--gamma", "3"], {"returns"}),
+    (["episturmian", "--directive", "abcabcabc", "--word", "a", "--pal", "ab", "--horizon", "4"],
+     {"episturmian"}),
+    (["freegroup", "--alphabet", "ab", "--generators", "aa,b,abA", "--member", "ab"],
+     {"freegroup"}),
+    (["monoid", "--code", "aa,ab,ba"], {"bifix", "monoid"}),
+    # the F-group is generated by return words
+    (["monoid", "--code", "aa,ab,ba", *FIB, "--horizon", "16", "--eggbox"],
+     {"bifix", "monoid", "returns"}),
+    (["bifix", "--group", "A5", "--images", "a:(1 2 3);b:(3 4 5)", *FIB, "--horizon", "16"],
+     {"bifix", "monoid"}),
+    (["shadow", "eval", "--expr", "(ab)^w", "--group", "cyclic:3", "--images", "a=1,b=1"],
+     SHADOW),
+    (["shadow", "horder", "--subst", "a->ab;b->a", "--group", "cyclic:2", "--images", "a=1,b=1"],
+     SHADOW),
+    (["shadow", "separate", "--code", "ab,aab", "--beta", "a=ab,b=aab", "--group", "cyclic:2",
+      "--images", "a=1,b=1", "-u", "a", "-v", "ab"], SHADOW),
+    (["horder", "--subst", "a->ab;b->a", "--group", "A5", "--images", "a:(1 2 3);b:(3 4 5)"],
+     SHADOW),
+    (["arith", "--to-factorial", "23", "--fib-mod", "10", "7", "--fib-limit", "24"], {"arith"}),
+], ids=["subst", "factors", "classify", "returns", "episturmian", "freegroup", "monoid",
+        "monoid-f-group", "bifix", "shadow-eval", "shadow-horder", "shadow-separate", "horder",
+        "arith"])
+def test_each_command_loads_only_its_layer(argv, layers):
+    assert loaded_after(RUN_MAIN, json.dumps(argv)) == CLI_BASE | {f"minishift.{m}" for m in layers}

@@ -1,6 +1,7 @@
 """Transformation monoids, Green's relations and induced permutation groups."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +366,16 @@ class TestCayleyGraph:
         assert C.elements == list(range(m))
         assert C.witness == {i: "g" * i for i in range(m)}
         assert list(C.witness) == C.elements
+
+    def test_closure_spells_no_witness(self):
+        """The words g^0 ... g^3999 would hold 8 million characters; the closure keeps ints."""
+        tracemalloc.start()
+        try:
+            cyclic_monoid(4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     @settings(max_examples=100)
     @given(small_automata())
