@@ -1,4 +1,4 @@
-"""Factorial number system residues, p-adic valuations and Fibonacci limits.
+"""Factorial number system residues and modular Fibonacci limits.
 
 A residue modulo (k+1)! is stored as its factorial digits c_1..c_k with
 0 <= c_i <= i, so that the value is sum(c_i * i!).
@@ -67,44 +67,6 @@ def add(x: FactorialDigits, y: FactorialDigits) -> FactorialDigits:
         digits.append(s % (i + 1))
         carry = s // (i + 1)
     return FactorialDigits(tuple(digits))
-
-
-@dataclass(frozen=True)
-class PadicValuation:
-    p: int
-    value: int | None  # None marks +infinity (valuation of 0)
-
-    @property
-    def infinite(self) -> bool:
-        return self.value is None
-
-    def norm(self) -> float:
-        if self.value is None:
-            return 0.0
-        return float(self.p) ** (-self.value)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, int(math.isqrt(p)) + 1):
-        if p % d == 0:
-            return False
-    return True
-
-
-def padic_valuation(x: int, p: int) -> PadicValuation:
-    """Largest n with p**n dividing x; infinite for x = 0."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if x == 0:
-        return PadicValuation(p, None)
-    x = abs(x)
-    n = 0
-    while x % p == 0:
-        x //= p
-        n += 1
-    return PadicValuation(p, n)
 
 
 @lru_cache(maxsize=None)

@@ -551,73 +551,67 @@ def is_isomorphic_small(G: PermGroup, H: PermGroup, budget: int = 240) -> bool:
     return search(0, [])
 
 
-def schutzenberger_group(M: FiniteMonoid, h_members: list) -> PermGroup:
-    """Right-translation group of an H-class (members given as elements)."""
-    hset = set(h_members)
-    domain = tuple(range(len(h_members)))
-    order = list(h_members)
-    pos = {e: i for i, e in enumerate(order)}
-    gens = []
-    seen = set()
-    for m in M.elements:
-        translated = [M.mul(x, m) for x in order]
-        if set(translated) != hset:
-            continue
-        key = tuple(pos[t] for t in translated)
-        if key not in seen:
-            seen.add(key)
-            gens.append(dict(enumerate(key)))
-    return PermGroup(domain, gens)
-
-
 # ---------------------------------------------------------------- F-minimal
 
 
 def f_min_rank_data(
     A: Automaton, F: FactorSet
 ) -> tuple[int, str, set[frozenset[int]]]:
-    """Minimal rank over transformations of factors, with a witness word.
+    """Minimal rank over transformations of factors, a witness and the minimal images.
 
-    Scans factors by increasing length; stops once two further lengths
-    produce no smaller rank and no new minimal-rank image set.
+    Scans factors in shortlex order, composing each transformation from its
+    prefix's, and certifies each new least rank at its first word w, of
+    image I, by the right return words u to w.  Every factor z lies in a
+    factor w u_1 ... u_k, since F is recurrent, and the image of w u is
+    u(I), a subset of I because w u ends with w.  So if every u maps I onto
+    itself, no factor has rank below |I|, and the images of rank |I| are
+    those of w p for p a prefix of a return word.  If some u shrinks I, then
+    w u is a factor of smaller rank within the horizon, which the scan
+    meets later.  A refused return walk does not stop the scan; the first
+    refusal is raised only if no later rank certifies.  Assumes F is
+    uniformly recurrent, as the substitution, episturmian and periodic sets
+    are (Berstel, De Felice, Perrin, Reutenauer, Rindone, "Bifix codes and
+    Sturmian words", J. Algebra 369, 2012).
     """
+    from .returns import right_return_words
+
     if not F.complete:
         raise InsufficientHorizon("factor set is not certified complete")
     letter_maps = A.letter_transformations()
     missing = [a for a in F.words_of_length(1) if a not in letter_maps]
     if missing:
         raise ValueError(f"automaton has no letter {''.join(missing)!r} of the factor set")
-    identity = tuple(range(len(A.states)))
-    current: dict[str, tuple[int | None, ...]] = {"": identity}
-    best_rank = transformation_rank(identity)
-    best_word = ""
-    images: set[frozenset[int]] = {transformation_image(identity)}
-    stable = 0
-    for n in range(1, F.horizon + 1):
-        nxt: dict[str, tuple[int | None, ...]] = {}
-        for w in F.words_of_length(n):
-            prev = current.get(w[:-1])
-            if prev is None:
+    current = {"": tuple(range(len(A.states)))}
+    best_rank = len(A.states) + 1
+    refusal = None
+    for n in range(F.horizon + 1):
+        if n:
+            current = {
+                w: compose(current[w[:-1]], letter_maps[w[-1]]) for w in F.words_of_length(n)
+            }
+        for word, t in current.items():
+            rank = transformation_rank(t)
+            if rank >= best_rank:
                 continue
-            nxt[w] = compose(prev, letter_maps[w[-1]])
-        current = nxt
-        changed = False
-        for w, t in nxt.items():
-            r = transformation_rank(t)
-            img = transformation_image(t)
-            if r < best_rank:
-                best_rank, best_word = r, w
-                images = {img}
-                changed = True
-            elif r == best_rank and img not in images:
-                images.add(img)
-                changed = True
-        stable = 0 if changed else stable + 1
-        if stable >= 2:
-            return best_rank, best_word, images
-    raise InsufficientHorizon(
-        f"minimal rank not stabilized within horizon {F.horizon}"
-    )
+            best_rank = rank
+            if rank == 0:
+                return 0, word, {frozenset()}
+            try:
+                returns = right_return_words(F, word).words
+            except InsufficientHorizon as exc:
+                refusal = refusal or exc
+                continue
+            images = {transformation_image(t)}
+            for u in returns:
+                s = t
+                for a in u:
+                    s = compose(s, letter_maps[a])
+                    images.add(transformation_image(s))
+                if transformation_rank(s) < rank:
+                    break
+            else:
+                return rank, word, images
+    raise refusal
 
 
 def f_min_rank(A: Automaton, F: FactorSet) -> int:

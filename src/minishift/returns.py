@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InsufficientHorizon, InternalInvariantError
-from .words import FactorSet, Substitution, shortlex, star_factorization
+from .words import FactorSet, shortlex, star_factorization
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,3 @@ def limit_return_truncation(
                     )
         stages.append(stage)
     return LimitReturnTruncation(tuple(stages))
-
-
-def substitution_seeds(
-    subst: Substitution, letter: str, depth: int
-) -> list[tuple[str, str]]:
-    """Default seeds (sigma^(2n)(a), sigma^(2n)(a)) for n = 1..depth."""
-    return [
-        (subst.iterate(letter, 2 * n), subst.iterate(letter, 2 * n))
-        for n in range(1, depth + 1)
-    ]

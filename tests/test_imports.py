@@ -53,6 +53,11 @@ def test_cli_module_loads_no_layer():
     assert loaded_after("import minishift.cli") == CLI_BASE
 
 
+def test_monoid_loads_no_returns():
+    # the F-minimal certificate and f_group import the return walk when they run
+    assert "minishift.returns" not in loaded_after("import minishift.monoid")
+
+
 FIB = ["--subst", "a->ab;b->a", "--start", "a"]
 SHADOW = {"returns", "monoid", "shadow"}
 

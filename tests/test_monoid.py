@@ -7,8 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minishift.bifix import BifixCode, minimal_automaton_of_star
-from minishift.errors import BudgetExceeded, InternalInvariantError, ParseError
+from minishift.bifix import (
+    BifixCode,
+    GroupCodeSpec,
+    group_code_intersection,
+    minimal_automaton_of_star,
+)
+from minishift.errors import (
+    BudgetExceeded,
+    InsufficientHorizon,
+    InternalInvariantError,
+    ParseError,
+)
 from minishift.monoid import (
     Automaton,
     FiniteMonoid,
@@ -25,13 +35,14 @@ from minishift.monoid import (
     omega_index,
     orbit,
     parse_permutation,
-    schutzenberger_group,
     transformation_image,
     transformation_rank,
     transition_monoid,
 )
 from minishift.monoid import _left_graph, _sccs
-from minishift.words import Alphabet
+from minishift.words import Alphabet, FactorSet
+from test_bifix import bifix_codes
+from test_words import primitive_substitutions
 
 
 AB = Alphabet.of("ab")
@@ -157,6 +168,57 @@ def assert_cayley_graphs(M):
     for k in range(1, len(M)):
         slot = M.found_at[k]
         assert M.right[slot] == k and slot // d < k
+
+
+def schutzenberger_group(M, h_members):
+    """Right-translation group of an H-class (members given as elements)."""
+    hset = set(h_members)
+    domain = tuple(range(len(h_members)))
+    order = list(h_members)
+    pos = {e: i for i, e in enumerate(order)}
+    gens = []
+    seen = set()
+    for m in M.elements:
+        translated = [M.mul(x, m) for x in order]
+        if set(translated) != hset:
+            continue
+        key = tuple(pos[t] for t in translated)
+        if key not in seen:
+            seen.add(key)
+            gens.append(dict(enumerate(key)))
+    return PermGroup(domain, gens)
+
+
+def scanned_min_rank(A, F):
+    """Oracle: the least rank over every factor of F, its shortlex-least word and its images."""
+    letter_maps = A.letter_transformations()
+    current = {"": tuple(range(len(A.states)))}
+    rank, word, images = len(A.states) + 1, None, set()
+    for n in range(F.horizon + 1):
+        if n:
+            current = {
+                w: compose(current[w[:-1]], letter_maps[w[-1]]) for w in F.words_of_length(n)
+            }
+        for w, t in current.items():
+            r = transformation_rank(t)
+            if r < rank:
+                rank, word, images = r, w, set()
+            if r == rank:
+                images.add(transformation_image(t))
+    return rank, word, images
+
+
+def assert_certified_or_refused(A, sigma, horizon):
+    """``f_min_rank_data`` at ``horizon`` refuses, or agrees with a scan at horizon 80.
+
+    A certified answer reads only factors within ``horizon``, so the longer
+    scan holds its witness and every image of the least rank.
+    """
+    try:
+        answer = f_min_rank_data(A, FactorSet.from_substitution(sigma, "a", horizon))
+    except InsufficientHorizon:
+        return
+    assert answer == scanned_min_rank(A, FactorSet.from_substitution(sigma, "a", 80))
 
 
 @pytest.fixture(scope="module")
@@ -563,6 +625,44 @@ class TestFMinimal:
         only_a = minimal_automaton_of_star(BifixCode.of(["a"]))
         with pytest.raises(ValueError, match="'b'"):
             f_min_rank_data(only_a, fib_set)
+
+    def test_rank_zero_past_two_lengths_of_rank_one(self, fib):
+        # rank 1 from length 5 on, rank 0 only from length 20 on
+        A = minimal_automaton_of_star(BifixCode.of(["aabbbb", "abbbbaab", "baababaa", "babaaba"]))
+        F = FactorSet.from_substitution(fib, "a", 48)
+        assert f_min_rank_data(A, F) == (0, "aabaababaababaabaaba", {frozenset()}) \
+            == scanned_min_rank(A, F)
+
+    def test_return_walk_past_the_horizon_is_refused(self, tm, tm_set_64):
+        F = FactorSet.from_substitution(tm, "a", 32)
+        spec = GroupCodeSpec.from_cycles((1, 2, 3, 4, 5), {"a": "(1 2 3)", "b": "(3 4 5)"})
+        A = minimal_automaton_of_star(group_code_intersection(spec, F))
+        with pytest.raises(InsufficientHorizon):
+            f_min_rank_data(A, F)
+        rank, word, images = f_min_rank_data(A, tm_set_64)
+        assert (rank, word) == (5, "aabbaa")
+        assert (rank, word, images) == scanned_min_rank(A, tm_set_64)
+
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), bifix_codes(), st.sampled_from([8, 16, 24, 32]))
+    def test_random_bifix_codes_against_a_long_scan(self, sigma, X, horizon):
+        letters = set(sigma.alphabet) | {c for w in X.words for c in w}
+        assert_certified_or_refused(minimal_automaton_of_star(X, Alphabet.of(sorted(letters))),
+                                    sigma, horizon)
+
+    @settings(max_examples=40)
+    @given(primitive_substitutions(), st.integers(2, 4), st.sampled_from([16, 24, 32]), st.data())
+    def test_group_codes_against_a_long_scan(self, sigma, degree, horizon, data):
+        """Codes of permutation groups: their least ranks are positive, so return words decide them."""
+        points = tuple(range(degree))
+        spec = GroupCodeSpec(points, {
+            a: dict(zip(points, data.draw(st.permutations(points)))) for a in sigma.alphabet
+        }, 0)
+        try:
+            X = group_code_intersection(spec, FactorSet.from_substitution(sigma, "a", horizon))
+        except InsufficientHorizon:
+            return
+        assert_certified_or_refused(minimal_automaton_of_star(X, sigma.alphabet), sigma, horizon)
 
 
 class TestMonoidFromPermutations:

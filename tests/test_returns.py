@@ -15,7 +15,6 @@ from minishift.returns import (
     left_return_words,
     limit_return_truncation,
     right_return_words,
-    substitution_seeds,
 )
 from minishift.words import Alphabet, FactorSet, occurrences
 from test_words import primitive_substitutions
@@ -251,6 +250,14 @@ class TestGamma:
         assert gamma(fib_set, "a", 0) == {""}
         with pytest.raises(ValueError):
             gamma(fib_set, "a", -2)
+
+
+def substitution_seeds(subst, letter, depth):
+    """Default seeds (sigma^(2n)(a), sigma^(2n)(a)) for n = 1..depth."""
+    return [
+        (subst.iterate(letter, 2 * n), subst.iterate(letter, 2 * n))
+        for n in range(1, depth + 1)
+    ]
 
 
 class TestTruncation:
