@@ -84,9 +84,7 @@ def extension_graph(F: FactorSet, w: str) -> ExtensionGraph:
     letters = F.alphabet.letters
     left = tuple(a for a in letters if a + w in F)
     right = tuple(b for b in letters if w + b in F)
-    edges = tuple(
-        (a, b) for a in letters for b in letters if a + w + b in F
-    )
+    edges = tuple((a, b) for a in left for b in right if a + w + b in F)
     return ExtensionGraph(w, left, right, edges)
 
 

@@ -227,6 +227,7 @@ class FactorSet:
         self.source = source
         self._buckets: dict[int, list[str]] | None = None
         self._by_length: dict[int, tuple[str, ...]] = {}
+        self._returns: dict[str, frozenset[str] | None] = {}
 
     def __contains__(self, word: str) -> bool:
         return word in self.factors
@@ -269,11 +270,20 @@ class FactorSet:
         letters holds no x, and any longer window holds a whole first return
         (Durand, "A characterization of substitutive sequences using return
         words", Discrete Math. 179, 1998).
+
+        The result, the set or None, is stored keyed by x, so each x is walked
+        once and the store is bounded by |F|.  Errors are not stored: a
+        non-factor, an uncertified set or a dead end raises on every call.
         """
         if x not in self.factors:
             raise ValueError(f"{x!r} is not a factor")
         if not self.complete:
             raise InsufficientHorizon("factor set is not certified complete")
+        if x not in self._returns:
+            self._returns[x] = self._walk(x)
+        return self._returns[x]
+
+    def _walk(self, x: str) -> frozenset[str] | None:
         factors, letters = self.factors, self.alphabet.letters
         out = set()
         branches = [x]

@@ -3,9 +3,30 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minishift.errors import InsufficientHorizon
 from minishift.extension import ExtensionGraph, classify, extension_graph, multiplicity
+from minishift.words import FactorSet
+from test_words import primitive_substitutions
+
+
+def every_pair_graph(F, w):
+    """Oracle: the extension graph with an edge test for every pair of letters."""
+    letters = F.alphabet.letters
+    return ExtensionGraph(
+        w,
+        tuple(a for a in letters if a + w in F),
+        tuple(b for b in letters if w + b in F),
+        tuple((a, b) for a in letters for b in letters if a + w + b in F),
+    )
+
+
+def assert_edges_match_every_pair(F):
+    for n in range(F.horizon - 1):
+        for w in F.words_of_length(n):
+            assert extension_graph(F, w) == every_pair_graph(F, w)
 
 
 class TestExtensionGraph:
@@ -61,6 +82,21 @@ class TestExtensionGraph:
         dot = extension_graph(fib_set, "a").to_dot()
         assert dot.startswith("graph extension {")
         assert '"L_a" -- "R_b"' in dot or '"L_b" -- "R_a"' in dot
+
+
+class TestEdgesAgainstEveryPair:
+    """Edges tested only between left and right extensions, against every pair of letters."""
+
+    @pytest.mark.parametrize("name", ["fib", "tm", "trib", "quad"])
+    def test_fixtures(self, request, name):
+        assert_edges_match_every_pair(
+            FactorSet.from_substitution(request.getfixturevalue(name), "a", 32))
+
+    @settings(max_examples=40)
+    @given(primitive_substitutions(), st.integers(2, 24), st.data())
+    def test_primitive_substitutions(self, sigma, horizon, data):
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        assert_edges_match_every_pair(FactorSet.from_substitution(sigma, start, horizon))
 
 
 class TestMultiplicity:

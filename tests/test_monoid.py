@@ -42,6 +42,7 @@ from minishift.monoid import (
 from minishift.monoid import _left_graph, _sccs
 from minishift.words import Alphabet, FactorSet
 from test_bifix import bifix_codes
+from test_returns import count_walks
 from test_words import primitive_substitutions
 
 
@@ -642,6 +643,22 @@ class TestFMinimal:
         rank, word, images = f_min_rank_data(A, tm_set_64)
         assert (rank, word) == (5, "aabbaa")
         assert (rank, word, images) == scanned_min_rank(A, tm_set_64)
+
+    def test_group_after_the_rank_walks_no_further(self, three_state, fib, tm):
+        A5 = GroupCodeSpec.from_cycles((1, 2, 3, 4, 5), {"a": "(1 2 3)", "b": "(3 4 5)"})
+        tm_64 = FactorSet.from_substitution(tm, "a", 64)
+        cases = [
+            (three_state, FactorSet.from_substitution(fib, "a", 16), 2),
+            (minimal_automaton_of_star(group_code_intersection(A5, tm_64)), tm_64, 60),
+        ]
+        for A, F, order in cases:
+            walks = count_walks(F)
+            rank, word, _ = f_min_rank_data(A, F)
+            assert rank > 0 and walks[-1] == word
+            walked = list(walks)
+            G, base, _ = f_group(A, F)
+            assert base == word and G.order() == order
+            assert walks == walked
 
     @settings(max_examples=60)
     @given(primitive_substitutions(), bifix_codes(), st.sampled_from([8, 16, 24, 32]))

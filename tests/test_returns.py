@@ -1,5 +1,7 @@
 """Return words, the Gamma submonoid identity, and limit truncations."""
 
+import copy
+import itertools
 import json
 
 import pytest
@@ -71,6 +73,19 @@ def assert_walk_matches_scan(F, maxlen=4):
             assert outcome(lambda: left_return_words(F, x).words) == left
             witness = outcome(scanned_witness, F, x)
             assert outcome(F.uniform_recurrence_witness, x) == witness
+
+
+def count_walks(F):
+    """Record each x that ``F`` walks from now on; answers read from its store are not walks."""
+    walks = []
+    walk = F._walk
+
+    def counted(x):
+        walks.append(x)
+        return walk(x)
+
+    F._walk = counted
+    return walks
 
 
 class TestRightReturns:
@@ -162,6 +177,26 @@ class TestWalkAgainstScan:
         with pytest.raises(InternalInvariantError):
             F.uniform_recurrence_witness("a")
 
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), st.integers(0, 24), st.data())
+    def test_stored_walks_in_the_other_order(self, sigma, horizon, data):
+        # left, then witness, then right, twice: the walk is stored by the
+        # first query, and every later answer read from the store is the scan's
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        F = FactorSet.from_substitution(sigma, start, horizon)
+        xs = [x for n in range(min(4, horizon) + 1) for x in F.words_of_length(n)]
+        scans = {}
+        for x in xs:
+            right = outcome(scanned_return_words, F, x)
+            left = right if isinstance(right, tuple) else conjugate(right, x)
+            scans[x] = left, outcome(scanned_witness, F, x), right
+        for _ in range(2):
+            for x in xs:
+                left, witness, right = scans[x]
+                assert outcome(lambda: left_return_words(F, x).words) == left
+                assert outcome(F.uniform_recurrence_witness, x) == witness
+                assert outcome(lambda: right_return_words(F, x).words) == right
+
     @pytest.mark.parametrize("x", ["a", "b", "aba"])
     def test_answered_without_the_length_index(self, fib_set_64, monkeypatch, x):
         # the walk alone certifies: no scan over the factors of a length
@@ -193,6 +228,97 @@ class TestWalkAgainstScan:
             right_return_words(F, x)
         assert walks == [x]
         assert str(refused.value) == message
+
+
+class TestStoredWalks:
+    """Each x is walked once per set; only a finished or a cut walk is stored."""
+
+    @pytest.mark.parametrize("name, horizon", [("fib", 16), ("tm", 24), ("trib", 32), ("quad", 32)])
+    def test_right_then_left_walks_once(self, request, name, horizon):
+        F = FactorSet.from_substitution(request.getfixturevalue(name), "a", horizon)
+        walks = count_walks(F)
+        xs = [x for n in range(4) for x in F.words_of_length(n)]
+        for x in xs:
+            right = right_return_words(F, x).words
+            assert left_return_words(F, x).words == conjugate(right, x)
+        assert walks == xs
+
+    def test_witness_and_gamma_after_a_right_query(self, fib):
+        F = FactorSet.from_substitution(fib, "a", 16)
+        walks = count_walks(F)
+        for x in ["a", "b", "ab"]:
+            returns = right_return_words(F, x).words
+            assert F.uniform_recurrence_witness(x) == len(x) + max(map(len, returns)) - 1
+            assert check_gamma_identity(F, x, 10)
+        assert walks == ["a", "b", "ab"]
+
+    @pytest.mark.parametrize("horizon, x", [(3, "a"), (8, "aa")])
+    def test_cut_walk_is_stored_as_none(self, tm, horizon, x):
+        F = FactorSet.from_substitution(tm, "a", horizon)
+        walks = count_walks(F)
+        assert F.first_returns(x) is None
+        assert F.first_returns(x) is None
+        assert walks == [x]
+        assert F._returns == {x: None}
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(["right", "left", "witness"])))
+    @pytest.mark.parametrize("horizon, x", [(3, "a"), (8, "aa")])
+    def test_refusal_in_any_order(self, tm, horizon, x, order):
+        # the stored None is worded as the walk's own refusal, whichever query comes first
+        F = FactorSet.from_substitution(tm, "a", horizon)
+        right = outcome(scanned_return_words, F, x)
+        expected = {"right": right, "left": right, "witness": outcome(scanned_witness, F, x)}
+        assert right[0] is InsufficientHorizon
+        queries = {
+            "right": lambda: right_return_words(F, x).words,
+            "left": lambda: left_return_words(F, x).words,
+            "witness": lambda: F.uniform_recurrence_witness(x),
+        }
+        walks = count_walks(F)
+        for query in order + order:
+            assert outcome(queries[query]) == expected[query]
+        assert walks == [x]
+
+    def test_non_factor_raises_on_every_call(self, fib):
+        F = FactorSet.from_substitution(fib, "a", 16)
+        walks = count_walks(F)
+        for _ in range(2):
+            for query in (right_return_words, left_return_words, FactorSet.uniform_recurrence_witness):
+                with pytest.raises(ValueError, match="'bb' is not a factor"):
+                    query(F, "bb")
+        assert walks == []
+        assert F._returns == {}
+
+    def test_uncertified_set_raises_on_every_call(self):
+        F = FactorSet(Alphabet.of("ab"), 3, ["", "a", "b", "ab", "ba"], False, "bad")
+        for _ in range(2):
+            with pytest.raises(InsufficientHorizon, match="not certified complete"):
+                right_return_words(F, "a")
+        assert F._returns == {}
+
+    def test_dead_end_raises_on_both_calls(self):
+        F = FactorSet(Alphabet.of("ab"), 3, ["", "a", "b", "ab", "ba"], True, "bad")
+        walks = count_walks(F)
+        for _ in range(2):
+            with pytest.raises(InternalInvariantError,
+                               match="'ab' has no right extension below horizon 3"):
+                right_return_words(F, "a")
+        with pytest.raises(InternalInvariantError):
+            F.uniform_recurrence_witness("a")
+        assert walks == ["a", "a", "a"]
+        assert F._returns == {}
+
+    def test_deep_copies_keep_their_own_walks(self, fib):
+        F = FactorSet.from_substitution(fib, "a", 16)
+        right_return_words(F, "a")
+        G = copy.deepcopy(F)
+        copied, own = count_walks(G), count_walks(F)
+        assert right_return_words(G, "a") == right_return_words(F, "a")
+        assert right_return_words(G, "b").words == {"ab", "aab"}
+        assert copied == ["b"] and own == []
+        assert "b" not in F._returns
+        right_return_words(F, "b")
+        assert own == ["b"] and copied == ["b"]
 
 
 class TestConjugate:
