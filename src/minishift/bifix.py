@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InsufficientHorizon
-from .monoid import Automaton, f_group, parse_permutation
 from .words import Alphabet, FactorSet, shortlex, star_factorization
+
+if TYPE_CHECKING:
+    from .monoid import Automaton
 
 
 def is_prefix_free(words: Iterable[str]) -> bool:
@@ -117,6 +119,8 @@ class GroupCodeSpec:
     def from_cycles(
         cls, domain: Iterable, cycles: dict[str, str], base_point=None
     ) -> "GroupCodeSpec":
+        from .monoid import parse_permutation
+
         dom = tuple(domain)
         images = {a: parse_permutation(text, dom) for a, text in cycles.items()}
         return cls(dom, images, dom[0] if base_point is None else base_point)
@@ -132,14 +136,11 @@ class GroupCodeSpec:
 
     def degree(self) -> int:
         """Index of the stabilizer = orbit size of the base point."""
-        orbit = {self.base_point}
-        queue = [self.base_point]
-        while queue:
-            p = queue.pop()
-            for g in self.images.values():
-                if g[p] not in orbit:
-                    orbit.add(g[p])
-                    queue.append(g[p])
+        from .monoid import FiniteMonoid
+
+        orbit = FiniteMonoid.from_generators(
+            self.images, lambda p, g: g[p], self.base_point, len(self.domain) + 1
+        )
         return len(orbit)
 
 
@@ -186,6 +187,8 @@ def minimal_automaton_of_star(X: BifixCode, alphabet: Alphabet | None = None) ->
     the root's residual X* contains the empty word (Berstel, Perrin,
     Reutenauer, *Codes and Automata*, CUP 2010, ch. 4 and 6).
     """
+    from .monoid import Automaton
+
     if alphabet is None:
         alphabet = Alphabet.of(sorted({c for w in X.words for c in w}))
     residuals: dict[str, set[str]] = {}
@@ -226,5 +229,7 @@ def minimal_automaton_of_star(X: BifixCode, alphabet: Alphabet | None = None) ->
 
 def g_x_f(X: BifixCode, F: FactorSet, base: str | None = None):
     """The permutation group of the code on its minimal images in F."""
+    from .monoid import f_group
+
     A = minimal_automaton_of_star(X)
     return f_group(A, F, base=base)

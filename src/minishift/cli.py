@@ -423,7 +423,12 @@ def shadow_eval_cmd(expr, subst_defs, group, images):
     emit({"expr": expr, "value": str(value)})
 
 
-def _horder_impl(subst_text, group, images):
+@shadow_group.command("horder")
+@click.option("--subst", "subst_text", required=True)
+@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
+@click.option("--images", required=True)
+def shadow_horder_cmd(subst_text, group, images):
+    """Least n with the substitution's action on letter images returning."""
     from . import shadow as shadow_mod
 
     sigma = Substitution.parse(subst_text)
@@ -436,22 +441,8 @@ def _horder_impl(subst_text, group, images):
         emit({"h_order": None, "preperiod": preperiod, "period": period})
 
 
-@shadow_group.command("horder")
-@click.option("--subst", "subst_text", required=True)
-@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
-@click.option("--images", required=True)
-def shadow_horder_cmd(subst_text, group, images):
-    """Least n with the substitution's action on letter images returning."""
-    _horder_impl(subst_text, group, images)
-
-
-@cli.command("horder")
-@click.option("--subst", "subst_text", required=True)
-@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
-@click.option("--images", required=True)
-def horder_cmd(subst_text, group, images):
-    """Shortcut for 'shadow horder'."""
-    _horder_impl(subst_text, group, images)
+cli.add_command(click.Command("horder", help="Shortcut for 'shadow horder'.",
+                              callback=shadow_horder_cmd.callback, params=shadow_horder_cmd.params))
 
 
 @shadow_group.command("separate")

@@ -109,23 +109,6 @@ class SubgroupGraph:
         self.vertices = {v for v in self.vertices if parent[v] == v}
         self.triples = {(find(v), a, find(w)) for v, a, w in self.triples}
 
-    def prune(self) -> None:
-        """Drop non-base vertices of degree <= 1 (core graph)."""
-        while True:
-            degree: dict[int, int] = {v: 0 for v in self.vertices}
-            for v, _, w in self.triples:
-                degree[v] += 1
-                degree[w] += 1
-            dead = {v for v, d in degree.items() if d <= 1 and v != self.base}
-            if not dead:
-                return
-            self.vertices -= dead
-            self.triples = {
-                (v, a, w)
-                for v, a, w in self.triples
-                if v not in dead and w not in dead
-            }
-
     # -- queries (graph assumed folded) -------------------------------
 
     def _maps(self) -> tuple[dict, dict]:
@@ -177,7 +160,10 @@ class SubgroupGraph:
 
 
 def subgroup(generators: list[str] | set[str], alphabet: Alphabet) -> SubgroupGraph:
-    """Folded core graph of the subgroup generated by the given words."""
+    """Folded graph of the subgroup generated by the given words.
+
+    Each vertex but the base lies on a reduced loop, so it keeps degree >= 2.
+    """
     g = SubgroupGraph(alphabet)
     for w in sorted({reduce(w) for w in generators} - {""}):
         for c in w:
@@ -185,7 +171,6 @@ def subgroup(generators: list[str] | set[str], alphabet: Alphabet) -> SubgroupGr
                 raise ValueError(f"letter {c!r} outside alphabet")
         g.add_loop(w)
     g.fold()
-    g.prune()
     return g
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
 from typing import Callable, Hashable, Iterable
 
 from .errors import (
@@ -57,15 +58,15 @@ class Automaton:
 
     def transformation(self, word: str) -> tuple[int | None, ...]:
         """State transformation of ``word`` as a tuple over state positions."""
-        pos = {q: i for i, q in enumerate(self.states)}
-        out = []
-        for q in self.states:
-            r = self.run(word, start=q)
-            out.append(None if r is None else pos[r])
-        return tuple(out)
+        return _word_action(self.letter_transformations(), word, len(self.states))
 
     def letter_transformations(self) -> dict[str, tuple[int | None, ...]]:
-        return {a: self.transformation(a) for a in self.alphabet}
+        """Each letter's state map over state positions, read off ``transitions``."""
+        pos = {q: i for i, q in enumerate(self.states)}
+        return {
+            a: tuple(pos.get(self.transitions.get((q, a))) for q in self.states)
+            for a in self.alphabet
+        }
 
     def to_dot(self) -> str:
         pos = {q: i for i, q in enumerate(self.states)}
@@ -85,6 +86,12 @@ def compose(
 ) -> tuple[int | None, ...]:
     """Apply x first, then y (action written on the right)."""
     return tuple([None if q is None else y[q] for q in x])
+
+
+def _word_action(letter_maps: dict, word: str, n: int) -> tuple[int | None, ...]:
+    """The letter maps of ``word`` composed from the identity; a letter without one gives None."""
+    dead = (None,) * n
+    return reduce(compose, [letter_maps.get(a, dead) for a in word], tuple(range(n)))
 
 
 def transformation_rank(t: tuple[int | None, ...]) -> int:
@@ -197,10 +204,9 @@ class FiniteMonoid:
         return power
 
     def is_group(self) -> bool:
-        e = self.identity
-        return all(
-            any(self._mul(x, y) == e for y in self.elements) for x in self.elements
-        )
+        """Right multiplication by each generator permutes the elements (so each is a unit)."""
+        d = len(self.generators)
+        return all(len(set(self.right[j::d])) == len(self) for j in range(d))
 
     @classmethod
     def from_generators(
@@ -220,7 +226,9 @@ class FiniteMonoid:
         first found from y, then g_a * x = (g_a * y) * g_b, a lookup in
         ``right`` at the left neighbour of the earlier y (Froidure & Pin,
         "Algorithms for computing finite semigroups", Foundations of
-        Computational Mathematics, 1997).
+        Computational Mathematics, 1997).  ``mul`` may also be a right
+        action of the generators on points: the closure is then the orbit of
+        ``identity``.
         """
         gens = list(generators.values())
         elements = [identity]
@@ -449,33 +457,31 @@ def parse_permutation(text: str, domain: tuple) -> dict:
 def cycle_notation(mapping: dict) -> str:
     seen = set()
     cycles = []
-    for p in sorted(mapping):
-        if p in seen or mapping[p] == p:
-            seen.add(p)
-            continue
-        cycle = [p]
-        seen.add(p)
-        q = mapping[p]
-        while q != p:
-            cycle.append(q)
-            seen.add(q)
-            q = mapping[q]
-        cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
+    for p in _sorted_points(mapping):
+        if p not in seen and mapping[p] != p:
+            cycle = orbit(p, mapping.__getitem__)[0]
+            seen.update(cycle)
+            cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
     return "".join(cycles) or "()"
+
+
+def _sorted_points(domain: Iterable) -> tuple:
+    """The points in sorted order, or by their text if they do not compare."""
+    try:
+        return tuple(sorted(domain))
+    except TypeError:
+        return tuple(sorted(domain, key=str))
 
 
 class PermGroup:
     """Permutation group given by generator mappings on a finite domain.
 
-    The mappings are kept for display; the group itself is computed on
-    position tuples over the sorted domain, composed by ``compose``.
+    The mappings are kept for display; the group itself is their closure by
+    ``monoid_from_permutations``, on position tuples over the sorted domain.
     """
 
     def __init__(self, domain: tuple, generators: list[dict]) -> None:
-        try:
-            self.domain = tuple(sorted(domain))
-        except TypeError:
-            self.domain = tuple(sorted(domain, key=str))
+        self.domain = _sorted_points(domain)
         self._pos = {p: i for i, p in enumerate(self.domain)}
         self.generators = []
         for g in generators:
@@ -484,15 +490,13 @@ class PermGroup:
             if set(g.values()) != set(self.domain):
                 raise ValueError(f"not a permutation: {g}")
             self.generators.append(dict(g))
-        self._perms = [tuple(self._pos[g[p]] for p in self.domain) for g in self.generators]
         self._closure: FiniteMonoid | None = None
 
     def elements(self, budget: int = DEFAULT_ORDER_BUDGET) -> list[tuple[int, ...]]:
         """Every group element, as the positions of the images of ``domain``."""
         if self._closure is None:
-            gens = {str(i): t for i, t in enumerate(self._perms)}
-            identity = tuple(range(len(self.domain)))
-            self._closure = FiniteMonoid.from_generators(gens, compose, identity, budget)
+            gens = {str(i): g for i, g in enumerate(self.generators)}
+            self._closure = monoid_from_permutations(gens, self.domain, budget)
         elif len(self._closure) > budget:
             raise BudgetExceeded(f"monoid larger than budget {budget}")
         return self._closure.elements
@@ -514,41 +518,35 @@ def _element_order(t: tuple[int, ...]) -> int:
 
 
 def is_isomorphic_small(G: PermGroup, H: PermGroup, budget: int = 240) -> bool:
-    """Brute-force isomorphism test for groups of small order."""
-    gel = G.elements()
-    hel = H.elements()
-    if len(gel) != len(hel):
-        return False
-    if len(gel) > budget:
-        raise BudgetExceeded(f"isomorphism search capped at order {budget}")
+    """Brute-force isomorphism test for groups of small order.
 
-    gens = G._perms
+    Images h_b of G's generators g_b are extended along G's closure: the
+    element first found as x * g_b maps to image(x) * h_b.  They give an
+    isomorphism iff that map is a bijection that sends every edge x * g_b of
+    the right Cayley graph to image(x) * h_b.
+    """
+    hel = H.elements()
+    if G.order() != len(hel):
+        return False
+    if len(hel) > budget:
+        raise BudgetExceeded(f"isomorphism search capped at order {budget}")
+    M = G._closure
+    d = len(M.generators)
     horders: dict[int, list[tuple[int, ...]]] = {}
     for h in hel:
         horders.setdefault(_element_order(h), []).append(h)
 
-    def search(i: int, images: list[tuple[int, ...]]) -> bool:
-        if i == len(gens):
-            # closure of the partial map over generator words
-            table = {gel[0]: hel[0]}
-            queue = [(gel[0], hel[0])]
-            while queue:
-                gx, hx = queue.pop()
-                for g, h in zip(gens, images):
-                    gy, hy = compose(gx, g), compose(hx, h)
-                    if gy in table:
-                        if table[gy] != hy:
-                            return False
-                    else:
-                        table[gy] = hy
-                        queue.append((gy, hy))
-            return len(table) == len(gel) and len(set(table.values())) == len(hel)
-        for h in horders.get(_element_order(gens[i]), []):
-            if search(i + 1, images + [h]):
-                return True
-        return False
+    def extends(images: tuple) -> bool:
+        image = [hel[0]]
+        for slot in M.found_at[1:]:
+            image.append(compose(image[slot // d], images[slot % d]))
+        return len(set(image)) == len(hel) and all(
+            image[k] == compose(image[slot // d], images[slot % d])
+            for slot, k in enumerate(M.right)
+        )
 
-    return search(0, [])
+    choices = [horders.get(_element_order(g), []) for g in M.generators.values()]
+    return any(extends(images) for images in product(*choices))
 
 
 # ---------------------------------------------------------------- F-minimal
@@ -630,13 +628,14 @@ def f_group(
     rank, word, _ = f_min_rank_data(A, F)
     if base is not None:
         word = base
-    t = A.transformation(word)
+    letter_maps = A.letter_transformations()
+    t = _word_action(letter_maps, word, len(A.states))
     if transformation_rank(t) != rank:
         raise InternalInvariantError(f"base word {word!r} does not reach minimal rank")
     image = sorted(transformation_image(t))
     gens = []
     for r in sorted(right_return_words(F, word).words, key=shortlex):
-        action = A.transformation(r)
+        action = _word_action(letter_maps, r, len(A.states))
         if any(action[q] not in image for q in image):
             raise InternalInvariantError(
                 f"return word {r!r} does not permute the minimal image"
@@ -662,12 +661,9 @@ def monoid_from_permutations(
     """Permutation group generated by letter images, as a finite monoid.
 
     Elements are tuples listing the image of each domain point in sorted
-    order, multiplied left to right.
+    order (by their text if the points do not compare), multiplied left to right.
     """
-    dom = tuple(sorted(domain))
+    dom = _sorted_points(domain)
     pos = {p: i for i, p in enumerate(dom)}
-    gens = {
-        a: tuple(pos[m[p]] for p in dom) for a, m in images.items()
-    }
-    identity = tuple(range(len(dom)))
-    return FiniteMonoid.from_generators(gens, compose, identity, budget)
+    gens = {a: tuple(pos[m[p]] for p in dom) for a, m in images.items()}
+    return FiniteMonoid.from_generators(gens, compose, tuple(range(len(dom))), budget)

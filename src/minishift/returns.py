@@ -75,16 +75,14 @@ def gamma(F: FactorSet, x: str, maxlen: int) -> set[str]:
 
 
 def check_gamma_identity(F: FactorSet, x: str, maxlen: int) -> bool:
-    """Gamma equals (return words)* intersected with left-quotient factors."""
-    left_side = gamma(F, x, maxlen)
+    """Gamma equals (return words)* intersected with left-quotient factors.
+
+    That intersection lies in Gamma, since x r ends with x for each return
+    word r, so the identity holds iff every word of Gamma factors over them.
+    """
+    words = gamma(F, x, maxlen)
     returns = right_return_words(F, x).words
-    right_side = {
-        z[len(x):]
-        for n in range(len(x), len(x) + maxlen + 1)
-        for z in F.words_of_length(n)
-        if z.startswith(x) and n in star_factorization(z, len(x), returns)
-    }
-    return left_side == right_side
+    return all(len(w) in star_factorization(w, 0, returns) for w in words)
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,29 @@ def bifix_codes(draw):
     return BifixCode.of(kept)
 
 
+def searched_orbit_size(spec: GroupCodeSpec) -> int:
+    """Oracle: the base point's orbit under the letter images, by a search of its own."""
+    orbit = {spec.base_point}
+    queue = [spec.base_point]
+    while queue:
+        p = queue.pop()
+        for g in spec.images.values():
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                queue.append(g[p])
+    return len(orbit)
+
+
+@st.composite
+def group_code_specs(draw):
+    """One to three letters acting on up to seven points, named by ints or by text."""
+    n = draw(st.integers(1, 7))
+    dom = draw(st.sampled_from([tuple(range(n)), tuple("pqrstuv"[:n])]))
+    letters = "abc"[: draw(st.integers(1, 3))]
+    images = {a: dict(zip(dom, draw(st.permutations(dom)))) for a in letters}
+    return GroupCodeSpec(dom, images, draw(st.sampled_from(dom)))
+
+
 class TestFreeness:
     def test_prefix_free(self):
         assert is_prefix_free(["aa", "ab", "ba"])
@@ -176,6 +199,16 @@ class TestGroupCodes:
         spec = GroupCodeSpec.cyclic(3, {"a": 1, "b": 1})
         X = group_code_intersection(spec, tm_set)
         assert X.sorted_words() == ["aab", "aba", "abb", "baa", "bab", "bba"]
+
+    @settings(max_examples=150)
+    @given(group_code_specs())
+    def test_degree_against_a_search(self, spec):
+        assert spec.degree() == searched_orbit_size(spec)
+
+    def test_degree_of_an_intransitive_action(self):
+        spec = GroupCodeSpec.from_cycles((1, 2, 3, 4, 5), {"a": "(1 2)", "b": "(3 4 5)"})
+        assert spec.degree() == searched_orbit_size(spec) == 2
+        assert GroupCodeSpec(spec.domain, spec.images, 4).degree() == 3
 
     def test_degree_matches_spec(self, fib_set, tm_set):
         for F, m in ((fib_set, 2), (tm_set, 3)):

@@ -3,7 +3,7 @@
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minishift.errors import NotSeparable
@@ -226,6 +226,18 @@ class TestFoldOracle:
             return
         assert is_deterministic(K)
         assert not K.membership(x)
+
+    @settings(max_examples=300)
+    @given(generator_lists())
+    def test_no_vertex_but_the_base_has_degree_below_two(self, case):
+        """Folding reduced loops leaves a core graph away from the base: nothing to prune."""
+        A, gens, _ = case
+        H = subgroup(gens, A)
+        degree = dict.fromkeys(H.vertices, 0)
+        for v, _, w in H.triples:
+            degree[v] += 1
+            degree[w] += 1
+        assert all(d >= 2 for v, d in degree.items() if v != H.base)
 
     def test_classes_are_named_by_their_least_vertex(self):
         g = SubgroupGraph(AB)

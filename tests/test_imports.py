@@ -58,6 +58,11 @@ def test_monoid_loads_no_returns():
     assert "minishift.returns" not in loaded_after("import minishift.monoid")
 
 
+def test_bifix_loads_no_monoid():
+    # group codes, parses and degrees run without the monoid layer
+    assert "minishift.monoid" not in loaded_after("import minishift.bifix")
+
+
 FIB = ["--subst", "a->ab;b->a", "--start", "a"]
 SHADOW = {"returns", "monoid", "shadow"}
 
@@ -77,6 +82,7 @@ SHADOW = {"returns", "monoid", "shadow"}
      {"bifix", "monoid", "returns"}),
     (["bifix", "--group", "A5", "--images", "a:(1 2 3);b:(3 4 5)", *FIB, "--horizon", "16"],
      {"bifix", "monoid"}),
+    (["bifix", "--group", "cyclic:2", "--images", "a=1,b=1", *FIB, "--horizon", "16"], {"bifix"}),
     (["shadow", "eval", "--expr", "(ab)^w", "--group", "cyclic:3", "--images", "a=1,b=1"],
      SHADOW),
     (["shadow", "horder", "--subst", "a->ab;b->a", "--group", "cyclic:2", "--images", "a=1,b=1"],
@@ -87,7 +93,7 @@ SHADOW = {"returns", "monoid", "shadow"}
      SHADOW),
     (["arith", "--to-factorial", "23", "--fib-mod", "10", "7", "--fib-limit", "24"], {"arith"}),
 ], ids=["subst", "factors", "classify", "returns", "episturmian", "freegroup", "monoid",
-        "monoid-f-group", "bifix", "shadow-eval", "shadow-horder", "shadow-separate", "horder",
-        "arith"])
+        "monoid-f-group", "bifix", "bifix-cyclic", "shadow-eval", "shadow-horder",
+        "shadow-separate", "horder", "arith"])
 def test_each_command_loads_only_its_layer(argv, layers):
     assert loaded_after(RUN_MAIN, json.dumps(argv)) == CLI_BASE | {f"minishift.{m}" for m in layers}

@@ -1,5 +1,6 @@
 """Transformation monoids, Green's relations and induced permutation groups."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -222,6 +223,100 @@ def assert_certified_or_refused(A, sigma, horizon):
     assert answer == scanned_min_rank(A, FactorSet.from_substitution(sigma, "a", 80))
 
 
+def per_state_transformation(A, word):
+    """Oracle: ``run`` from each state on its own, as ``transformation`` was before letter maps."""
+    pos = {q: i for i, q in enumerate(A.states)}
+    out = []
+    for q in A.states:
+        r = A.run(word, start=q)
+        out.append(None if r is None else pos[r])
+    return tuple(out)
+
+
+def words_up_to(letters, n):
+    return ["".join(w) for k in range(n + 1) for w in itertools.product(letters, repeat=k)]
+
+
+def searched_is_group(M):
+    """Oracle: every element has a right inverse, found among all n^2 products."""
+    return all(any(M.mul(x, y) == M.identity for y in M.elements) for x in M.elements)
+
+
+def searched_order(t):
+    """Oracle: the least k >= 1 with t^k the identity, by repeated products."""
+    k, power = 1, t
+    while power != tuple(range(len(t))):
+        k, power = k + 1, compose(power, t)
+    return k
+
+
+def position_tuples(G):
+    return [tuple(G.domain.index(g[p]) for p in G.domain) for g in G.generators]
+
+
+def searched_isomorphic(G, H):
+    """Oracle: each assignment of H's elements to G's generators, of equal orders,
+    closed by a breadth-first search over generator words that stops at a clash."""
+    gel, hel = G.elements(), H.elements()
+    if len(gel) != len(hel):
+        return False
+    gens = position_tuples(G)
+    for images in itertools.product(*([h for h in hel if searched_order(h) == searched_order(g)]
+                                      for g in gens)):
+        table = {gel[0]: hel[0]}
+        queue = [(gel[0], hel[0])]
+        clash = False
+        while queue and not clash:
+            gx, hx = queue.pop()
+            for g, h in zip(gens, images):
+                gy, hy = compose(gx, g), compose(hx, h)
+                if gy not in table:
+                    table[gy] = hy
+                    queue.append((gy, hy))
+                elif table[gy] != hy:
+                    clash = True
+        if not clash and len(table) == len(gel) and len(set(table.values())) == len(hel):
+            return True
+    return False
+
+
+def looped_cycle_notation(mapping):
+    """Oracle: cycle notation by following each cycle in a loop."""
+    seen = set()
+    cycles = []
+    for p in sorted(mapping):
+        if p in seen or mapping[p] == p:
+            seen.add(p)
+            continue
+        cycle = [p]
+        seen.add(p)
+        q = mapping[p]
+        while q != p:
+            cycle.append(q)
+            seen.add(q)
+            q = mapping[q]
+        cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
+    return "".join(cycles) or "()"
+
+
+@st.composite
+def perm_groups(draw, max_points=4):
+    """Groups generated by zero to three permutations of at most ``max_points`` points."""
+    dom = tuple(range(1, draw(st.integers(1, max_points)) + 1))
+    gens = [dict(zip(dom, draw(st.permutations(dom)))) for _ in range(draw(st.integers(0, 3)))]
+    return PermGroup(dom, gens)
+
+
+def other_presentation(G, data):
+    """G on renamed points, generated by its generators and up to two more of
+    its elements, in a random order."""
+    n = len(G.domain)
+    gens = position_tuples(G) + data.draw(st.lists(st.sampled_from(G.elements()), max_size=2))
+    names = [f"p{i}" for i in data.draw(st.permutations(range(n)))]
+    return PermGroup(names, [{names[i]: names[t[i]] for i in range(n)}
+                             for t in data.draw(st.permutations(gens))])
+
+
 @pytest.fixture(scope="module")
 def three_state():
     # accepts the submonoid generated by {aa, ab, ba} inside {a,b}*
@@ -271,11 +366,30 @@ class TestAutomaton:
     def test_transformation(self, three_state):
         assert three_state.transformation("a") == (1, 0, 0)
         assert three_state.transformation("b") == (2, 0, None)
+        assert three_state.transformation("") == (0, 1, 2)
+        assert three_state.transformation("ac") == (None, None, None)
 
     def test_dot(self, three_state):
         dot = three_state.to_dot()
         assert dot.startswith("digraph automaton {")
         assert '[label="a"]' in dot
+
+
+class TestWordAction:
+    """``transformation`` composes letter maps; ``run`` from each state is its oracle."""
+
+    def test_three_state_every_short_word(self, three_state):
+        for w in words_up_to("abc", 6):  # c is outside the alphabet
+            assert three_state.transformation(w) == per_state_transformation(three_state, w)
+
+    @settings(max_examples=30)
+    @given(small_automata())
+    def test_random_automata_every_short_word(self, A):
+        maps = A.letter_transformations()
+        assert list(maps) == list(A.alphabet)
+        assert all(maps[a] == per_state_transformation(A, a) for a in A.alphabet)
+        for w in words_up_to("".join(A.alphabet) + "x", 6):
+            assert A.transformation(w) == per_state_transformation(A, w)
 
 
 class TestOrbit:
@@ -694,3 +808,69 @@ class TestMonoidFromPermutations:
         )
         assert len(M) == 6
         assert M.is_group()
+
+    def test_mixed_domain(self):
+        # a number and a name do not compare, so the points are sorted by their text
+        swap = {1: "x", "x": 1}
+        G = PermGroup(("x", 1), [swap])
+        assert G.domain == (1, "x")
+        assert G.elements() == [(0, 1), (1, 0)]
+        assert G.contains(swap) and G.contains({1: 1, "x": "x"})
+        assert G.generator_cycles() == ["(1 x)"]
+        M = monoid_from_permutations({"a": swap}, ("x", 1))
+        assert M.elements == G.elements()
+        assert M.generators == {"a": (1, 0)}
+
+
+class TestOracles:
+    """Each question about a recorded closure against a search of its own."""
+
+    @settings(max_examples=150)
+    @given(small_automata())
+    def test_is_group_of_transition_monoids(self, A):
+        M = transition_monoid(A)
+        assert M.is_group() == searched_is_group(M)
+
+    @settings(max_examples=60)
+    @given(permutation_monoids())
+    def test_is_group_of_permutation_groups(self, M):
+        assert M.is_group() and searched_is_group(M)
+
+    def test_is_group_of_fixed_monoids(self, three_state_monoid):
+        idempotent = FiniteMonoid.from_generators({"e": (0, 0)}, compose, (0, 1))
+        trivial = FiniteMonoid.from_generators({}, compose, (0, 1))
+        for M, answer in [(three_state_monoid, False), (idempotent, False), (trivial, True),
+                          *((cyclic_monoid(m), True) for m in (1, 2, 7))]:
+            assert M.is_group() == searched_is_group(M) == answer
+
+    @settings(max_examples=80)
+    @given(perm_groups(), perm_groups(), st.data())
+    def test_is_isomorphic_small_against_a_search(self, G, H, data):
+        K = other_presentation(G, data)
+        assert is_isomorphic_small(G, K) and searched_isomorphic(G, K)
+        for X, Y in ((G, H), (H, G), (K, H)):
+            assert is_isomorphic_small(X, Y) == searched_isomorphic(X, Y)
+
+    @pytest.mark.parametrize("g_cycles, g_dom, h_cycles, h_dom, answer", [
+        (["(1 2 3 4)"], 4, ["(1 2)(3 4)", "(1 3)(2 4)"], 4, False),
+        (["(1 2 3 4)"], 4, ["(1 3 2 4)", "(1 2)(3 4)"], 4, True),
+        (["(1 2 3 4 5)", "(1 2 3)"], 5, ["(1 2 3)", "(3 4 5)"], 5, True),
+        (["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"], 6, ["(1 2 3)", "(1 2)(3 4)"], 4, False),
+        (["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)"], 6, ["(1 2 3)", "(1 2)", "(4 5)"], 5, True),
+        (["(1 2)", "(3 4 5 6)"], 6, ["(1 2 3 4)", "(1 3)"], 4, False),
+        ([], 1, ["()"], 3, True),
+    ], ids=["Z4-V4", "Z4-Z4", "A5-A5", "D6-A4", "D6-S3xZ2", "Z2xZ4-D4", "trivial"])
+    def test_is_isomorphic_small_on_fixed_groups(self, g_cycles, g_dom, h_cycles, h_dom, answer):
+        groups = []
+        for cycles, n in ((g_cycles, g_dom), (h_cycles, h_dom)):
+            dom = tuple(range(1, n + 1))
+            groups.append(PermGroup(dom, [parse_permutation(c, dom) for c in cycles]))
+        G, H = groups
+        assert is_isomorphic_small(G, H) == searched_isomorphic(G, H) == answer
+        assert is_isomorphic_small(H, G) == answer
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 7).flatmap(lambda n: st.permutations(range(n))))
+    def test_cycle_notation_against_a_loop(self, image):
+        mapping = dict(enumerate(image))
+        assert cycle_notation(mapping) == looped_cycle_notation(mapping)

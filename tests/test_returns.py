@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from minishift.episturmian import episturmian_factor_set
 from minishift.errors import InsufficientHorizon, InternalInvariantError
+import minishift.returns as returns_mod
 from minishift.returns import (
+    ReturnSet,
     check_gamma_identity,
     conjugate,
     gamma,
@@ -18,7 +21,7 @@ from minishift.returns import (
     limit_return_truncation,
     right_return_words,
 )
-from minishift.words import Alphabet, FactorSet, occurrences
+from minishift.words import Alphabet, FactorSet, occurrences, shortlex, star_factorization
 from test_words import primitive_substitutions
 
 
@@ -73,6 +76,19 @@ def assert_walk_matches_scan(F, maxlen=4):
             assert outcome(lambda: left_return_words(F, x).words) == left
             witness = outcome(scanned_witness, F, x)
             assert outcome(F.uniform_recurrence_witness, x) == witness
+
+
+def two_scan_gamma_identity(F, x, maxlen):
+    """Oracle: Gamma against the factors x w with w a product of return words, scanned apart."""
+    left_side = gamma(F, x, maxlen)
+    returns = returns_mod.right_return_words(F, x).words
+    right_side = {
+        z[len(x):]
+        for n in range(len(x), len(x) + maxlen + 1)
+        for z in F.words_of_length(n)
+        if z.startswith(x) and n in star_factorization(z, len(x), returns)
+    }
+    return left_side == right_side
 
 
 def count_walks(F):
@@ -367,6 +383,33 @@ class TestGamma:
     def test_identity_thue_morse(self, tm_set):
         assert check_gamma_identity(tm_set, "a", 12)
         assert check_gamma_identity(tm_set, "aa", 12)
+
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), st.integers(0, 24), st.data())
+    def test_identity_against_two_scans(self, sigma, horizon, data):
+        """Also with the shortlex-last return word dropped, where the identity can fail."""
+
+        def drop_last(F, x):
+            words = sorted(right_return_words(F, x).words, key=shortlex)
+            return ReturnSet(x, "right", frozenset(words[:-1]))
+
+        F = FactorSet.from_substitution(sigma, "a", horizon)
+        maxlen = data.draw(st.integers(-1, horizon + 1))
+        for n in range(min(3, horizon) + 1):
+            for x in [*F.words_of_length(n), "cc"]:
+                assert outcome(check_gamma_identity, F, x, maxlen) == \
+                    outcome(two_scan_gamma_identity, F, x, maxlen)
+                with mock.patch.object(returns_mod, "right_return_words", drop_last):
+                    assert outcome(check_gamma_identity, F, x, maxlen) == \
+                        outcome(two_scan_gamma_identity, F, x, maxlen)
+
+    def test_identity_fails_without_a_return_word(self, fib_set):
+        def without_ba(F, x):
+            return ReturnSet(x, "right", right_return_words(F, x).words - {"ba"})
+
+        with mock.patch.object(returns_mod, "right_return_words", without_ba):
+            assert not check_gamma_identity(fib_set, "a", 3)
+            assert not two_scan_gamma_identity(fib_set, "a", 3)
 
     def test_horizon_guard(self, fib_set):
         with pytest.raises(InsufficientHorizon):
