@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
@@ -18,6 +19,8 @@ from .errors import (
 from .words import Alphabet, FactorSet, shortlex
 
 DEFAULT_ORDER_BUDGET = 10080
+StateMap = bytes | tuple[int | None, ...]  # see _state_map
+_TAILS = [bytes(range(n, 256)) for n in range(257)]  # y + _TAILS[len(y)] sends len(y) to itself
 
 
 # ---------------------------------------------------------------- automata
@@ -56,15 +59,15 @@ class Automaton:
     def accepts(self, word: str) -> bool:
         return self.run(word) in self.terminals
 
-    def transformation(self, word: str) -> tuple[int | None, ...]:
-        """State transformation of ``word`` as a tuple over state positions."""
+    def transformation(self, word: str) -> StateMap:
+        """State map of ``word``: ``bytes`` (n for no state) on n < 256 states, else a tuple."""
         return _word_action(self.letter_transformations(), word, len(self.states))
 
-    def letter_transformations(self) -> dict[str, tuple[int | None, ...]]:
-        """Each letter's state map over state positions, read off ``transitions``."""
+    def letter_transformations(self) -> dict[str, StateMap]:
+        """Each letter's state map, read off ``transitions``, encoded as by ``transformation``."""
         pos = {q: i for i, q in enumerate(self.states)}
         return {
-            a: tuple(pos.get(self.transitions.get((q, a))) for q in self.states)
+            a: _state_map([pos.get(self.transitions.get((q, a))) for q in self.states], len(pos))
             for a in self.alphabet
         }
 
@@ -81,25 +84,38 @@ class Automaton:
         return "\n".join(lines)
 
 
-def compose(
-    x: tuple[int | None, ...], y: tuple[int | None, ...]
-) -> tuple[int | None, ...]:
-    """Apply x first, then y (action written on the right)."""
+def _state_map(targets: Iterable[int | None], n: int) -> StateMap:
+    """Entry q is the position state q goes to, None for no state: stored as
+    ``bytes`` with the byte n for None when n < 256, as a tuple past that."""
+    return bytes(n if q is None else q for q in targets) if n < 256 else tuple(targets)
+
+
+def compose(x: StateMap, y: StateMap) -> StateMap:
+    """Apply x first, then y (action written on the right).
+
+    ``bytes`` maps on n states (``_state_map``) compose in C: ``translate``
+    sends byte q of x to y[q] and the byte n (no state) to n.  Tuples, with
+    None for no state, hold permutations and maps on 256 or more states.
+    """
+    if type(x) is bytes:
+        return x.translate(y + _TAILS[len(y)])
     return tuple([None if q is None else y[q] for q in x])
 
 
-def _word_action(letter_maps: dict, word: str, n: int) -> tuple[int | None, ...]:
-    """The letter maps of ``word`` composed from the identity; a letter without one gives None."""
-    dead = (None,) * n
-    return reduce(compose, [letter_maps.get(a, dead) for a in word], tuple(range(n)))
+def _word_action(letter_maps: dict, word: str, n: int) -> StateMap:
+    """The letter maps of ``word`` composed from the identity; a letter without one maps to none."""
+    dead = _state_map([None] * n, n)
+    return reduce(compose, [letter_maps.get(a, dead) for a in word], _state_map(range(n), n))
 
 
-def transformation_rank(t: tuple[int | None, ...]) -> int:
-    return len({q for q in t if q is not None})
+def transformation_rank(t: StateMap) -> int:
+    """Number of positions reached, for either encoding (see ``transformation_image``)."""
+    return len(transformation_image(t))
 
 
-def transformation_image(t: tuple[int | None, ...]) -> frozenset[int]:
-    return frozenset(q for q in t if q is not None)
+def transformation_image(t: StateMap) -> frozenset[int]:
+    """Positions reached by a ``_state_map`` of either kind: the byte n and None are no state."""
+    return frozenset(t) - {None, len(t)}
 
 
 # ---------------------------------------------------------------- orbits
@@ -255,7 +271,7 @@ def transition_monoid(
     A: Automaton, budget: int = DEFAULT_MONOID_BUDGET
 ) -> FiniteMonoid:
     """Monoid of state transformations generated by the letter actions."""
-    identity = tuple(range(len(A.states)))
+    identity = _state_map(range(len(A.states)), len(A.states))
     return FiniteMonoid.from_generators(
         A.letter_transformations(), compose, identity, budget
     )
@@ -264,8 +280,11 @@ def transition_monoid(
 # ---------------------------------------------------------------- Green
 
 
-def _sccs(n: int, edges: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns a component id per node (reverse topological)."""
+def _sccs(n: int, d: int, graph: list[int]) -> list[int]:
+    """Iterative Tarjan; returns a component id per node (reverse topological).
+
+    Node v's successors are graph[v * d : v * d + d] (as in ``FiniteMonoid.right``), read in place.
+    """
     ids = [-1] * n
     low = [0] * n
     num = [0] * n
@@ -278,15 +297,16 @@ def _sccs(n: int, edges: list[list[int]]) -> list[int]:
         counter += 1
         num[root] = low[root] = counter
         stack.append(root)
-        work = [(root, iter(edges[root]))]
+        work = [(root, iter(range(root * d, root * d + d)))]
         while work:
             v, succ = work[-1]
-            for w in succ:
+            for k in succ:
+                w = graph[k]
                 if not num[w]:
                     counter += 1
                     num[w] = low[w] = counter
                     stack.append(w)
-                    work.append((w, iter(edges[w])))
+                    work.append((w, iter(range(w * d, w * d + d))))
                     break
                 if ids[w] < 0 and num[w] < low[v]:  # w is still on the stack
                     low[v] = num[w]
@@ -412,9 +432,9 @@ def green(M: FiniteMonoid) -> GreenStructure:
     both = [0] * (2 * n * d)
     both[0::2] = right
     both[1::2] = left
-    r_class = _sccs(n, [right[i * d : i * d + d] for i in range(n)])
-    l_class = _sccs(n, [left[i * d : i * d + d] for i in range(n)])
-    j_class = _sccs(n, [both[2 * i * d : 2 * i * d + 2 * d] for i in range(n)])
+    r_class = _sccs(n, d, right)
+    l_class = _sccs(n, d, left)
+    j_class = _sccs(n, 2 * d, both)
     pair_ids: dict[tuple[int, int], int] = {}
     h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
     idem = [M.is_idempotent(x) for x in M.elements]
@@ -523,13 +543,19 @@ def is_isomorphic_small(G: PermGroup, H: PermGroup, budget: int = 240) -> bool:
     Images h_b of G's generators g_b are extended along G's closure: the
     element first found as x * g_b maps to image(x) * h_b.  They give an
     isomorphism iff that map is a bijection that sends every edge x * g_b of
-    the right Cayley graph to image(x) * h_b.
+    the right Cayley graph to image(x) * h_b.  H is closed up to ``budget``
+    and G up to |H| (or ``budget``); both in full only if both exceed it.
     """
-    hel = H.elements()
-    if G.order() != len(hel):
-        return False
-    if len(hel) > budget:
+    h_order = g_order = None
+    with suppress(BudgetExceeded):
+        h_order = H.order(budget)
+    with suppress(BudgetExceeded):
+        g_order = G.order(h_order or budget)
+    if h_order is None and g_order is None and H.order() == G.order():
         raise BudgetExceeded(f"isomorphism search capped at order {budget}")
+    if h_order is None or g_order != h_order:
+        return False
+    hel = H.elements()
     M = G._closure
     d = len(M.generators)
     horders: dict[int, list[tuple[int, ...]]] = {}
@@ -579,7 +605,7 @@ def f_min_rank_data(
     missing = [a for a in F.words_of_length(1) if a not in letter_maps]
     if missing:
         raise ValueError(f"automaton has no letter {''.join(missing)!r} of the factor set")
-    current = {"": tuple(range(len(A.states)))}
+    current = {"": _state_map(range(len(A.states)), len(A.states))}
     best_rank = len(A.states) + 1
     refusal = None
     for n in range(F.horizon + 1):

@@ -175,6 +175,11 @@ class TestMonoid:
             '"j_classes": 120, "minimal_image": [], "monoid_size": 662, "states": 21}\n'
         )
 
+    def test_code_with_three_hundred_states(self, runner):
+        # 256 states or more keep their state maps as tuples
+        out = run(runner, "monoid", "--code", "a" * 300)
+        assert out == '{"j_classes": 1, "monoid_size": 300, "states": 300}\n'
+
 
 class TestBifix:
     def test_cyclic_intersection(self, runner):

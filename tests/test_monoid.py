@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from minishift.bifix import (
     minimal_automaton_of_star,
 )
 from minishift.errors import (
+    DEFAULT_MONOID_BUDGET,
     BudgetExceeded,
     InsufficientHorizon,
     InternalInvariantError,
@@ -41,7 +43,8 @@ from minishift.monoid import (
     transition_monoid,
 )
 from minishift.monoid import _left_graph, _sccs
-from minishift.words import Alphabet, FactorSet
+from minishift.returns import right_return_words
+from minishift.words import Alphabet, FactorSet, shortlex
 from test_bifix import bifix_codes
 from test_returns import count_walks
 from test_words import primitive_substitutions
@@ -194,7 +197,7 @@ def schutzenberger_group(M, h_members):
 def scanned_min_rank(A, F):
     """Oracle: the least rank over every factor of F, its shortlex-least word and its images."""
     letter_maps = A.letter_transformations()
-    current = {"": tuple(range(len(A.states)))}
+    current = {"": A.transformation("")}
     rank, word, images = len(A.states) + 1, None, set()
     for n in range(F.horizon + 1):
         if n:
@@ -224,13 +227,18 @@ def assert_certified_or_refused(A, sigma, horizon):
 
 
 def per_state_transformation(A, word):
-    """Oracle: ``run`` from each state on its own, as ``transformation`` was before letter maps."""
+    """Oracle: ``run`` from each state on its own, as ``transformation`` was before letter maps.
+
+    Encoded as the automaton's maps are: bytes with n for no state on n < 256
+    states, a tuple with None on more.
+    """
     pos = {q: i for i, q in enumerate(A.states)}
     out = []
     for q in A.states:
         r = A.run(word, start=q)
         out.append(None if r is None else pos[r])
-    return tuple(out)
+    n = len(A.states)
+    return bytes(n if q is None else q for q in out) if n < 256 else tuple(out)
 
 
 def words_up_to(letters, n):
@@ -317,6 +325,165 @@ def other_presentation(G, data):
                              for t in data.draw(st.permutations(gens))])
 
 
+# ---- the tuple-based monoid code that the bytes state maps replaced, kept as an oracle
+
+
+def tuple_letter_maps(A):
+    """Each letter's state map as a tuple over state positions, None for no state."""
+    pos = {q: i for i, q in enumerate(A.states)}
+    return {a: tuple(pos.get(A.transitions.get((q, a))) for q in A.states) for a in A.alphabet}
+
+
+def tuple_compose(x, y):
+    return tuple([None if q is None else y[q] for q in x])
+
+
+def tuple_rank(t):
+    return len({q for q in t if q is not None})
+
+
+def tuple_image(t):
+    return frozenset(q for q in t if q is not None)
+
+
+def tuple_transition_monoid(A, budget=DEFAULT_MONOID_BUDGET):
+    identity = tuple(range(len(A.states)))
+    return FiniteMonoid.from_generators(tuple_letter_maps(A), tuple_compose, identity, budget)
+
+
+def tuple_green(M):
+    """(R, L, J, H ids, idempotent flags), each node's edges sliced into its own list."""
+    n = len(M)
+    d = len(M.generators)
+    right = M.right
+    left = _left_graph(M)
+    both = [0] * (2 * n * d)
+    both[0::2] = right
+    both[1::2] = left
+    r_class = parent_sccs(n, [right[i * d : i * d + d] for i in range(n)])
+    l_class = parent_sccs(n, [left[i * d : i * d + d] for i in range(n)])
+    j_class = parent_sccs(n, [both[2 * i * d : 2 * i * d + 2 * d] for i in range(n)])
+    pair_ids = {}
+    h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
+    return r_class, l_class, j_class, h_class, [M.is_idempotent(x) for x in M.elements]
+
+
+def tuple_f_min_rank_data(A, F):
+    if not F.complete:
+        raise InsufficientHorizon("factor set is not certified complete")
+    letter_maps = tuple_letter_maps(A)
+    missing = [a for a in F.words_of_length(1) if a not in letter_maps]
+    if missing:
+        raise ValueError(f"automaton has no letter {''.join(missing)!r} of the factor set")
+    current = {"": tuple(range(len(A.states)))}
+    best_rank = len(A.states) + 1
+    refusal = None
+    for n in range(F.horizon + 1):
+        if n:
+            current = {
+                w: tuple_compose(current[w[:-1]], letter_maps[w[-1]])
+                for w in F.words_of_length(n)
+            }
+        for word, t in current.items():
+            rank = tuple_rank(t)
+            if rank >= best_rank:
+                continue
+            best_rank = rank
+            if rank == 0:
+                return 0, word, {frozenset()}
+            try:
+                returns = right_return_words(F, word).words
+            except InsufficientHorizon as exc:
+                refusal = refusal or exc
+                continue
+            images = {tuple_image(t)}
+            for u in returns:
+                s = t
+                for a in u:
+                    s = tuple_compose(s, letter_maps[a])
+                    images.add(tuple_image(s))
+                if tuple_rank(s) < rank:
+                    break
+            else:
+                return rank, word, images
+    raise refusal
+
+
+def tuple_f_group(A, F, base=None):
+    rank, word, _ = tuple_f_min_rank_data(A, F)
+    if base is not None:
+        word = base
+    letter_maps = tuple_letter_maps(A)
+    n = len(A.states)
+
+    def act(w):
+        return reduce(tuple_compose, [letter_maps.get(a, (None,) * n) for a in w],
+                      tuple(range(n)))
+
+    t = act(word)
+    if tuple_rank(t) != rank:
+        raise InternalInvariantError(f"base word {word!r} does not reach minimal rank")
+    image = sorted(tuple_image(t))
+    gens = []
+    for r in sorted(right_return_words(F, word).words, key=shortlex):
+        action = act(r)
+        if any(action[q] not in image for q in image):
+            raise InternalInvariantError(f"return word {r!r} does not permute the minimal image")
+        gens.append({A.states[q]: A.states[action[q]] for q in image})
+    names = tuple(A.states[q] for q in image)
+    return PermGroup(names, gens), word, names
+
+
+def as_tuple(t):
+    """A state map as the tuple code wrote it: the byte n of a bytes map becomes None."""
+    return tuple(None if q == len(t) else q for q in t) if isinstance(t, bytes) else t
+
+
+def assert_monoid_as_the_tuple_code(A, budget=DEFAULT_MONOID_BUDGET):
+    try:
+        T = tuple_transition_monoid(A, budget)
+    except BudgetExceeded as cut:
+        with pytest.raises(BudgetExceeded) as same:
+            transition_monoid(A, budget)
+        assert str(same.value) == str(cut)
+        return
+    M = transition_monoid(A, budget)
+    assert [as_tuple(x) for x in M.elements] == T.elements
+    assert {type(x) for x in M.elements} == {bytes if len(A.states) < 256 else tuple}
+    assert M.right == T.right and M.found_at == T.found_at
+    assert list(M.witness.values()) == list(T.witness.values())
+    G = green(M)
+    assert (G.r_class, G.l_class, G.j_class, G.h_class, G.idempotent) == tuple_green(T)
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the type and message of the refusal it raised."""
+    try:
+        return f(*args)
+    except (InsufficientHorizon, InternalInvariantError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def group_outcome(f, A, F):
+    out = outcome(f, A, F)
+    if isinstance(out[0], PermGroup):
+        G, word, names = out
+        return G.order(), G.generator_cycles(), word, names
+    return out
+
+
+def assert_f_minimal_as_the_tuple_code(A, F):
+    assert outcome(f_min_rank_data, A, F) == outcome(tuple_f_min_rank_data, A, F)
+    assert group_outcome(f_group, A, F) == group_outcome(tuple_f_group, A, F)
+
+
+GROUP_SPECS = {
+    "A5": GroupCodeSpec.from_cycles((1, 2, 3, 4, 5), {"a": "(1 2 3)", "b": "(3 4 5)"}, 1),
+    "Z2": GroupCodeSpec.cyclic(2, {"a": 1, "b": 1}),
+    "Z3": GroupCodeSpec.cyclic(3, {"a": 1, "b": 2}),
+}
+
+
 @pytest.fixture(scope="module")
 def three_state():
     # accepts the submonoid generated by {aa, ab, ba} inside {a,b}*
@@ -336,16 +503,22 @@ def three_state_monoid(three_state):
 
 class TestTransformations:
     def test_compose_order(self):
-        x = (1, 2, 0)
-        y = (2, 2, 2)
-        assert compose(x, y) == (2, 2, 2)
-        assert compose(y, x) == (0, 0, 0)
+        x = bytes((1, 2, 0))
+        y = bytes((2, 2, 2))
+        assert compose(x, y) == bytes((2, 2, 2))
+        assert compose(y, x) == bytes((0, 0, 0))
+        assert compose((1, 2, 0), (2, 2, 2)) == (2, 2, 2)
 
     def test_partial(self):
-        t = (1, None, 0)
+        t = bytes((1, 3, 0))  # on three states the byte 3 is no state
         assert transformation_rank(t) == 2
         assert transformation_image(t) == frozenset({0, 1})
-        assert compose(t, (None, 2, 1)) == (2, None, None)
+        assert compose(t, bytes((3, 2, 1))) == bytes((2, 3, 3))
+        assert compose(bytes((3, 3, 3)), t) == bytes((3, 3, 3))
+        u = (1, None, 0)  # tuples, with None for no state, serve 256 states and more
+        assert transformation_rank(u) == 2
+        assert transformation_image(u) == frozenset({0, 1})
+        assert compose(u, (None, 2, 1)) == (2, None, None)
 
 
 class TestAutomaton:
@@ -364,10 +537,10 @@ class TestAutomaton:
         assert not three_state.accepts("a")
 
     def test_transformation(self, three_state):
-        assert three_state.transformation("a") == (1, 0, 0)
-        assert three_state.transformation("b") == (2, 0, None)
-        assert three_state.transformation("") == (0, 1, 2)
-        assert three_state.transformation("ac") == (None, None, None)
+        assert three_state.transformation("a") == bytes((1, 0, 0))
+        assert three_state.transformation("b") == bytes((2, 0, 3))
+        assert three_state.transformation("") == bytes((0, 1, 2))
+        assert three_state.transformation("ac") == bytes((3, 3, 3))
 
     def test_dot(self, three_state):
         dot = three_state.to_dot()
@@ -558,7 +731,7 @@ class TestCayleyGraph:
     @given(small_automata())
     def test_budget_of_exactly_the_size(self, A):
         M = transition_monoid(A)
-        identity = tuple(range(len(A.states)))
+        identity = A.transformation("")
         gens = A.letter_transformations()
         same = FiniteMonoid.from_generators(gens, compose, identity, budget=len(M))
         assert same.elements == M.elements and same.witness == M.witness
@@ -604,10 +777,12 @@ class TestSccs:
         )
     )
     def test_same_ids_as_the_parent_tarjan(self, edges):
-        assert _sccs(len(edges), edges) == parent_sccs(len(edges), edges)
+        # each node's edges padded with self-loops to degree 4, which change no Tarjan id
+        graph = [w for v, out in enumerate(edges) for w in out + [v] * (4 - len(out))]
+        assert _sccs(len(edges), 4, graph) == parent_sccs(len(edges), edges)
 
     def test_empty_graph(self):
-        assert _sccs(0, []) == []
+        assert _sccs(0, 2, []) == []
 
 
 class TestPermutations:
@@ -874,3 +1049,104 @@ class TestOracles:
     def test_cycle_notation_against_a_loop(self, image):
         mapping = dict(enumerate(image))
         assert cycle_notation(mapping) == looped_cycle_notation(mapping)
+
+
+class TestAgainstTheTupleCode:
+    """Bytes state maps give what the tuple code gave: elements, Cayley graph,
+    witnesses, Green's classes, idempotents, least ranks and groups."""
+
+    @settings(max_examples=150)
+    @given(small_automata(max_states=5))
+    def test_transition_monoids_of_random_automata(self, A):
+        assert_monoid_as_the_tuple_code(A)
+
+    def test_three_state(self, three_state):
+        assert_monoid_as_the_tuple_code(three_state)
+
+    @pytest.mark.parametrize("spec", sorted(GROUP_SPECS))
+    @pytest.mark.parametrize("name, horizon", [("fib", 24), ("tm", 40), ("quad", 32),
+                                               ("fib", 40)])
+    def test_group_codes_of_the_fixtures(self, name, horizon, spec, request):
+        F = FactorSet.from_substitution(request.getfixturevalue(name), "a", horizon)
+        A = minimal_automaton_of_star(group_code_intersection(GROUP_SPECS[spec], F))
+        assert_monoid_as_the_tuple_code(A, budget=30000)  # A5 on fib and tm@40: cut, as before
+        assert_f_minimal_as_the_tuple_code(A, F)
+
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), bifix_codes(), st.sampled_from([8, 16, 24]))
+    def test_f_minimal_of_random_bifix_codes(self, sigma, X, horizon):
+        letters = set(sigma.alphabet) | {c for w in X.words for c in w}
+        A = minimal_automaton_of_star(X, Alphabet.of(sorted(letters)))
+        assert_f_minimal_as_the_tuple_code(A, FactorSet.from_substitution(sigma, "a", horizon))
+
+
+def ring_automaton(n):
+    """a turns n states one step round; b has no transition from any state."""
+    transitions = {(q, "a"): (q + 1) % n for q in range(n)}
+    return Automaton(AB, tuple(range(n)), 0, frozenset({0}), transitions)
+
+
+class TestManyStates:
+    """Automata of 256 states or more keep tuples with None for no state."""
+
+    def test_kind_changes_at_256_states(self):
+        assert type(ring_automaton(255).transformation("a")) is bytes
+        assert type(ring_automaton(256).transformation("a")) is tuple
+
+    def test_three_hundred_states(self):
+        A = ring_automaton(300)
+        M = transition_monoid(A)
+        assert len(M) == 301  # a^0 .. a^299 and the empty map of b
+        for w in ["", "a", "aa", "a" * 299, "a" * 300, "b", "ab", "aba", "a" * 301]:
+            t = A.transformation(w)
+            assert t == M.image_of_word(w) == per_state_transformation(A, w)
+            assert type(t) is tuple
+        assert A.transformation("b") == (None,) * 300
+        assert transformation_rank(A.transformation("ab")) == 0
+        assert transformation_image(A.transformation("aa")) == frozenset(range(300))
+        assert_monoid_as_the_tuple_code(A)
+        assert len(green(M).classes("J")) == 2
+
+
+class TestIsomorphismClosures:
+    """``is_isomorphic_small`` closes each group only as far as its answer needs."""
+
+    def group(self, cycles, n):
+        dom = tuple(range(1, n + 1))
+        return PermGroup(dom, [parse_permutation(c, dom) for c in cycles])
+
+    def s7(self):
+        return self.group(["(1 2 3 4 5 6 7)", "(1 2)"], 7)
+
+    def test_large_g_against_a_small_h(self):
+        G, H = self.s7(), self.group(["(1 2 3)"], 3)
+        assert not is_isomorphic_small(G, H)
+        assert len(H._closure) == 3 and G._closure is None  # G cut at |H| = 3
+
+    def test_small_g_against_a_large_h(self):
+        G, H = self.group(["(1 2 3)"], 3), self.s7()
+        assert not is_isomorphic_small(G, H)
+        assert len(G._closure) == 3 and H._closure is None  # H cut at the cap
+
+    def test_both_over_the_cap(self):
+        G, H = self.s7(), self.s7()
+        with pytest.raises(BudgetExceeded, match="isomorphism search capped at order 240"):
+            is_isomorphic_small(G, H)
+        assert len(G._closure) == len(H._closure) == 5040
+        A6 = self.group(["(1 2 3)", "(2 3 4 5 6)"], 6)
+        assert not is_isomorphic_small(self.s7(), A6)  # orders 5040 and 360
+        assert len(A6._closure) == 360
+
+    def test_g_over_the_order_budget_against_a_small_h(self):
+        # S8 has 40320 elements, past the order budget 10080 of ``elements``
+        S8 = self.group(["(1 2 3 4 5 6 7 8)", "(1 2)"], 8)
+        assert not is_isomorphic_small(S8, self.group(["(1 2)"], 2))
+        assert S8._closure is None
+        with pytest.raises(BudgetExceeded, match="monoid larger than budget 10080"):
+            is_isomorphic_small(S8, self.s7())
+
+    def test_equal_orders_under_the_cap(self):
+        G, H = self.group(["(1 2 3 4)"], 4), self.group(["(1 2)(3 4)", "(1 3)(2 4)"], 4)
+        assert not is_isomorphic_small(G, H)
+        assert len(G._closure) == len(H._closure) == 4
+        assert is_isomorphic_small(G, self.group(["(1 3 2 4)"], 4))
