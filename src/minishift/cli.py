@@ -311,6 +311,9 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
         alphabet = Alphabet.of(alphabet_text)
     except ValueError as exc:
         raise ParseError(f"--alphabet: {exc}") from None
+    for c in alphabet_text:
+        if not c.islower():
+            raise ParseError(f"--alphabet: letter {c!r} is not lowercase (capitals are inverses)")
     letters = alphabet_text + alphabet_text.upper()  # capitals are inverses
     gens = [parse_word(g.strip(), letters, "--generators") for g in generators.split(",")]
     gens = [g for g in gens if g]

@@ -152,16 +152,33 @@ class Classification:
 
 
 def classify(F: FactorSet, max_length: int) -> Classification:
-    """Classify every factor of length <= ``max_length``, empty word included."""
+    """Classify every factor of length <= ``max_length``, empty word included.
+
+    Only a bispecial factor can break the tree property (Berthé et al.,
+    "Acyclic, connected and tree sets", Monatsh. Math. 176, 2015).  When one
+    side of w has a single letter and it pairs with every extension on the
+    other side, the graph is a star, of multiplicity 0, connected and
+    acyclic, so no graph is built; every other word gets its graph.
+    """
     if max_length > F.horizon - 2:
         raise InsufficientHorizon(
             f"classification up to length {max_length} needs horizon {max_length + 2}"
         )
+    if not F.complete:
+        raise InsufficientHorizon("factor set is not certified complete")
+    factors, letters = F.factors, F.alphabet.letters
     records = []
     for n in range(max_length + 1):
         for w in F.words_of_length(n):
+            left = [a for a in letters if a + w in factors]
+            right = [b for b in letters if w + b in factors]
+            if len(left) == 1:
+                star = all(left[0] + w + b in factors for b in right)
+            else:
+                star = len(right) == 1 and all(a + w + right[0] in factors for a in left)
+            if star:
+                records.append(WordRecord(w, 0, True, True))
+                continue
             g = extension_graph(F, w)
-            records.append(
-                WordRecord(w, g.multiplicity(), g.is_connected(), g.is_acyclic())
-            )
+            records.append(WordRecord(w, g.multiplicity(), g.is_connected(), g.is_acyclic()))
     return Classification(max_length, tuple(records))

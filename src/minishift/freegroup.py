@@ -16,6 +16,8 @@ def invert(w: str) -> str:
 
 def reduce(w: str) -> str:
     """Free reduction: cancel adjacent inverse pairs until none remain."""
+    if w.islower():  # no capitals, so nothing cancels
+        return w
     out: list[str] = []
     for c in w:
         if out and out[-1] == c.swapcase() and out[-1] != c:
@@ -26,26 +28,53 @@ def reduce(w: str) -> str:
 
 
 class SubgroupGraph:
-    """Labeled graph of a finitely generated free-group subgroup.
+    """Folded labeled graph of a finitely generated free-group subgroup.
 
-    Edges are triples (v, a, w) with a a positive letter, read backwards
-    for inverse letters.  Parallel edges may exist until fold() runs; the
-    graph is deterministic afterwards.
+    The graph is kept folded (deterministic) after every path it is given.
+    For each alphabet letter a, ``_out[a][v]`` is the vertex the a-edge from
+    v reaches and ``_inc[a][w]`` the vertex whose a-edge reaches w, or -1;
+    stored vertices are read through the union-find ``_parent``, whose roots
+    are the live vertices, and ``_live`` and ``_edges`` count them and the
+    edges.  A path first reads the longest prefix of its reduced word along
+    existing edges (a loop also its longest suffix, back from the base),
+    attaches the rest, and folds each label clash at once (Kapovich &
+    Myasnikov, "Stallings foldings and subgroups of free groups", J. Algebra
+    248, 2002).
+
+    Numbering: each path reserves the vertex numbers its unfolded path would
+    take (one per letter, the last letter of a loop ending at the base), and
+    a merge keeps the lesser vertex.  So every vertex is named by the least
+    vertex of its class in the unfolded graph, the base 0 survives, and the
+    names do not depend on the order of the folds.  ``vertices`` and
+    ``triples`` (v, a, w), with a positive letter, are views of the arrays.
     """
 
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.base = 0
-        self.vertices: set[int] = {0}
-        self.triples: set[tuple[int, str, int]] = set()
-        self._next = 1
+        self._parent = [0]
+        self._out: dict[str, list[int]] = {a: [-1] for a in alphabet}
+        self._inc: dict[str, list[int]] = {a: [-1] for a in alphabet}
+        self._live = 1
+        self._edges = 0
+        # a letter c of a word steps along (forward, backward) arrays: c's
+        # label is c.lower(), read backwards when c is not lowercase
+        self._steps: dict[str, tuple[list[int], list[int]]] = {}
+        self._slots = [(out, True) for out in self._out.values()]
+        self._slots += [(inc, False) for inc in self._inc.values()]
+        for c in {*alphabet, *(a.upper() for a in alphabet)}:
+            a = c.lower()
+            if a in self._out:
+                out, inc = self._out[a], self._inc[a]
+                self._steps[c] = (out, inc) if c.islower() else (inc, out)
 
     # -- construction -------------------------------------------------
 
-    def _new_vertex(self) -> int:
-        v = self._next
-        self._next += 1
-        self.vertices.add(v)
+    def _find(self, v: int) -> int:
+        parent = self._parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
         return v
 
     def add_loop(self, word: str) -> None:
@@ -54,45 +83,62 @@ class SubgroupGraph:
 
     def add_path(self, word: str, close: bool) -> int:
         """Attach a path from the base spelling ``word``; returns its endpoint."""
-        word = reduce(word)
-        current = self.base
-        for i, c in enumerate(word):
-            last = i == len(word) - 1
-            target = self.base if (close and last) else self._new_vertex()
-            if c.islower():
-                self.triples.add((current, c, target))
-            else:
-                self.triples.add((target, c.lower(), current))
-            current = target
-        return current
+        return self._attach(reduce(word), close)
 
-    def fold(self) -> None:
-        """Merge endpoints of equally labeled edges until deterministic.
-
-        One worklist pass with union-find (path halving): a merge moves the
-        dropped vertex's out/in label maps to the kept one and queues every
-        label clash.  Each class is named by its least vertex, so the base
-        (vertex 0) survives; the folded quotient is unique (Stallings,
-        "Topology of finite graphs", Invent. Math. 71, 1983).
-        """
-        parent = list(range(self._next))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
+    def _attach(self, word: str, close: bool) -> int:
+        """``add_path`` for a reduced word."""
+        steps = self._steps
+        if not steps.keys() >= set(word):
+            bad = next(c for c in word if c not in steps)
+            raise ValueError(f"letter {bad!r} outside alphabet")
+        n = len(word)
+        parent, find = self._parent, self._find
+        start = len(parent)  # the path's vertex after letter j is numbered start + j
+        reserved = n - 1 if close else n
+        parent.extend(range(start, start + reserved))
+        for array, _ in self._slots:
+            array.extend([-1] * reserved)
+        # read the longest prefix along existing edges: its vertices fold away
+        v, i = self.base, 0
+        while i < n and (t := steps[word[i]][0][v]) >= 0:
+            v = find(t)
+            if i < reserved:
+                parent[start + i] = v
+            i += 1
+        if close and i == n:
+            self._merge(v, self.base)
+            return self.base
+        # a loop also reads its longest suffix back from the base, up to letter i
+        u, m = self.base, n
+        while close and m > i + 1 and (t := steps[word[m - 1]][1][u]) >= 0:
+            u = find(t)
+            m -= 1
+            parent[start + m - 1] = u
+        stop = m - 1 if close else n
+        for j in range(i, stop):
+            w = start + j
+            forward, backward = steps[word[j]]
+            forward[v] = w
+            backward[w] = v
+            v = w
+        self._live += stop - i
+        self._edges += stop - i
+        if not close:
             return v
+        forward, backward = steps[word[m - 1]]
+        t = backward[u]
+        if t < 0:
+            forward[v] = u
+            backward[u] = v
+            self._edges += 1
+        else:  # u already has this letter's edge in: fold v onto its source
+            self._merge(t, v)
+        return self.base
 
-        out: list[dict[str, int]] = [{} for _ in parent]
-        inc: list[dict[str, int]] = [{} for _ in parent]
-        pending: list[tuple[int, int]] = []
-        for v, a, w in self.triples:
-            t = out[v].setdefault(a, w)
-            if t != w:
-                pending.append((t, w))
-            t = inc[w].setdefault(a, v)
-            if t != v:
-                pending.append((t, v))
+    def _merge(self, x: int, y: int) -> None:
+        """Identify x and y, then every pair of vertices that forces."""
+        parent, find = self._parent, self._find
+        pending = [(x, y)]
         while pending:
             x, y = pending.pop()
             x, y = find(x), find(y)
@@ -100,45 +146,52 @@ class SubgroupGraph:
                 continue
             keep, drop = (x, y) if x < y else (y, x)
             parent[drop] = keep
-            for maps in (out, inc):
-                kept = maps[keep]
-                for a, w in maps[drop].items():
-                    t = kept.setdefault(a, w)
-                    if t != w:
-                        pending.append((t, w))
-        self.vertices = {v for v in self.vertices if parent[v] == v}
-        self.triples = {(find(v), a, find(w)) for v, a, w in self.triples}
+            self._live -= 1
+            for array, is_out in self._slots:
+                t = array[drop]
+                if t < 0:
+                    continue
+                k = array[keep]
+                if k < 0:
+                    array[keep] = t
+                else:
+                    pending.append((k, t))
+                    if is_out:  # two edges out of one vertex become one
+                        self._edges -= 1
 
-    # -- queries (graph assumed folded) -------------------------------
+    # -- queries -------------------------------------------------------
 
-    def _maps(self) -> tuple[dict, dict]:
-        out = {(v, a): w for v, a, w in self.triples}
-        inc = {(w, a): v for v, a, w in self.triples}
-        return out, inc
+    @property
+    def vertices(self) -> set[int]:
+        return {v for v, p in enumerate(self._parent) if v == p}
+
+    @property
+    def triples(self) -> set[tuple[int, str, int]]:
+        find, vertices = self._find, self.vertices
+        return {
+            (v, a, find(out[v])) for a, out in self._out.items() for v in vertices if out[v] >= 0
+        }
 
     def rank(self) -> int:
-        return len(self.triples) - len(self.vertices) + 1
+        return self._edges - self._live + 1
 
     def is_complete(self) -> bool:
-        out, inc = self._maps()
-        return all(
-            (v, a) in out and (v, a) in inc
-            for v in self.vertices
-            for a in self.alphabet
-        )
+        """Every vertex has an edge out, and so (folded) one in, for every letter."""
+        return self._edges == len(self.alphabet) * self._live
 
     def index(self) -> int | None:
         """Subgroup index: the vertex count if complete, else None (infinite)."""
-        return len(self.vertices) if self.is_complete() else None
+        return self._live if self.is_complete() else None
 
     def trace(self, word: str, start: int | None = None) -> int | None:
-        out, inc = self._maps()
-        v = self.base if start is None else start
+        find, steps = self._find, self._steps
+        v = find(self.base if start is None else start)
         for c in reduce(word):
-            nxt = out.get((v, c)) if c.islower() else inc.get((v, c.lower()))
-            if nxt is None:
+            step = steps.get(c)
+            t = -1 if step is None else step[0][v]
+            if t < 0:
                 return None
-            v = nxt
+            v = find(t)
         return v
 
     def membership(self, word: str) -> bool:
@@ -152,10 +205,15 @@ class SubgroupGraph:
         return "\n".join(lines)
 
     def copy(self) -> "SubgroupGraph":
+        """The same graph; its next path numbers from one past its greatest vertex."""
         g = SubgroupGraph(self.alphabet)
-        g.vertices = set(self.vertices)
-        g.triples = set(self.triples)
-        g._next = max(self.vertices) + 1
+        find = self._find
+        size = max(self.vertices) + 1
+        g._parent[:] = [find(v) for v in range(size)]
+        for a in self.alphabet:
+            for mine, theirs in ((self._out[a], g._out[a]), (self._inc[a], g._inc[a])):
+                theirs[:] = [-1 if t < 0 else find(t) for t in mine[:size]]
+        g._live, g._edges = self._live, self._edges
         return g
 
 
@@ -166,11 +224,7 @@ def subgroup(generators: list[str] | set[str], alphabet: Alphabet) -> SubgroupGr
     """
     g = SubgroupGraph(alphabet)
     for w in sorted({reduce(w) for w in generators} - {""}):
-        for c in w:
-            if c.lower() not in alphabet:
-                raise ValueError(f"letter {c!r} outside alphabet")
-        g.add_loop(w)
-    g.fold()
+        g._attach(w, close=True)
     return g
 
 
@@ -188,25 +242,21 @@ def is_basis_of_free_group(generators: list[str] | set[str], alphabet: Alphabet)
 def separating_subgroup(H: SubgroupGraph, x: str) -> SubgroupGraph:
     """A finite-index overgroup of H avoiding x.
 
-    Attaches the x-path to H's graph, folds, then completes every letter's
-    partial injection on vertices into a permutation (smallest free slot).
-    The path endpoint stays distinct from the base, so x is excluded.
+    Attaches the x-path to a copy of H's graph, then completes every
+    letter's partial injection on vertices into a permutation (smallest free
+    slot).  The path ends away from the base, so x is excluded.
     """
     x = reduce(x)
     if H.membership(x):
         raise NotSeparable(f"{x!r} belongs to the subgroup")
     g = H.copy()
-    g.add_path(x, close=False)
-    g.fold()
-    # the endpoint survives folding; re-trace since vertex ids moved
-    end = g.trace(x)
-    if end == g.base or end is None:
-        raise NotSeparable(f"{x!r} folds into the subgroup")
+    g._attach(x, close=False)
     order = sorted(g.vertices)
-    out, inc = g._maps()
     for a in g.alphabet:
-        missing_out = [v for v in order if (v, a) not in out]
-        missing_in = [v for v in order if (v, a) not in inc]
+        out, inc = g._out[a], g._inc[a]
+        missing_out = [v for v in order if out[v] < 0]
+        missing_in = [v for v in order if inc[v] < 0]
         for v, w in zip(missing_out, missing_in):
-            g.triples.add((v, a, w))
+            out[v], inc[w] = w, v
+        g._edges += len(missing_out)
     return g

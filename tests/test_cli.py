@@ -285,13 +285,16 @@ class TestExitCodes:
         ["returns", "--subst", "a->ab;b->a", "--start", "c", "--word", "a"],
         ["subst", "--subst", "a->ab;b->a", "--apply", "abc"],
         ["freegroup", "--alphabet", "ab", "--generators", "ac"],
+        ["freegroup", "--alphabet", "aB", "--generators", "B,a"],
+        ["freegroup", "--alphabet", "Ab", "--generators", "A,b"],
         ["bifix", "--group", "cyclic:x", "--images", "a=1,b=1",
          "--subst", "a->ab;b->a", "--start", "a", "--horizon", "16"],
         ["factors", "--subst", "a->ab;b->a", "--start", "a", "--horizon", "-3"],
         ["horder", "--subst", "a->ab;b->aaab", "--group", "", "--images",
          "a:(1 2 3);b:(3 4 5)"],
     ], ids=["word-letter", "start-letter", "apply-letter", "generator-letter",
-            "cyclic-modulus", "negative-horizon", "empty-group"])
+            "alphabet-capital", "alphabet-capital-first", "cyclic-modulus", "negative-horizon",
+            "empty-group"])
     def test_malformed_input_is_2(self, argv):
         r = self.invoke(*argv)
         assert r.returncode == 2
@@ -390,7 +393,7 @@ OPTIONS = {
                    "--left": None, "--gamma": SMALL},
     ("episturmian",): {"--directive": st.sampled_from(["abab", "abcabc", "aab", ""]),
                        "--word": WORDS, "--pal": WORDS, "--horizon": SMALL},
-    ("freegroup",): {"--alphabet": st.sampled_from(["ab", "abc", "aab", ""]),
+    ("freegroup",): {"--alphabet": st.sampled_from(["ab", "abc", "aab", "aB", ""]),
                      "--generators": st.sampled_from(["aa,ab,ba", "a,b", "ac", "aB,b", ""]),
                      "--member": WORDS, "--separate": WORDS},
     ("monoid",): {"--code": st.sampled_from(["aa,ab,ba", "a,ab", "ab,ba", "a", ""]),

@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minishift.errors import InsufficientHorizon
-from minishift.extension import ExtensionGraph, classify, extension_graph, multiplicity
-from minishift.words import FactorSet
+from minishift.extension import (
+    Classification,
+    ExtensionGraph,
+    WordRecord,
+    classify,
+    extension_graph,
+    multiplicity,
+)
+from minishift.words import Alphabet, FactorSet
 from test_words import primitive_substitutions
 
 
@@ -27,6 +34,29 @@ def assert_edges_match_every_pair(F):
     for n in range(F.horizon - 1):
         for w in F.words_of_length(n):
             assert extension_graph(F, w) == every_pair_graph(F, w)
+
+
+def per_word_classify(F, max_length):
+    """Oracle: an extension graph for every word, as classify built them before."""
+    if max_length > F.horizon - 2:
+        raise InsufficientHorizon(
+            f"classification up to length {max_length} needs horizon {max_length + 2}"
+        )
+    records = []
+    for n in range(max_length + 1):
+        for w in F.words_of_length(n):
+            g = extension_graph(F, w)
+            records.append(
+                WordRecord(w, g.multiplicity(), g.is_connected(), g.is_acyclic())
+            )
+    return Classification(max_length, tuple(records))
+
+
+def refusal(f, *args):
+    try:
+        return f(*args)
+    except InsufficientHorizon as e:
+        return f"InsufficientHorizon: {e}"
 
 
 class TestExtensionGraph:
@@ -149,3 +179,48 @@ class TestClassify:
         payload = json.loads(classify(fib_set, 3).to_json())
         assert payload["tree"] is True
         assert payload["max_length"] == 3
+
+
+class TestClassifyAgainstEveryGraph:
+    """classify, which builds graphs only where a side has no single letter, record for record."""
+
+    @pytest.mark.parametrize("horizon", [32, 64, 96])
+    @pytest.mark.parametrize("name", ["fib", "tm", "trib", "quad"])
+    def test_fixtures(self, request, name, horizon):
+        F = FactorSet.from_substitution(request.getfixturevalue(name), "a", horizon)
+        for max_length in (horizon - 2, horizon // 2):
+            assert classify(F, max_length) == per_word_classify(F, max_length)
+
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), st.integers(2, 40), st.data())
+    def test_primitive_substitutions(self, sigma, horizon, data):
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        F = FactorSet.from_substitution(sigma, start, horizon)
+        max_length = data.draw(st.integers(-1, horizon - 1))
+        assert refusal(classify, F, max_length) == refusal(per_word_classify, F, max_length)
+
+    def test_a_complete_set_with_words_that_do_not_extend(self):
+        # b has the single left letter a and the single right letter c, but abc
+        # is not a factor; a extends only to the right, c only to the left, and
+        # ab and bc to neither side
+        F = FactorSet(Alphabet.of("abc"), 4, ["", "a", "b", "c", "ab", "bc"], True, "hand")
+        cl = classify(F, 2)
+        assert cl == per_word_classify(F, 2)
+        assert cl.record_for("b") == WordRecord("b", -1, False, True)
+        assert cl.record_for("a") == WordRecord("a", 0, True, True)
+        assert cl.record_for("c") == WordRecord("c", 0, True, True)
+        assert cl.record_for("ab") == WordRecord("ab", 1, True, True)
+        assert cl.record_for("bc") == WordRecord("bc", 1, True, True)
+        # the mirror: b has left letters a and c and the single right letter a,
+        # but cba is not a factor
+        F = FactorSet(Alphabet.of("abc"), 5, ["", "a", "b", "c", "ab", "cb", "ba", "aba"],
+                      True, "hand")
+        cl = classify(F, 3)
+        assert cl == per_word_classify(F, 3)
+        assert cl.record_for("b") == WordRecord("b", -1, False, True)
+
+    def test_an_uncertified_set_is_refused(self, fib_set):
+        F = FactorSet(fib_set.alphabet, fib_set.horizon, fib_set.factors, False, "hand")
+        with pytest.raises(InsufficientHorizon, match="factor set is not certified complete"):
+            classify(F, 4)
+        assert refusal(classify, F, 4) == refusal(per_word_classify, F, 4)

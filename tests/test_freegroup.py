@@ -1,7 +1,5 @@
 """Free group words, folded subgroup graphs, and separating subgroups."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +22,128 @@ AB = Alphabet.of("ab")
 group_words = st.text(alphabet="abAB", max_size=12)
 
 
-def quadratic_fold(g: SubgroupGraph) -> None:
+def parent_reduce(w: str) -> str:
+    """Oracle: free reduction one letter at a time."""
+    out: list[str] = []
+    for c in w:
+        if out and out[-1] == c.swapcase() and out[-1] != c:
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+class ParentGraph:
+    """Oracle: the triple-set subgroup graph, folded only when asked.
+
+    Paths are attached unfolded, one new vertex per letter (the last letter
+    of a loop ends at the base), so the vertex numbers are those of the
+    unfolded petal graph; ``fold`` is the union-find fold, each class named
+    by its least vertex.
+    """
+
+    def __init__(self, alphabet: Alphabet) -> None:
+        self.alphabet = alphabet
+        self.base = 0
+        self.vertices: set[int] = {0}
+        self.triples: set[tuple[int, str, int]] = set()
+        self._next = 1
+
+    def add_path(self, word: str, close: bool) -> int:
+        current = self.base
+        word = parent_reduce(word)
+        for i, c in enumerate(word):
+            if close and i == len(word) - 1:
+                target = self.base
+            else:
+                target = self._next
+                self._next += 1
+                self.vertices.add(target)
+            if c.islower():
+                self.triples.add((current, c, target))
+            else:
+                self.triples.add((target, c.lower(), current))
+            current = target
+        return current
+
+    def fold(self) -> None:
+        parent = list(range(self._next))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        out: list[dict[str, int]] = [{} for _ in parent]
+        inc: list[dict[str, int]] = [{} for _ in parent]
+        pending: list[tuple[int, int]] = []
+        for v, a, w in self.triples:
+            t = out[v].setdefault(a, w)
+            if t != w:
+                pending.append((t, w))
+            t = inc[w].setdefault(a, v)
+            if t != v:
+                pending.append((t, v))
+        while pending:
+            x, y = pending.pop()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            keep, drop = (x, y) if x < y else (y, x)
+            parent[drop] = keep
+            for maps in (out, inc):
+                kept = maps[keep]
+                for a, w in maps[drop].items():
+                    t = kept.setdefault(a, w)
+                    if t != w:
+                        pending.append((t, w))
+        self.vertices = {v for v in self.vertices if parent[v] == v}
+        self.triples = {(find(v), a, find(w)) for v, a, w in self.triples}
+
+    def maps(self) -> tuple[dict, dict]:
+        out = {(v, a): w for v, a, w in self.triples}
+        inc = {(w, a): v for v, a, w in self.triples}
+        return out, inc
+
+    def rank(self) -> int:
+        return len(self.triples) - len(self.vertices) + 1
+
+    def index(self) -> int | None:
+        out, inc = self.maps()
+        complete = all(
+            (v, a) in out and (v, a) in inc for v in self.vertices for a in self.alphabet
+        )
+        return len(self.vertices) if complete else None
+
+    def trace(self, word: str) -> int | None:
+        out, inc = self.maps()
+        v = self.base
+        for c in parent_reduce(word):
+            v = out.get((v, c)) if c.islower() else inc.get((v, c.lower()))
+            if v is None:
+                return None
+        return v
+
+    def membership(self, word: str) -> bool:
+        return self.trace(word) == self.base
+
+    def to_dot(self) -> str:
+        lines = ["digraph subgroup {", f"  {self.base} [shape=doublecircle];"]
+        for v, a, w in sorted(self.triples):
+            lines.append(f'  {v} -> {w} [label="{a}"];')
+        lines.append("}")
+        return "\n".join(lines)
+
+    def copy(self) -> "ParentGraph":
+        g = ParentGraph(self.alphabet)
+        g.vertices = set(self.vertices)
+        g.triples = set(self.triples)
+        g._next = max(self.vertices) + 1
+        return g
+
+
+def quadratic_fold(g: ParentGraph) -> None:
     """Oracle: merge one clash at a time, rescanning every edge after each."""
 
     def find_conflict():
@@ -46,6 +165,39 @@ def quadratic_fold(g: SubgroupGraph) -> None:
         g.vertices.discard(drop)
 
 
+def parent_subgroup(gens, alphabet: Alphabet, fold=ParentGraph.fold) -> ParentGraph:
+    """Oracle: the unfolded petal graph of the reduced words, then ``fold``."""
+    g = ParentGraph(alphabet)
+    for w in sorted({parent_reduce(w) for w in gens} - {""}):
+        for c in w:
+            if c.lower() not in alphabet:
+                raise ValueError(f"letter {c!r} outside alphabet")
+        g.add_path(w, close=True)
+    fold(g)
+    return g
+
+
+def parent_separating_subgroup(H: ParentGraph, x: str, fold=ParentGraph.fold) -> ParentGraph:
+    """Oracle: the x-path on a copy of H, folded, then each letter completed."""
+    x = parent_reduce(x)
+    if H.membership(x):
+        raise NotSeparable(f"{x!r} belongs to the subgroup")
+    g = H.copy()
+    g.add_path(x, close=False)
+    fold(g)
+    end = g.trace(x)
+    if end == g.base or end is None:
+        raise NotSeparable(f"{x!r} folds into the subgroup")
+    order = sorted(g.vertices)
+    out, inc = g.maps()
+    for a in g.alphabet:
+        missing_out = [v for v in order if (v, a) not in out]
+        missing_in = [v for v in order if (v, a) not in inc]
+        for v, w in zip(missing_out, missing_in):
+            g.triples.add((v, a, w))
+    return g
+
+
 @st.composite
 def generator_lists(draw):
     """An alphabet ab or abc, group words over it (capitals are inverses), one target."""
@@ -54,11 +206,24 @@ def generator_lists(draw):
     return Alphabet.of(letters), draw(st.lists(word, max_size=5)), draw(word)
 
 
-def separation(H: SubgroupGraph, x: str) -> str:
+def separation(H, x: str, separate=separating_subgroup):
+    """The separating graph's dot, index and rank, or the refusal."""
     try:
-        return separating_subgroup(H, x).to_dot()
+        K = separate(H, x)
     except NotSeparable as e:
         return f"NotSeparable: {e}"
+    return K.to_dot(), K.vertices, K.index(), K.rank(), K.membership(x)
+
+
+def assert_same_graph(H: SubgroupGraph, K: ParentGraph, gens, x, separate_K) -> None:
+    """H, kept folded, against the oracle graph K of the same words."""
+    assert H.to_dot() == K.to_dot()
+    assert H.vertices == K.vertices
+    assert H.triples == K.triples
+    assert (H.rank(), H.index()) == (K.rank(), K.index())
+    probes = [*gens, x, invert(x), *(g + x for g in gens), *(x + invert(g) for g in gens)]
+    assert [H.membership(w) for w in probes] == [K.membership(w) for w in probes]
+    assert separation(H, x) == separation(K, x, separate_K)
 
 
 def is_deterministic(g: SubgroupGraph) -> bool:
@@ -200,19 +365,21 @@ class TestSeparation:
 
 
 class TestFoldOracle:
-    """The union-find fold against the one-clash-at-a-time fold."""
+    """The graph kept folded against the unfolded petal graph folded by an oracle."""
 
     @given(generator_lists())
     def test_same_graph_as_quadratic_fold(self, case):
         A, gens, x = case
-        H = subgroup(gens, A)
-        with mock.patch.object(SubgroupGraph, "fold", quadratic_fold):
-            K = subgroup(gens, A)
-            expected_separation = separation(K, x)
-        assert H.to_dot() == K.to_dot()
-        assert H.vertices == K.vertices
-        assert (H.rank(), H.index()) == (K.rank(), K.index())
-        assert separation(H, x) == expected_separation
+        K = parent_subgroup(gens, A, quadratic_fold)
+        assert_same_graph(subgroup(gens, A), K, gens, x,
+                          lambda H, x: parent_separating_subgroup(H, x, quadratic_fold))
+
+    @settings(max_examples=300)
+    @given(generator_lists())
+    def test_same_graph_as_the_union_find_fold(self, case):
+        A, gens, x = case
+        assert_same_graph(subgroup(gens, A), parent_subgroup(gens, A), gens, x,
+                          parent_separating_subgroup)
 
     @given(generator_lists())
     def test_folded_graph_holds_every_generator(self, case):
@@ -243,14 +410,30 @@ class TestFoldOracle:
         g = SubgroupGraph(AB)
         g.add_loop("ab")  # 0 -a-> 1 -b-> 0
         g.add_loop("aa")  # 0 -a-> 2 -a-> 0, so 2 joins 1
-        g.fold()
         assert g.vertices == {0, 1}
         assert g.triples == {(0, "a", 1), (1, "b", 0), (1, "a", 0)}
+
+    def test_a_loop_reads_its_prefix_and_suffix(self):
+        g = SubgroupGraph(AB)
+        g.add_loop("aab")  # 0 -a-> 1 -a-> 2 -b-> 0
+        g.add_loop("abb")  # reserves 3 and 4: 3 reads as 1, 4 (read back from 0) as 2
+        assert g.vertices == {0, 1, 2}
+        assert g.triples == {(0, "a", 1), (1, "a", 2), (2, "b", 0), (1, "b", 2)}
+        assert g.add_path("aa", close=False) == 2
+
+    def test_a_path_validates_its_letters(self):
+        g = SubgroupGraph(AB)
+        with pytest.raises(ValueError, match="letter 'c' outside alphabet"):
+            g.add_loop("abc")
+        with pytest.raises(ValueError, match="letter 'C' outside alphabet"):
+            subgroup(["ab", "bC"], AB)
+        with pytest.raises(ValueError, match="letter 'c' outside alphabet"):
+            separating_subgroup(subgroup(["aa"], AB), "ac")
+        assert not subgroup(["aa"], AB).membership("c")
 
     def test_base_survives_a_merge(self):
         g = SubgroupGraph(AB)
         g.add_loop("aa")  # 0 -a-> 1 -a-> 0
         g.add_loop("a")  # 0 -a-> 0, so 1 joins the base
-        g.fold()
         assert g.vertices == {0}
         assert g.triples == {(0, "a", 0)}
