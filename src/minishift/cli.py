@@ -108,7 +108,10 @@ def parse_assignments(text: str, sep: str, eq: str, what: str) -> dict[str, str]
         if eq not in part:
             raise ParseError(f"missing {eq!r} in {what} {part!r}")
         letter, _, value = part.partition(eq)
-        out[letter.strip()] = value.strip()
+        letter = letter.strip()
+        if letter in out:
+            raise ParseError(f"{what} of {letter!r} given twice")
+        out[letter] = value.strip()
     if not out:
         raise ParseError(f"no {what}s given")
     return out
@@ -345,12 +348,16 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
 @click.option("--start", default=None)
 @click.option("--horizon", default=24, show_default=True, callback=nonnegative)
 @click.option("--eggbox", is_flag=True, help="print the F-minimal eggbox as text")
-@click.option("--budget", default=DEFAULT_MONOID_BUDGET, show_default=True)
+@click.option("--budget", default=DEFAULT_MONOID_BUDGET, show_default=True, callback=at_least(1))
 def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
     """Transition monoid of the minimal automaton of a code's submonoid."""
     from . import bifix as bifix_mod
     from . import monoid as monoid_mod
 
+    if (subst_text is None) != (start is None):
+        raise click.UsageError("need both --subst and --start, or neither")
+    if eggbox and subst_text is None:
+        raise click.UsageError("--eggbox needs --subst and --start")
     words = {w.strip() for w in code.split(",") if w.strip()}
     if not words or not bifix_mod.is_bifix(words):
         raise ParseError(f"--code: {code!r} is not a nonempty bifix code")
@@ -362,7 +369,7 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
         "monoid_size": len(M),
         "j_classes": len(structure.classes("J")),
     }
-    if subst_text is not None and start is not None:
+    if subst_text is not None:
         F = build_factor_set(subst_text, start, horizon)
         parse_word("".join(F.alphabet), A.alphabet, "--subst")  # the code's letters
         G, base, image = monoid_mod.f_group(A, F)

@@ -418,23 +418,23 @@ def green(M: FiniteMonoid) -> GreenStructure:
     """Green's relations as strongly connected components of the Cayley graphs.
 
     x R y iff each is reachable from the other in the right Cayley graph
-    that ``from_generators`` recorded, L likewise in the left one, J in their
-    union, and H = R meet L.  The left graph takes no multiplication and no
-    hashing: if x_k was first found as x_p * g_b, then g_a * x_k =
+    that ``from_generators`` recorded, L likewise in the left one, and
+    H = R meet L.  In a finite monoid J = D = R o L, and each R-class of a
+    D-class meets each L-class of it, so a J-class is named by the least L
+    id over any one of its R-classes.  The left graph takes no
+    multiplication: if x_k was first found as x_p * g_b, then g_a * x_k =
     (g_a * x_p) * g_b, so left[k][a] = right[left[p][a]][b] with p < k
     (Froidure & Pin, "Algorithms for computing finite semigroups",
     Foundations of Computational Mathematics, 1997).
     """
     n = len(M)
     d = len(M.generators)
-    right = M.right
-    left = _left_graph(M)
-    both = [0] * (2 * n * d)
-    both[0::2] = right
-    both[1::2] = left
-    r_class = _sccs(n, d, right)
-    l_class = _sccs(n, d, left)
-    j_class = _sccs(n, 2 * d, both)
+    r_class = _sccs(n, d, M.right)
+    l_class = _sccs(n, d, _left_graph(M))
+    least_l = [n] * n
+    for r, l in zip(r_class, l_class):
+        least_l[r] = min(least_l[r], l)
+    j_class = [least_l[r] for r in r_class]
     pair_ids: dict[tuple[int, int], int] = {}
     h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
     idem = [M.is_idempotent(x) for x in M.elements]
@@ -453,6 +453,7 @@ def parse_permutation(text: str, domain: tuple) -> dict:
     if body.count("(") != body.count(")"):
         raise ParseError(f"unbalanced cycles in {text!r}")
     chunks = [c for c in body.replace("(", " ( ").replace(")", " ) ").split() if c]
+    moved: set = set()
     i = 0
     while i < len(chunks):
         if chunks[i] != "(":
@@ -465,9 +466,10 @@ def parse_permutation(text: str, domain: tuple) -> dict:
             point: Hashable = int(tok) if tok.lstrip("-").isdigit() else tok
             if point not in mapping:
                 raise ParseError(f"point {point!r} outside domain {domain}")
+            if point in moved:
+                raise ParseError(f"point {point!r} appears twice in {text!r}")
+            moved.add(point)
             points.append(point)
-        if len(set(points)) != len(points):
-            raise ParseError(f"repeated point in cycle {cycle}")
         for k, p in enumerate(points):
             mapping[p] = points[(k + 1) % len(points)]
         i = j + 1

@@ -292,9 +292,20 @@ class TestExitCodes:
         ["factors", "--subst", "a->ab;b->a", "--start", "a", "--horizon", "-3"],
         ["horder", "--subst", "a->ab;b->aaab", "--group", "", "--images",
          "a:(1 2 3);b:(3 4 5)"],
+        ["horder", "--subst", "a->ab;b->a", "--group", "G", "--images",
+         "a:(1 2)(2 3);b:(1 3)"],
+        ["horder", "--subst", "a->ab;b->a", "--group", "cyclic:3", "--images", "a=1,a=2,b=1"],
+        ["horder", "--subst", "a->ab;b->a", "--group", "G", "--images",
+         "a:(1 2);a:(1 2 3);b:(1 3)"],
+        ["monoid", "--code", "aa,ab,ba", "--budget", "0"],
+        ["monoid", "--code", "aa,ab,ba", "--budget", "-1"],
+        ["monoid", "--code", "aa,ab,ba", "--eggbox"],
+        ["monoid", "--code", "aa,ab,ba", "--subst", "a->ab;b->a"],
+        ["monoid", "--code", "aa,ab,ba", "--start", "a"],
     ], ids=["word-letter", "start-letter", "apply-letter", "generator-letter",
             "alphabet-capital", "alphabet-capital-first", "cyclic-modulus", "negative-horizon",
-            "empty-group"])
+            "empty-group", "point-in-two-cycles", "repeated-weight", "repeated-image",
+            "zero-budget", "negative-budget", "eggbox-alone", "subst-alone", "start-alone"])
     def test_malformed_input_is_2(self, argv):
         r = self.invoke(*argv)
         assert r.returncode == 2

@@ -352,7 +352,11 @@ def tuple_transition_monoid(A, budget=DEFAULT_MONOID_BUDGET):
 
 
 def tuple_green(M):
-    """(R, L, J, H ids, idempotent flags), each node's edges sliced into its own list."""
+    """(R, L, J, H ids, idempotent flags), each node's edges sliced into its own list.
+
+    J is found on its own, by Tarjan on the union of the two graphs, and then
+    each J-class is relabelled by the least L id among its members.
+    """
     n = len(M)
     d = len(M.generators)
     right = M.right
@@ -362,7 +366,11 @@ def tuple_green(M):
     both[1::2] = left
     r_class = parent_sccs(n, [right[i * d : i * d + d] for i in range(n)])
     l_class = parent_sccs(n, [left[i * d : i * d + d] for i in range(n)])
-    j_class = parent_sccs(n, [both[2 * i * d : 2 * i * d + 2 * d] for i in range(n)])
+    j_sccs = parent_sccs(n, [both[2 * i * d : 2 * i * d + 2 * d] for i in range(n)])
+    least_l = {}
+    for j, l in zip(j_sccs, l_class):
+        least_l[j] = min(least_l.get(j, l), l)
+    j_class = [least_l[j] for j in j_sccs]
     pair_ids = {}
     h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
     return r_class, l_class, j_class, h_class, [M.is_idempotent(x) for x in M.elements]
@@ -668,9 +676,22 @@ class TestGreen:
         assert G.is_regular_j(cid)
 
     def test_json(self, three_state_monoid):
-        payload = json.loads(green(three_state_monoid).to_json())
-        assert payload["size"] == 19
-        assert len(payload["j_classes"]) == 4
+        assert green(three_state_monoid).to_json() == json.dumps({
+            "j_classes": [
+                {"l_classes": 1, "members": ["bbb"], "r_classes": 1, "regular": True},
+                {"l_classes": 3, "r_classes": 3, "regular": True, "members": [
+                    "aabb", "aabba", "aabbaa", "abb", "abba", "abbaa", "bb", "bba", "bbaa"]},
+                {"l_classes": 2, "r_classes": 2, "regular": True, "members": [
+                    "a", "aa", "aab", "ab", "b", "ba", "baa", "baab"]},
+                {"l_classes": 1, "members": [""], "r_classes": 1, "regular": True},
+            ],
+            "size": 19,
+        }, sort_keys=True)
+
+    def test_j_id_is_the_least_l_id_of_the_class(self, three_state_monoid):
+        G = green(three_state_monoid)
+        for cid, members in G.classes("J").items():
+            assert cid == min(G.l_class[i] for i in members)
 
     def test_schutzenberger_of_rank_two_class(self, three_state_monoid):
         M = three_state_monoid
@@ -800,6 +821,8 @@ class TestPermutations:
             parse_permutation("(1 9)", (1, 2))
         with pytest.raises(ParseError):
             parse_permutation("(1 1)", (1, 2))
+        with pytest.raises(ParseError, match="point 2 appears twice"):
+            parse_permutation("(1 2)(2 3)", (1, 2, 3))
 
     def test_alternating_group_order(self):
         dom = (1, 2, 3, 4, 5)
