@@ -1,18 +1,18 @@
 """Command-line surface: one-shot deterministic computations, JSON output.
 
-Each process runs one command, and start-up is most of its time, so the
-module imports only ``errors`` and ``words`` at the top.  Every command and
-helper imports the layer modules it runs where it runs them: ``arith`` never
-compiles ``monoid``, and ``returns`` never compiles ``bifix``.
+Each process runs one command, and start-up is most of its time, so ``main``
+builds an ``argparse`` parser for the invoked command alone, and the module
+imports only ``errors`` and ``words`` at the top.  Every command and helper
+imports the layer modules it runs where it runs them: ``arith`` never compiles
+``monoid``, and ``returns`` never compiles ``bifix``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from typing import TYPE_CHECKING
-
-import click
 
 from .errors import (
     DEFAULT_MONOID_BUDGET,
@@ -34,15 +34,15 @@ EXIT_INTERNAL = 4
 
 
 def emit(payload) -> None:
-    click.echo(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True))
 
 
 def at_least(low: int):
-    """Click callback: an integer option may not be below ``low``."""
+    """Option check: an integer option may not be below ``low``."""
 
-    def check(ctx, param, value):
-        if value is not None and value < low:
-            raise ParseError(f"{param.opts[-1]} must be at least {low}, got {value}")
+    def check(flag, value):
+        if value < low:
+            raise ParseError(f"{flag} must be at least {low}, got {value}")
         return value
 
     return check
@@ -51,10 +51,10 @@ def at_least(low: int):
 nonnegative = at_least(0)  # horizons, lengths and powers
 
 
-def nonempty(ctx, param, value):
-    """Click callback: a word option that may not be empty."""
+def nonempty(flag, value):
+    """Option check: a word option may not be empty."""
     if value == "":
-        raise ParseError(f"{param.opts[-1]} must be nonempty")
+        raise ParseError(f"{flag} must be nonempty")
     return value
 
 
@@ -76,9 +76,6 @@ def parse_factor(F: FactorSet, text: str, option: str) -> str:
     return text
 
 
-GROUP_HELP = "cyclic:M, or a name that is only a label: the --images define the group"
-
-
 def parse_cyclic(group: str) -> int | None:
     """The modulus M of ``cyclic:M``, or None for a permutation group."""
     if not group.startswith("cyclic:"):
@@ -93,9 +90,7 @@ def build_factor_set(subst: str, start: str, horizon: int) -> FactorSet:
     sigma = Substitution.parse(subst)
     if not start:
         raise ParseError("--start must be nonempty")
-    return FactorSet.from_substitution(
-        sigma, parse_word(start, sigma.alphabet, "--start"), horizon
-    )
+    return FactorSet.from_substitution(sigma, parse_word(start, sigma.alphabet, "--start"), horizon)
 
 
 def parse_assignments(text: str, sep: str, eq: str, what: str) -> dict[str, str]:
@@ -178,119 +173,146 @@ def morphism_from_options(group: str, images: str, letters) -> shadow_mod.Morphi
     return shadow_mod.MorphismToFinite(M, M.generators)
 
 
-@click.group()
-def cli() -> None:
-    """Finite computations on substitution shifts, return words and codes."""
+# command path -> (the options main declares on its parser, the function that runs it)
+COMMANDS: dict[tuple[str, ...], tuple] = {}
+DOCS = {  # command path -> its help line; a command's is its function's docstring
+    (): "Finite computations on substitution shifts, return words and codes.",
+    ("shadow",): "Pseudoword evaluation, h-orders and separation witnesses.",
+    ("horder",): "Shortcut for 'shadow horder'.",
+}
 
 
-@cli.command("subst")
-@click.option("--subst", "subst_text", required=True)
-@click.option("--apply", "apply_word", default=None)
-@click.option("--iterate", "iterate_letter", default=None)
-@click.option("-k", "--power", default=1, show_default=True, callback=nonnegative)
-@click.option("--primitive", is_flag=True)
-def subst_cmd(subst_text, apply_word, iterate_letter, power, primitive):
+def option(*flags: str, check=None, **kw):
+    """``add_argument``'s arguments; a value has its default's type unless ``type`` is
+    given.  ``check(flag, value)`` raises ``ParseError``, which argparse lets through."""
+    if "action" not in kw:
+        convert = kw.setdefault("type", type(kw.get("default", "")))
+        kw.setdefault("metavar", "INTEGER" if convert is int else "TEXT")
+        if check is not None:
+            kw["type"] = lambda text: check(flags[-1], convert(text))
+            kw["type"].__name__ = convert.__name__  # argparse's "invalid int value"
+    if type(kw.get("default")) is int:
+        kw["help"] = "[default: %(default)s]"
+    return flags, kw
+
+
+SUBST, START = option("--subst", required=True), option("--start", required=True)
+GROUP = option("--group", required=True, check=nonempty,
+               help="cyclic:M, or a name that is only a label: the --images define the group")
+IMAGES = option("--images", required=True)
+
+
+def command(path: str, *options):
+    """Register the decorated function as the command ``path`` ("shadow eval")."""
+
+    def register(run):
+        key = tuple(path.split())
+        COMMANDS[key], DOCS[key] = (options, run), run.__doc__
+        return run
+
+    return register
+
+
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParseError(message)  # main prints "error: ..." and exits 2
+
+
+def new_parser(path: tuple[str, ...], options=()) -> Parser:
+    parser = Parser(prog=" ".join(("minishift", *path)), description=DOCS[path],
+                    add_help=False, allow_abbrev=False)
+    for flags, kw in options:
+        parser.add_argument(*flags, **kw)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+@command("subst", SUBST, option("--apply"), option("--iterate"),
+         option("-k", "--power", default=1, check=nonnegative),
+         option("--primitive", action="store_true"))
+def subst_cmd(subst, apply, iterate, power, primitive):
     """Apply or iterate a substitution, or test primitivity."""
-    sigma = Substitution.parse(subst_text)
+    sigma = Substitution.parse(subst)
     out = {"substitution": sigma.serialize()}
-    if apply_word is not None:
-        out["apply"] = sigma.apply(parse_word(apply_word, sigma.alphabet, "--apply"))
-    if iterate_letter is not None:
-        word = parse_word(iterate_letter, sigma.alphabet, "--iterate")
+    if apply is not None:
+        out["apply"] = sigma.apply(parse_word(apply, sigma.alphabet, "--apply"))
+    if iterate is not None:
+        word = parse_word(iterate, sigma.alphabet, "--iterate")
         out["iterate"] = sigma.iterate(word, power)
     if primitive:
         out["primitive"] = sigma.is_primitive()
     emit(out)
 
 
-@cli.command("factors")
-@click.option("--subst", "subst_text", default=None)
-@click.option("--start", default=None)
-@click.option("--periodic", default=None, callback=nonempty)
-@click.option("--horizon", default=8, show_default=True, callback=nonnegative)
-@click.option("--complexity", "complexity_n", default=None, type=int, callback=nonnegative)
-@click.option("--witness", "witness_word", default=None)
-def factors_cmd(subst_text, start, periodic, horizon, complexity_n, witness_word):
+@command("factors", option("--subst"), option("--start"), option("--periodic", check=nonempty),
+         option("--horizon", default=8, check=nonnegative),
+         option("--complexity", type=int, check=nonnegative), option("--witness"))
+def factors_cmd(subst, start, periodic, horizon, complexity, witness):
     """Certified factor set of a substitution fixed point or periodic word."""
     if periodic is not None:
         F = FactorSet.from_periodic(periodic, horizon)
-    elif subst_text is not None and start is not None:
-        F = build_factor_set(subst_text, start, horizon)
+    elif subst is not None and start is not None:
+        F = build_factor_set(subst, start, horizon)
     else:
-        raise click.UsageError("need --periodic or both --subst and --start")
+        raise ParseError("need --periodic or both --subst and --start")
     out = json.loads(F.to_json())
-    if complexity_n is not None:
-        out["complexity"] = F.complexity(complexity_n)
-    if witness_word is not None:
-        word = parse_factor(F, witness_word, "--witness")
+    if complexity is not None:
+        out["complexity"] = F.complexity(complexity)
+    if witness is not None:
+        word = parse_factor(F, witness, "--witness")
         out["witness"] = F.uniform_recurrence_witness(word)
     emit(out)
 
 
-@cli.command("classify")
-@click.option("--subst", "subst_text", required=True)
-@click.option("--start", required=True)
-@click.option("--maxlen", default=6, show_default=True, callback=nonnegative)
-@click.option("--word", "graph_word", default=None)
-@click.option("--dot", "dot_path", default=None, type=click.Path())
-def classify_cmd(subst_text, start, maxlen, graph_word, dot_path):
+@command("classify", SUBST, START, option("--maxlen", default=6, check=nonnegative),
+         option("--word"), option("--dot", metavar="PATH"))
+def classify_cmd(subst, start, maxlen, word, dot):
     """Tree/neutral classification of the factor set up to a length."""
     from . import extension as ext_mod
 
-    F = build_factor_set(subst_text, start, maxlen + 2)
+    F = build_factor_set(subst, start, maxlen + 2)
     cl = ext_mod.classify(F, maxlen)
-    out = {
-        "acyclic": cl.acyclic,
-        "connected": cl.connected,
-        "neutral": cl.neutral,
-        "tree": cl.tree,
-        "max_length": maxlen,
-    }
-    if graph_word is not None:
-        g = ext_mod.extension_graph(F, parse_factor(F, graph_word, "--word"))
-        out["word"] = graph_word
+    out = {"acyclic": cl.acyclic, "connected": cl.connected, "neutral": cl.neutral,
+           "tree": cl.tree, "max_length": maxlen}
+    if word is not None:
+        g = ext_mod.extension_graph(F, parse_factor(F, word, "--word"))
+        out["word"] = word
         out["multiplicity"] = g.multiplicity()
-        if dot_path:
-            with open(dot_path, "w") as fh:
+        if dot:
+            with open(dot, "w") as fh:
                 fh.write(g.to_dot())
     emit(out)
 
 
-@cli.command("returns")
-@click.option("--subst", "subst_text", required=True)
-@click.option("--start", required=True)
-@click.option("--word", required=True)
-@click.option("--horizon", default=32, show_default=True, callback=nonnegative)
-@click.option("--left", is_flag=True)
-@click.option("--gamma", "gamma_maxlen", default=None, type=int, callback=nonnegative)
-def returns_cmd(subst_text, start, word, horizon, left, gamma_maxlen):
+@command("returns", SUBST, START, option("--word", required=True),
+         option("--horizon", default=32, check=nonnegative),
+         option("--left", action="store_true"), option("--gamma", type=int, check=nonnegative))
+def returns_cmd(subst, start, word, horizon, left, gamma):
     """Return words to a factor."""
     from . import returns as ret_mod
 
-    F = build_factor_set(subst_text, start, horizon)
+    F = build_factor_set(subst, start, horizon)
     word = parse_factor(F, word, "--word")
     out = {}
     if left:
         out["left"] = ret_mod.left_return_words(F, word).sorted_words()
     else:
         out["right"] = ret_mod.right_return_words(F, word).sorted_words()
-    if gamma_maxlen is not None:
-        out["gamma"] = sorted(ret_mod.gamma(F, word, gamma_maxlen), key=shortlex)
+    if gamma is not None:
+        out["gamma"] = sorted(ret_mod.gamma(F, word, gamma), key=shortlex)
     emit(out)
 
 
-@cli.command("episturmian")
-@click.option("--directive", required=True, callback=nonempty)
-@click.option("--word", default=None, callback=nonempty)
-@click.option("--pal", "pal_word", default=None)
-@click.option("--horizon", default=None, type=int, callback=nonnegative)
-def episturmian_cmd(directive, word, pal_word, horizon):
+@command("episturmian", option("--directive", required=True, check=nonempty),
+         option("--word", check=nonempty), option("--pal"),
+         option("--horizon", type=int, check=nonnegative))
+def episturmian_cmd(directive, word, pal, horizon):
     """Palindromic closures and left return words of a directed word."""
     from . import episturmian as epi_mod
 
     out = {"directive": directive}
-    if pal_word is not None:
-        out["pal"] = epi_mod.pal(pal_word)
+    if pal is not None:
+        out["pal"] = epi_mod.pal(pal)
     if word is not None:
         word = parse_word(word, directive, "--word")
         out["left"] = sorted(epi_mod.episturmian_left_returns(directive, word), key=shortlex)
@@ -300,13 +322,10 @@ def episturmian_cmd(directive, word, pal_word, horizon):
     emit(out)
 
 
-@cli.command("freegroup")
-@click.option("--alphabet", "alphabet_text", required=True)
-@click.option("--generators", required=True, help="comma-separated group words")
-@click.option("--member", default=None)
-@click.option("--separate", default=None)
-@click.option("--dot", "dot_path", default=None, type=click.Path())
-def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
+@command("freegroup", option("--alphabet", dest="alphabet_text", required=True),
+         option("--generators", required=True, help="comma-separated group words"),
+         option("--member"), option("--separate"), option("--dot", metavar="PATH"))
+def freegroup_cmd(alphabet_text, generators, member, separate, dot):
     """Folded subgroup graph: rank, index, membership, Hall separation."""
     from . import freegroup as fg_mod
 
@@ -333,44 +352,38 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot_path):
         K = fg_mod.separating_subgroup(H, parse_word(separate, letters, "--separate"))
         out["separating_index"] = K.index()
         out["separated"] = not K.membership(separate)
-        if dot_path:
-            with open(dot_path, "w") as fh:
+        if dot:
+            with open(dot, "w") as fh:
                 fh.write(K.to_dot())
-    elif dot_path:
-        with open(dot_path, "w") as fh:
+    elif dot:
+        with open(dot, "w") as fh:
             fh.write(H.to_dot())
     emit(out)
 
 
-@cli.command("monoid")
-@click.option("--code", required=True, help="comma-separated code words")
-@click.option("--subst", "subst_text", default=None)
-@click.option("--start", default=None)
-@click.option("--horizon", default=24, show_default=True, callback=nonnegative)
-@click.option("--eggbox", is_flag=True, help="print the F-minimal eggbox as text")
-@click.option("--budget", default=DEFAULT_MONOID_BUDGET, show_default=True, callback=at_least(1))
-def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
+@command("monoid", option("--code", required=True, help="comma-separated code words"),
+         option("--subst"), option("--start"), option("--horizon", default=24, check=nonnegative),
+         option("--eggbox", action="store_true", help="print the F-minimal eggbox as text"),
+         option("--budget", default=DEFAULT_MONOID_BUDGET, check=at_least(1)))
+def monoid_cmd(code, subst, start, horizon, eggbox, budget):
     """Transition monoid of the minimal automaton of a code's submonoid."""
     from . import bifix as bifix_mod
     from . import monoid as monoid_mod
 
-    if (subst_text is None) != (start is None):
-        raise click.UsageError("need both --subst and --start, or neither")
-    if eggbox and subst_text is None:
-        raise click.UsageError("--eggbox needs --subst and --start")
+    if (subst is None) != (start is None):
+        raise ParseError("need both --subst and --start, or neither")
+    if eggbox and subst is None:
+        raise ParseError("--eggbox needs --subst and --start")
     words = {w.strip() for w in code.split(",") if w.strip()}
     if not words or not bifix_mod.is_bifix(words):
         raise ParseError(f"--code: {code!r} is not a nonempty bifix code")
     A = bifix_mod.minimal_automaton_of_star(bifix_mod.BifixCode.of(words))
     M = monoid_mod.transition_monoid(A, budget)
     structure = monoid_mod.green(M)
-    out = {
-        "states": len(A.states),
-        "monoid_size": len(M),
-        "j_classes": len(structure.classes("J")),
-    }
-    if subst_text is not None:
-        F = build_factor_set(subst_text, start, horizon)
+    out = {"states": len(A.states), "monoid_size": len(M),
+           "j_classes": len(structure.classes("J"))}
+    if subst is not None:
+        F = build_factor_set(subst, start, horizon)
         parse_word("".join(F.alphabet), A.alphabet, "--subst")  # the code's letters
         G, base, image = monoid_mod.f_group(A, F)
         out["f_min_rank"] = len(image)
@@ -380,26 +393,23 @@ def monoid_cmd(code, subst_text, start, horizon, eggbox, budget):
         if eggbox:
             t = A.transformation(base)
             cid = structure.j_class[M.pos[t]]
-            click.echo(structure.eggbox(cid))
+            print(structure.eggbox(cid))
             return
     emit(out)
 
 
-@cli.command("bifix")
-@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
-@click.option("--images", required=True, help='"a=1,b=1" or "a:(1 2 3);b:(3 4 5)"')
-@click.option("--base-point", default=None)
-@click.option("--subst", "subst_text", required=True)
-@click.option("--start", required=True)
-@click.option("--horizon", default=24, show_default=True, callback=nonnegative)
-@click.option("--degree/--no-degree", default=True, show_default=True)
-def bifix_cmd(group, images, base_point, subst_text, start, horizon, degree):
+@command("bifix", GROUP, option("--images", required=True,
+                                help='"a=1,b=1" or "a:(1 2 3);b:(3 4 5)"'),
+         option("--base-point"), SUBST, START, option("--horizon", default=24, check=nonnegative),
+         option("--degree", action=argparse.BooleanOptionalAction, default=True,
+                help="[default: degree]"))
+def bifix_cmd(group, images, base_point, subst, start, horizon, degree):
     """Group code intersected with a factor set; F-degree and F-group."""
     from . import bifix as bifix_mod
 
-    letters = Substitution.parse(subst_text).alphabet
+    letters = Substitution.parse(subst).alphabet
     spec = group_spec_from_options(group, images, base_point, letters)
-    F = build_factor_set(subst_text, start, horizon)
+    F = build_factor_set(subst, start, horizon)
     X = bifix_mod.group_code_intersection(spec, F)
     out = {"code": X.sorted_words(), "size": len(X.words)}
     if degree:
@@ -407,22 +417,15 @@ def bifix_cmd(group, images, base_point, subst_text, start, horizon, degree):
     emit(out)
 
 
-@cli.group("shadow")
-def shadow_group() -> None:
-    """Pseudoword evaluation, h-orders and separation witnesses."""
-
-
-@shadow_group.command("eval")
-@click.option("--expr", required=True)
-@click.option("--subst-def", "subst_defs", multiple=True, help='"phi=a->ab;b->a"')
-@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
-@click.option("--images", required=True)
-def shadow_eval_cmd(expr, subst_defs, group, images):
+@command("shadow eval", option("--expr", required=True),
+         option("--subst-def", action="append", default=[], metavar="TEXT",
+                help='"phi=a->ab;b->a"'), GROUP, IMAGES)
+def shadow_eval_cmd(expr, subst_def, group, images):
     """Evaluate a pseudoword expression under a morphism."""
     from . import shadow as shadow_mod
 
     named = {}
-    for d in subst_defs:
+    for d in subst_def:
         name, _, body = d.partition("=")
         if not name or not body:
             raise ParseError(f"bad substitution definition {d!r}")
@@ -433,15 +436,12 @@ def shadow_eval_cmd(expr, subst_defs, group, images):
     emit({"expr": expr, "value": str(value)})
 
 
-@shadow_group.command("horder")
-@click.option("--subst", "subst_text", required=True)
-@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
-@click.option("--images", required=True)
-def shadow_horder_cmd(subst_text, group, images):
+@command("shadow horder", SUBST, GROUP, IMAGES)
+def shadow_horder_cmd(subst, group, images):
     """Least n with the substitution's action on letter images returning."""
     from . import shadow as shadow_mod
 
-    sigma = Substitution.parse(subst_text)
+    sigma = Substitution.parse(subst)
     morphism = morphism_from_options(group, images, sigma.alphabet)
     result = shadow_mod.h_order(sigma, morphism)
     if isinstance(result, int):
@@ -451,17 +451,12 @@ def shadow_horder_cmd(subst_text, group, images):
         emit({"h_order": None, "preperiod": preperiod, "period": period})
 
 
-cli.add_command(click.Command("horder", help="Shortcut for 'shadow horder'.",
-                              callback=shadow_horder_cmd.callback, params=shadow_horder_cmd.params))
+COMMANDS["horder",] = COMMANDS["shadow", "horder"]
 
 
-@shadow_group.command("separate")
-@click.option("--code", required=True, help="comma-separated code words")
-@click.option("--beta", required=True, help='"x=a,y=ab,z=bb"')
-@click.option("--group", required=True, callback=nonempty, help=GROUP_HELP)
-@click.option("--images", required=True)
-@click.option("-u", required=True)
-@click.option("-v", required=True)
+@command("shadow separate", option("--code", required=True, help="comma-separated code words"),
+         option("--beta", required=True, help='"x=a,y=ab,z=bb"'), GROUP, IMAGES,
+         option("-u", required=True), option("-v", required=True))
 def shadow_separate_cmd(code, beta, group, images, u, v):
     """Matrix decoding morphism separating two differently valued words."""
     from . import shadow as shadow_mod
@@ -474,57 +469,61 @@ def shadow_separate_cmd(code, beta, group, images, u, v):
     report = shadow_mod.separation_witness(
         X, bmap, psi, parse_word(u, bmap, "-u"), parse_word(v, bmap, "-v")
     )
-    click.echo(report.to_json())
+    print(report.to_json())
 
 
-@cli.command("arith")
-@click.option("--to-factorial", "to_fact", default=None, type=int)
-@click.option("-k", "--precision", default=4, show_default=True, callback=at_least(1))
-@click.option("--fib-mod", "fib_args", default=None, nargs=2, type=int)
-@click.option("--fib-limit", "fib_limit_mod", default=None, type=int, callback=at_least(2))
-@click.option("--offset", default=0, show_default=True)
-def arith_cmd(to_fact, precision, fib_args, fib_limit_mod, offset):
+@command("arith", option("--to-factorial", type=int),
+         option("-k", "--precision", default=4, check=at_least(1)),
+         option("--fib-mod", nargs=2, type=int), option("--fib-limit", type=int, check=at_least(2)),
+         option("--offset", default=0))
+def arith_cmd(to_factorial, precision, fib_mod, fib_limit, offset):
     """Factorial digits and modular Fibonacci limits."""
     from . import arith as arith_mod
 
     out = {}
-    if to_fact is not None:
-        d = arith_mod.to_factorial(to_fact, precision)
+    if to_factorial is not None:
+        d = arith_mod.to_factorial(to_factorial, precision)
         out["digits"] = list(d.digits)
         out["display"] = str(d)
-    if fib_args:
-        n, m = fib_args
+    if fib_mod:
+        n, m = fib_mod
         if m < 2:
             raise ParseError(f"--fib-mod: modulus must be at least 2, got {m}")
         out["fib_mod"] = arith_mod.fib_mod(n, m)
-    if fib_limit_mod is not None:
-        out["fib_factorial_sequence"] = arith_mod.fib_factorial_limit(
-            fib_limit_mod, offset, 1, 12
-        )
+    if fib_limit is not None:
+        out["fib_factorial_sequence"] = arith_mod.fib_factorial_limit(fib_limit, offset, 1, 12)
     if not out:
-        raise click.UsageError("nothing to compute")
+        raise ParseError("nothing to compute")
     emit(out)
+
+
+def dispatch(argv: list[str]) -> None:
+    """Run the command ``argv`` names; short of one, print a group's help or fail."""
+    group = ("shadow",) if argv[:1] == ["shadow"] else ()
+    path = tuple(argv[: len(group) + 1])
+    if path in COMMANDS:
+        options, run = COMMANDS[path]
+        run(**vars(new_parser(path, options).parse_args(argv[len(path):])))
+        return
+    parser = new_parser(group)
+    listing = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for sub in sorted(p for p in DOCS if p and p[:-1] == group):
+        listing.add_parser(sub[-1], add_help=False, help=DOCS[sub])
+    parser.parse_args(argv[len(group):])
+    raise ParseError(f"no command in {' '.join(argv)!r}")  # a "--" before the command
 
 
 def main() -> None:
     try:
-        cli.main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_PARSE)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_PARSE)
-    except click.exceptions.Abort:
-        sys.exit(EXIT_PARSE)
+        dispatch(sys.argv[1:])
     except (InsufficientHorizon, BudgetExceeded) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_BUDGET)
     except InternalInvariantError as exc:
-        click.echo(f"internal error: {exc}", err=True)
+        print(f"internal error: {exc}", file=sys.stderr)
         sys.exit(EXIT_INTERNAL)
-    except MinishiftError as exc:  # ParseError and the other input errors
-        click.echo(f"error: {exc}", err=True)
+    except MinishiftError as exc:  # ParseError, usage errors and the other input errors
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARSE)
 
 

@@ -38,10 +38,12 @@ except SystemExit as exc:
 
 
 def loaded_after(code, *args):
-    """The minishift modules a fresh interpreter holds after running ``code``."""
+    """The minishift modules, and click if any, a fresh interpreter holds after
+    running ``code``: no third-party parser may come back onto the start-up path."""
     r = subprocess.run(
         [sys.executable, "-c", f"import json, sys\n{code}\n"
-         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('minishift'))))",
+         "print(json.dumps(sorted(m for m in sys.modules"
+         " if m.partition('.')[0] in ('minishift', 'click'))))",
          *args],
         capture_output=True, text=True,
     )
