@@ -6,7 +6,6 @@ A residue modulo (k+1)! is stored as its factorial digits c_1..c_k with
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,9 +38,6 @@ class FactorialDigits:
     def __str__(self) -> str:
         body = " ".join(str(c) for c in reversed(self.digits))
         return f"({body})_!"
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.digits))
 
 
 def to_factorial(x: int, k: int) -> FactorialDigits:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -21,10 +20,7 @@ def is_prefix_free(words: Iterable[str]) -> bool:
 
 
 def is_suffix_free(words: Iterable[str]) -> bool:
-    ws = set(words)
-    return not any(
-        u != v and v.endswith(u) for u in ws for v in ws
-    )
+    return is_prefix_free(w[::-1] for w in words)
 
 
 def is_bifix(words: Iterable[str]) -> bool:
@@ -53,9 +49,6 @@ class BifixCode:
 
     def max_length(self) -> int:
         return max(len(w) for w in self.words)
-
-    def to_json(self) -> str:
-        return json.dumps(self.sorted_words())
 
 
 @dataclass(frozen=True)
@@ -89,11 +82,8 @@ def f_degree(X: BifixCode, F: FactorSet) -> int:
     A factor at least as long as the longest code word cannot be internal
     to a code word, so its parse count realizes the maximum.
     """
-    if not F.complete:
-        raise InsufficientHorizon("factor set is not certified complete")
     n = X.max_length()
-    if n > F.horizon:
-        raise InsufficientHorizon(f"degree needs factors of length {n}")
+    F.certify(n, f"degree needs factors of length {n}")
     witnesses = F.words_of_length(n)
     if not witnesses:
         raise ValueError("factor set has no word of the required length")
@@ -151,8 +141,7 @@ def group_code_intersection(spec: GroupCodeSpec, F: FactorSet) -> BifixCode:
     exactly at the end.  If some maximal-length factor has no nonempty
     prefix returning to the base, longer code words may have been cut off.
     """
-    if not F.complete:
-        raise InsufficientHorizon("factor set is not certified complete")
+    F.certify()
     base = spec.base_point
 
     def first_return(w: str) -> int | None:

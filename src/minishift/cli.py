@@ -69,8 +69,7 @@ def parse_word(text: str, letters, option: str) -> str:
 def parse_factor(F: FactorSet, text: str, option: str) -> str:
     """``text`` if it is a factor of ``F``; too long for the horizon exits 3."""
     parse_word(text, F.alphabet, option)
-    if len(text) > F.horizon:
-        raise InsufficientHorizon(f"{option} {text!r} is longer than horizon {F.horizon}")
+    F.certify(len(text), f"{option} {text!r} is longer than horizon {F.horizon}")
     if text not in F:
         raise ParseError(f"{option}: {text!r} is not a factor")
     return text
@@ -132,11 +131,8 @@ def parse_images(group: str, images: str, letters) -> tuple[int | None, tuple, d
 
         # permutation images define the group; its name is only a label
         cycles = parse_assignments(images, ";", ":", "image")
-        points = {
-            int(tok) if tok.lstrip("-").isdigit() else tok
-            for text in cycles.values()
-            for tok in text.replace("(", " ").replace(")", " ").split()
-        }
+        points = {p for text in cycles.values() for p in monoid_mod.cycle_tokens(text)}
+        points -= {"(", ")"}
         try:
             domain = tuple(sorted(points))
         except TypeError:
@@ -255,7 +251,7 @@ def factors_cmd(subst, start, periodic, horizon, complexity, witness):
         F = build_factor_set(subst, start, horizon)
     else:
         raise ParseError("need --periodic or both --subst and --start")
-    out = json.loads(F.to_json())
+    out = {"complete": F.complete, "factors": F.sorted_words(), "horizon": F.horizon}
     if complexity is not None:
         out["complexity"] = F.complexity(complexity)
     if witness is not None:
@@ -469,7 +465,14 @@ def shadow_separate_cmd(code, beta, group, images, u, v):
     report = shadow_mod.separation_witness(
         X, bmap, psi, parse_word(u, bmap, "-u"), parse_word(v, bmap, "-v")
     )
-    print(report.to_json())
+
+    def show(matrix):
+        return [["." if e is None else str(e) for e in row] for row in matrix]
+
+    emit({"prefixes": list(report.prefixes), "alpha_u": show(report.alpha_u),
+          "alpha_v": show(report.alpha_v), "separated": report.separated,
+          "decode_checks": report.decode_checks,
+          "matrix_monoid_size": report.matrix_monoid_size})
 
 
 @command("arith", option("--to-factorial", type=int),

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InsufficientHorizon
 from .words import FactorSet
 
 
@@ -73,14 +71,8 @@ class ExtensionGraph:
 
 def extension_graph(F: FactorSet, w: str) -> ExtensionGraph:
     """Left/right letter extensions of ``w`` in ``F`` and their pairings."""
-    if len(w) > F.horizon - 2:
-        raise InsufficientHorizon(
-            f"extension graph of a length-{len(w)} word needs horizon {len(w) + 2}"
-        )
-    if not F.complete:
-        raise InsufficientHorizon("factor set is not certified complete")
-    if w not in F:
-        raise ValueError(f"{w!r} is not a factor")
+    needed = len(w) + 2
+    F.certify(needed, f"extension graph of a length-{len(w)} word needs horizon {needed}", w)
     letters = F.alphabet.letters
     left = tuple(a for a in letters if a + w in F)
     right = tuple(b for b in letters if w + b in F)
@@ -129,27 +121,6 @@ class Classification:
                 return r
         raise KeyError(w)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "max_length": self.max_length,
-                "neutral": self.neutral,
-                "connected": self.connected,
-                "acyclic": self.acyclic,
-                "tree": self.tree,
-                "words": [
-                    {
-                        "word": r.word,
-                        "multiplicity": r.multiplicity,
-                        "connected": r.connected,
-                        "acyclic": r.acyclic,
-                    }
-                    for r in self.records
-                ],
-            },
-            sort_keys=True,
-        )
-
 
 def classify(F: FactorSet, max_length: int) -> Classification:
     """Classify every factor of length <= ``max_length``, empty word included.
@@ -160,12 +131,8 @@ def classify(F: FactorSet, max_length: int) -> Classification:
     other side, the graph is a star, of multiplicity 0, connected and
     acyclic, so no graph is built; every other word gets its graph.
     """
-    if max_length > F.horizon - 2:
-        raise InsufficientHorizon(
-            f"classification up to length {max_length} needs horizon {max_length + 2}"
-        )
-    if not F.complete:
-        raise InsufficientHorizon("factor set is not certified complete")
+    needed = max_length + 2
+    F.certify(needed, f"classification up to length {max_length} needs horizon {needed}")
     factors, letters = F.factors, F.alphabet.letters
     records = []
     for n in range(max_length + 1):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -382,25 +381,6 @@ class GreenStructure:
             lines.append(sep)
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        wit = self.monoid.witness
-        els = self.monoid.elements
-        return json.dumps(
-            {
-                "size": len(els),
-                "j_classes": [
-                    {
-                        "members": sorted(wit[els[i]] for i in members),
-                        "regular": self.is_regular_j(cid),
-                        "r_classes": len({self.r_class[i] for i in members}),
-                        "l_classes": len({self.l_class[i] for i in members}),
-                    }
-                    for cid, members in sorted(self.classes("J").items())
-                ],
-            },
-            sort_keys=True,
-        )
-
 
 def _left_graph(M: FiniteMonoid) -> list[int]:
     """Left Cayley graph, laid out like ``M.right``: slot k * |gens| + a holds g_a * x_k."""
@@ -444,32 +424,40 @@ def green(M: FiniteMonoid) -> GreenStructure:
 # ---------------------------------------------------------------- permutations
 
 
-def parse_permutation(text: str, domain: tuple) -> dict:
-    """Cycle notation "(1 2 3)(4 5)" over the given domain points."""
-    mapping = {p: p for p in domain}
+def cycle_tokens(text: str) -> list:
+    """Cycle notation "(1 2 3)(4 5)" as "(", ")" and points, the one reader of it.
+
+    Commas separate points like spaces, a point that reads as an integer is
+    one, and "e" or "id" alone is the identity, with no token.
+    """
     body = text.strip()
-    if body in ("", "()", "e", "id"):
-        return mapping
-    if body.count("(") != body.count(")"):
+    if body in ("e", "id"):
+        return []
+    return [
+        tok if tok in ("(", ")") else int(tok) if tok.removeprefix("-").isdecimal() else tok
+        for tok in body.replace("(", " ( ").replace(")", " ) ").replace(",", " ").split()
+    ]
+
+
+def parse_permutation(text: str, domain: tuple) -> dict:
+    """Cycle notation "(1 2 3)(4 5)" over the given domain points (see ``cycle_tokens``)."""
+    mapping = {p: p for p in domain}
+    tokens = cycle_tokens(text)
+    if tokens.count("(") != tokens.count(")"):
         raise ParseError(f"unbalanced cycles in {text!r}")
-    chunks = [c for c in body.replace("(", " ( ").replace(")", " ) ").split() if c]
     moved: set = set()
     i = 0
-    while i < len(chunks):
-        if chunks[i] != "(":
+    while i < len(tokens):
+        if tokens[i] != "(":
             raise ParseError(f"expected '(' in {text!r}")
-        j = chunks.index(")", i)
-        cycle = chunks[i + 1 : j]
-        points = []
-        for tok in cycle:
-            tok = tok.strip(",")
-            point: Hashable = int(tok) if tok.lstrip("-").isdigit() else tok
+        j = tokens.index(")", i)
+        points = tokens[i + 1 : j]
+        for point in points:
             if point not in mapping:
                 raise ParseError(f"point {point!r} outside domain {domain}")
             if point in moved:
                 raise ParseError(f"point {point!r} appears twice in {text!r}")
             moved.add(point)
-            points.append(point)
         for k, p in enumerate(points):
             mapping[p] = points[(k + 1) % len(points)]
         i = j + 1
@@ -601,8 +589,7 @@ def f_min_rank_data(
     """
     from .returns import right_return_words
 
-    if not F.complete:
-        raise InsufficientHorizon("factor set is not certified complete")
+    F.certify()
     letter_maps = A.letter_transformations()
     missing = [a for a in F.words_of_length(1) if a not in letter_maps]
     if missing:

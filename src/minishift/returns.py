@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,12 +19,6 @@ class ReturnSet:
 
     def sorted_words(self) -> list[str]:
         return sorted(self.words, key=shortlex)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"base": self.base, "side": self.side, "words": self.sorted_words()},
-            sort_keys=True,
-        )
 
 
 def right_return_words(F: FactorSet, x: str) -> ReturnSet:
@@ -58,14 +51,10 @@ def left_return_words(F: FactorSet, x: str) -> ReturnSet:
 
 def gamma(F: FactorSet, x: str, maxlen: int) -> set[str]:
     """Words w of length <= maxlen with xw a factor ending with x."""
-    if x not in F:
-        raise ValueError(f"{x!r} is not a factor")
     if maxlen < 0:
         raise ValueError(f"gamma({x!r}, {maxlen}) of a negative length")
-    if len(x) + maxlen > F.horizon:
-        raise InsufficientHorizon(
-            f"gamma({x!r}, {maxlen}) needs horizon {len(x) + maxlen}"
-        )
+    needed = len(x) + maxlen
+    F.certify(needed, f"gamma({x!r}, {maxlen}) needs horizon {needed}", x)
     out = set()
     for length in range(len(x), len(x) + maxlen + 1):
         for z in F.words_of_length(length):
@@ -95,19 +84,6 @@ class TruncationStage:
 @dataclass(frozen=True)
 class LimitReturnTruncation:
     stages: tuple[TruncationStage, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "left": s.left_part,
-                    "right": s.right_part,
-                    "words": sorted(s.words, key=shortlex),
-                }
-                for s in self.stages
-            ],
-            sort_keys=True,
-        )
 
 
 def limit_return_truncation(

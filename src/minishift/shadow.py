@@ -8,7 +8,6 @@ monoid, where every such limit exists.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -272,22 +271,6 @@ class SeparationReport:
     separated: bool
     decode_checks: int
     matrix_monoid_size: int
-
-    def to_json(self) -> str:
-        def show(m):
-            return [["." if e is None else str(e) for e in row] for row in m]
-
-        return json.dumps(
-            {
-                "prefixes": list(self.prefixes),
-                "alpha_u": show(self.alpha_u),
-                "alpha_v": show(self.alpha_v),
-                "separated": self.separated,
-                "decode_checks": self.decode_checks,
-                "matrix_monoid_size": self.matrix_monoid_size,
-            },
-            sort_keys=True,
-        )
 
 
 def separation_witness(

@@ -7,7 +7,6 @@ horizon ``L`` together with a completeness certificate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -249,14 +248,21 @@ class FactorSet:
     def sorted_words(self) -> list[str]:
         return sorted(self.factors, key=self.alphabet.key)
 
+    def certify(self, needed: int = 0, refusal: str = "", word: str | None = None) -> None:
+        """The gate of every query: refuse unless this set is certified complete,
+        reaches horizon ``needed`` (else ``refusal``) and holds ``word``."""
+        if not self.complete:
+            raise InsufficientHorizon("factor set is not certified complete")
+        if needed > self.horizon:
+            raise InsufficientHorizon(refusal)
+        if word is not None and word not in self.factors:
+            raise ValueError(f"{word!r} is not a factor")
+
     def complexity(self, n: int) -> int:
         """Number of factors of length exactly ``n``."""
         if n < 0:
             raise ValueError(f"complexity({n}) of a negative length")
-        if n > self.horizon:
-            raise InsufficientHorizon(f"complexity({n}) beyond horizon {self.horizon}")
-        if not self.complete:
-            raise InsufficientHorizon("factor set is not certified complete")
+        self.certify(n, f"complexity({n}) beyond horizon {self.horizon}")
         return len(self.words_of_length(n))
 
     def first_returns(self, x: str) -> frozenset[str] | None:
@@ -275,10 +281,7 @@ class FactorSet:
         once and the store is bounded by |F|.  Errors are not stored: a
         non-factor, an uncertified set or a dead end raises on every call.
         """
-        if x not in self.factors:
-            raise ValueError(f"{x!r} is not a factor")
-        if not self.complete:
-            raise InsufficientHorizon("factor set is not certified complete")
+        self.certify(word=x)
         if x not in self._returns:
             self._returns[x] = self._walk(x)
         return self._returns[x]
@@ -429,15 +432,3 @@ class FactorSet:
             alphabet.check_word(w)
             factors |= factors_of(w, horizon)
         return cls(alphabet, horizon, factors, complete=complete, source=source)
-
-    # -- export -------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "horizon": self.horizon,
-                "complete": self.complete,
-                "factors": self.sorted_words(),
-            },
-            sort_keys=True,
-        )

@@ -235,6 +235,24 @@ class TestShadow:
         ))
         assert out["separated"] is True
         assert out["prefixes"] == ["", "a", "aa"]
+        assert any("." in row for row in out["alpha_u"])  # a missing entry reads "."
+
+
+class TestImages:
+    SPELLINGS = ["a:(1 2 3);b:(3 4 5)", "a:(1,2,3);b:(3,4,5)", "a:(1, 2, 3);b:(3, 4, 5)"]
+
+    @pytest.mark.parametrize("argv", [
+        ["horder", "--subst", "a->ab;b->aaab", "--group", "A5"],
+        ["bifix", "--group", "A5", "--subst", "a->ab;b->a", "--start", "a"],
+    ], ids=["horder", "bifix"])
+    def test_commas_separate_points_like_spaces(self, argv):
+        assert len({run(*argv, "--images", images) for images in self.SPELLINGS}) == 1
+
+    def test_points_that_mix_numbers_and_names_exit_2(self):
+        code, _, stderr = invoke("horder", "--subst", "a->ab;b->aaab", "--group", "A5",
+                                 "--images", "a:(1 x)")
+        assert code == 2
+        assert "mix numbers and names" in stderr
 
 
 class TestArith:

@@ -1,7 +1,5 @@
 """Extension graphs and tree/neutral classification."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,11 +172,6 @@ class TestClassify:
             k = len(F.alphabet) - 1
             for n in range(1, F.horizon - 2):
                 assert F.complexity(n) == k * n + 1
-
-    def test_json_round_trips(self, fib_set):
-        payload = json.loads(classify(fib_set, 3).to_json())
-        assert payload["tree"] is True
-        assert payload["max_length"] == 3
 
 
 class TestClassifyAgainstEveryGraph:

@@ -1,7 +1,6 @@
 """Transformation monoids, Green's relations and induced permutation groups."""
 
 import itertools
-import json
 import tracemalloc
 from functools import reduce
 
@@ -675,18 +674,22 @@ class TestGreen:
         cid = G.j_class[M.pos[M.image_of_word("aa")]]
         assert G.is_regular_j(cid)
 
-    def test_json(self, three_state_monoid):
-        assert green(three_state_monoid).to_json() == json.dumps({
-            "j_classes": [
-                {"l_classes": 1, "members": ["bbb"], "r_classes": 1, "regular": True},
-                {"l_classes": 3, "r_classes": 3, "regular": True, "members": [
-                    "aabb", "aabba", "aabbaa", "abb", "abba", "abbaa", "bb", "bba", "bbaa"]},
-                {"l_classes": 2, "r_classes": 2, "regular": True, "members": [
-                    "a", "aa", "aab", "ab", "b", "ba", "baa", "baab"]},
-                {"l_classes": 1, "members": [""], "r_classes": 1, "regular": True},
-            ],
-            "size": 19,
-        }, sort_keys=True)
+    def test_j_classes(self, three_state_monoid):
+        # by J id: member witnesses, R-class count, L-class count, regular
+        M = three_state_monoid
+        G = green(M)
+        assert len(M) == 19
+        assert [
+            (sorted(M.witness[M.elements[i]] for i in members),
+             len({G.r_class[i] for i in members}), len({G.l_class[i] for i in members}),
+             G.is_regular_j(cid))
+            for cid, members in sorted(G.classes("J").items())
+        ] == [
+            (["bbb"], 1, 1, True),
+            (["aabb", "aabba", "aabbaa", "abb", "abba", "abbaa", "bb", "bba", "bbaa"], 3, 3, True),
+            (["a", "aa", "aab", "ab", "b", "ba", "baa", "baab"], 2, 2, True),
+            ([""], 1, 1, True),
+        ]
 
     def test_j_id_is_the_least_l_id_of_the_class(self, three_state_monoid):
         G = green(three_state_monoid)
@@ -813,6 +816,10 @@ class TestPermutations:
         assert m == {1: 2, 2: 3, 3: 1, 4: 5, 5: 4}
         assert cycle_notation(m) == "(1 2 3)(4 5)"
         assert parse_permutation("()", dom) == {p: p for p in dom}
+
+    @pytest.mark.parametrize("text", ["(1 2 3)(4 5)", "(1,2,3)(4,5)", "(1, 2, 3)(4, 5)"])
+    def test_commas_separate_points_like_spaces(self, text):
+        assert parse_permutation(text, (1, 2, 3, 4, 5)) == {1: 2, 2: 3, 3: 1, 4: 5, 5: 4}
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):

@@ -1,6 +1,5 @@
 """Limit expressions over finite monoids, decoders and separation witnesses."""
 
-import json
 import math
 
 import pytest
@@ -198,10 +197,3 @@ class TestSeparation:
     def test_bad_bijection(self, mod2):
         with pytest.raises(ValueError):
             separation_witness({"aa", "ab"}, {"a": "aa"}, mod2, "a", "aa")
-
-    def test_json_shows_zero_entries(self, fib_set, mod2):
-        X = connective_code(fib_set, "a", "b")
-        rep = separation_witness(X, {"a": "ab", "b": "aab"}, mod2, "a", "ab")
-        payload = json.loads(rep.to_json())
-        assert payload["separated"] is True
-        assert any("." in row for row in payload["alpha_u"])

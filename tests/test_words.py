@@ -6,14 +6,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from minishift.bifix import (
+    BifixCode,
+    GroupCodeSpec,
+    f_degree,
+    group_code_intersection,
+    minimal_automaton_of_star,
+)
 from minishift.errors import (
     BudgetExceeded,
     InsufficientHorizon,
     NotPrimitive,
     ParseError,
 )
-from minishift.extension import classify
-from minishift.returns import left_return_words, right_return_words
+from minishift.extension import classify, extension_graph, multiplicity
+from minishift.monoid import f_group, f_min_rank_data
+from minishift.returns import (
+    check_gamma_identity,
+    gamma,
+    left_return_words,
+    right_return_words,
+)
+from minishift.shadow import connective_code
 from minishift.words import Alphabet, FactorSet, Substitution, factors_of, occurrences
 
 
@@ -188,11 +202,46 @@ class TestFactorSet:
         assert F.complexity(4) == 3
         assert "abca" in F and "acbc" not in F
 
-    def test_json_deterministic(self, fib):
-        one = FactorSet.from_substitution(fib, "a", 6).to_json()
-        two = FactorSet.from_substitution(fib, "a", 6).to_json()
-        assert one == two
-        assert '"complete": true' in one
+
+CODE = BifixCode.of(["aa", "ab", "ba"])
+QUERIES = {
+    "complexity": lambda F: F.complexity(3),
+    "first_returns": lambda F: F.first_returns("a"),
+    "uniform_recurrence_witness": lambda F: F.uniform_recurrence_witness("a"),
+    "right_return_words": lambda F: right_return_words(F, "a"),
+    "left_return_words": lambda F: left_return_words(F, "a"),
+    "gamma": lambda F: gamma(F, "a", 3),
+    "check_gamma_identity": lambda F: check_gamma_identity(F, "a", 3),
+    "connective_code": lambda F: connective_code(F, "a", "b"),
+    "extension_graph": lambda F: extension_graph(F, "a"),
+    "multiplicity": lambda F: multiplicity(F, "a"),
+    "classify": lambda F: classify(F, 3),
+    "f_degree": lambda F: f_degree(CODE, F),
+    "group_code_intersection": lambda F: group_code_intersection(
+        GroupCodeSpec.cyclic(2, {"a": 1, "b": 1}), F),
+    "f_min_rank_data": lambda F: f_min_rank_data(minimal_automaton_of_star(CODE), F),
+    "f_group": lambda F: f_group(minimal_automaton_of_star(CODE), F),
+}
+
+
+class TestCertify:
+    """``FactorSet.certify``, the one gate every query on a factor set passes."""
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_every_query_refuses_an_uncertified_set(self, query):
+        F = FactorSet.from_words(Alphabet.of("ab"), ["abaab"], 5)
+        with pytest.raises(InsufficientHorizon, match="not certified complete"):
+            QUERIES[query](F)
+
+    def test_checks_in_order(self, fib_set):
+        uncertified = FactorSet.from_words(Alphabet.of("ab"), ["abaab"], 5)
+        with pytest.raises(InsufficientHorizon, match="not certified complete"):
+            uncertified.certify(99, "too short", "bb")
+        with pytest.raises(InsufficientHorizon, match="too short"):
+            fib_set.certify(99, "too short", "bb")
+        with pytest.raises(ValueError, match="'bb' is not a factor"):
+            fib_set.certify(16, "too short", "bb")
+        fib_set.certify(16, "too short", "abaab")
 
 
 class TestFactorSetBuilder:
