@@ -381,16 +381,15 @@ def monoid_cmd(code, subst, start, horizon, eggbox, budget):
     if subst is not None:
         F = build_factor_set(subst, start, horizon)
         parse_word("".join(F.alphabet), A.alphabet, "--subst")  # the code's letters
+        if eggbox:
+            base = monoid_mod.f_min_rank_data(A, F)[1]
+            print(structure.eggbox(structure.j_class[M.pos[A.transformation(base)]]))
+            return
         G, base, image = monoid_mod.f_group(A, F)
         out["f_min_rank"] = len(image)
         out["f_group_order"] = G.order()
         out["f_group_generators"] = G.generator_cycles()
         out["minimal_image"] = list(image)
-        if eggbox:
-            t = A.transformation(base)
-            cid = structure.j_class[M.pos[t]]
-            print(structure.eggbox(cid))
-            return
     emit(out)
 
 

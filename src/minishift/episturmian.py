@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import BudgetExceeded, InsufficientHorizon, InternalInvariantError
-from .words import Alphabet, FactorSet, Substitution
+from .words import Alphabet, FactorSet, Substitution, occurrences
 
 DEFAULT_PAL_BUDGET = 10**6
 
@@ -25,13 +25,13 @@ def palindromic_closure(w: str) -> str:
     return w  # n == 0
 
 
-def pal(u: str, budget: int = DEFAULT_PAL_BUDGET) -> str:
+def pal(u: str) -> str:
     """Iterated palindromic closure: Pal(ua) = (Pal(u)a)^(+), Pal('') = ''."""
     out = ""
     for a in u:
         out = palindromic_closure(out + a)
-        if len(out) > budget:
-            raise BudgetExceeded(f"palindromic prefix longer than {budget}")
+        if len(out) > DEFAULT_PAL_BUDGET:
+            raise BudgetExceeded(f"palindromic prefix longer than {DEFAULT_PAL_BUDGET}")
     return out
 
 
@@ -83,11 +83,7 @@ def episturmian_factor_set(directive: str, horizon: int) -> FactorSet:
     return FactorSet.from_directive(alphabet, morphisms, tail_pairs, horizon, source)
 
 
-def episturmian_left_returns(
-    directive: str,
-    u: str,
-    alphabet: Alphabet | None = None,
-) -> set[str]:
+def episturmian_left_returns(directive: str, u: str) -> set[str]:
     """Left return words to the factor ``u`` of the directed word.
 
     Recipe: take the minimal n with u a factor of the n-th palindromic
@@ -96,32 +92,24 @@ def episturmian_left_returns(
     """
     if not u:
         raise ValueError("factor must be nonempty")
-    if alphabet is None:
-        alphabet = Alphabet.of(sorted(set(directive)))
+    alphabet = Alphabet.of(sorted(set(directive)))
     alphabet.check_word(u)
 
     prefix = ""
-    n = None
-    for k, a in enumerate(directive, start=1):
+    for n, a in enumerate(directive, start=1):
         prefix = palindromic_closure(prefix + a)
         if u in prefix:
-            n = k
             break
-    if n is None:
+    else:
         raise InsufficientHorizon(
             f"{u!r} not a factor of the prefix directed by {directive!r}"
         )
-
-    zs = [
-        prefix[:i]
-        for i in range(len(prefix) - len(u) + 1)
-        if prefix[i : i + len(u)] == u
-    ]
-    if len(zs) != 1:
+    count = occurrences(u, prefix)
+    if count != 1:
         raise InternalInvariantError(
-            f"{u!r} occurs {len(zs)} times in the minimal tower stage, expected once"
+            f"{u!r} occurs {count} times in the minimal tower stage, expected once"
         )
-    z = zs[0]
+    z = prefix[: prefix.index(u)]
 
     morphism = psi(directive[:n], alphabet)
     out = set()

@@ -183,9 +183,9 @@ class SubgroupGraph:
         """Subgroup index: the vertex count if complete, else None (infinite)."""
         return self._live if self.is_complete() else None
 
-    def trace(self, word: str, start: int | None = None) -> int | None:
+    def trace(self, word: str) -> int | None:
         find, steps = self._find, self._steps
-        v = find(self.base if start is None else start)
+        v = find(self.base)
         for c in reduce(word):
             step = steps.get(c)
             t = -1 if step is None else step[0][v]

@@ -637,6 +637,7 @@ def f_group(
     """Permutation group induced by return words on a minimal image.
 
     Returns (group, base word, image as a tuple of original state names).
+    At rank 0 the image is empty and the group trivial: no return word is walked.
     """
     from .returns import right_return_words
 
@@ -649,7 +650,7 @@ def f_group(
         raise InternalInvariantError(f"base word {word!r} does not reach minimal rank")
     image = sorted(transformation_image(t))
     gens = []
-    for r in sorted(right_return_words(F, word).words, key=shortlex):
+    for r in sorted(right_return_words(F, word).words if rank else (), key=shortlex):
         action = _word_action(letter_maps, r, len(A.states))
         if any(action[q] not in image for q in image):
             raise InternalInvariantError(

@@ -203,36 +203,24 @@ def parse_expression(
 
 
 def is_code(words: set[str] | frozenset[str]) -> bool:
-    """Sardinas-Patterson: no word has two factorizations."""
-    X = {w for w in words if w}
+    """Sardinas-Patterson: X is a code iff no U_n holds the empty word, where
+    U_1 = X^-1 X minus {''} and U_n+1 = X^-1 U_n | U_n^-1 X (Berstel, Perrin,
+    Reutenauer, Codes and Automata, CUP 2010, ch. 2).  The U_n are sets of
+    suffixes of X, so the sequence repeats within finitely many steps."""
+    X = frozenset(w for w in words if w)
     if len(X) != len(words):
         return False  # the empty word is never part of a code
-    first = {
-        x[len(y):]
-        for x in X
-        for y in X
-        if x != y and x.startswith(y)
-    }
-    seen: set[frozenset[str]] = set()
-    current = first
-    while current:
-        if "" in current:
+
+    def quotient(P, Q) -> frozenset[str]:
+        """P^-1 Q: the words s with p s in Q for some p in P."""
+        return frozenset(q[len(p):] for p in P for q in Q if q.startswith(p))
+
+    U, seen = quotient(X, X) - {""}, set()
+    while U not in seen:
+        if "" in U:
             return False
-        key = frozenset(current)
-        if key in seen:
-            return True
-        seen.add(key)
-        nxt = set()
-        for u in current:
-            for x in X:
-                if x.startswith(u) and x != u:
-                    nxt.add(x[len(u):])
-                if u.startswith(x):
-                    if u != x:
-                        nxt.add(u[len(x):])
-                    else:
-                        nxt.add("")
-        current = nxt
+        seen.add(U)
+        U = quotient(X, U) | quotient(U, X)
     return True
 
 
@@ -279,8 +267,6 @@ def separation_witness(
     psi: MorphismToFinite,
     u: str,
     v: str,
-    samples: int = 100,
-    seed: int = 0,
     budget: int = DEFAULT_MONOID_BUDGET,
 ) -> SeparationReport:
     """Matrix morphism realizing the decoder of X, separating u from v.
@@ -337,13 +323,13 @@ def separation_witness(
 
     e = index[""]
     letters_b = sorted(beta)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     checks = 0
     for y in letters_b:
         if alpha(encode(y))[e][e] != psi.images[y]:
             raise InternalInvariantError(f"decoder identity fails on letter {y!r}")
         checks += 1
-    for _ in range(samples):
+    for _ in range(100):
         w = "".join(rng.choice(letters_b) for _ in range(rng.randint(0, 8)))
         if alpha(encode(w))[e][e] != psi.of_word(w):
             raise InternalInvariantError(f"decoder identity fails on {w!r}")

@@ -157,9 +157,6 @@ class Substitution:
     def serialize(self) -> str:
         return ";".join(f"{a}->{self.images[a]}" for a in self.alphabet)
 
-    def __call__(self, word: str) -> str:
-        return self.apply(word)
-
     def apply(self, word: str) -> str:
         """Homomorphic extension: concatenation of letter images."""
         return "".join(self.images[self.alphabet.check_word(c)] for c in word)
@@ -250,12 +247,15 @@ class FactorSet:
 
     def certify(self, needed: int = 0, refusal: str = "", word: str | None = None) -> None:
         """The gate of every query: refuse unless this set is certified complete,
-        reaches horizon ``needed`` (else ``refusal``) and holds ``word``."""
+        reaches horizon ``needed`` (else ``refusal``) and holds ``word``; a word
+        longer than the horizon is refused as a horizon, not as a non-factor."""
         if not self.complete:
             raise InsufficientHorizon("factor set is not certified complete")
         if needed > self.horizon:
             raise InsufficientHorizon(refusal)
         if word is not None and word not in self.factors:
+            if len(word) > self.horizon:
+                raise InsufficientHorizon(f"{word!r} is longer than horizon {self.horizon}")
             raise ValueError(f"{word!r} is not a factor")
 
     def complexity(self, n: int) -> int:
@@ -418,17 +418,10 @@ class FactorSet:
         return cls(alphabet, horizon, factors, complete=True, source=f"periodic {word}")
 
     @classmethod
-    def from_words(
-        cls,
-        alphabet: Alphabet,
-        words: Iterable[str],
-        horizon: int,
-        complete: bool = False,
-        source: str = "explicit list",
-    ) -> "FactorSet":
-        """Factorial closure of an explicit word list, truncated at the horizon."""
+    def from_words(cls, alphabet: Alphabet, words: Iterable[str], horizon: int) -> "FactorSet":
+        """Factorial closure of an explicit word list, truncated at the horizon; never certified."""
         factors: set[str] = set()
         for w in words:
             alphabet.check_word(w)
             factors |= factors_of(w, horizon)
-        return cls(alphabet, horizon, factors, complete=complete, source=source)
+        return cls(alphabet, horizon, factors, complete=False, source="explicit list")

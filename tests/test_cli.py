@@ -177,9 +177,18 @@ class TestMonoid:
             "--subst", "a->ab;b->a", "--start", "a", "--horizon", "48",
         )
         assert out == (
-            '{"f_group_generators": ["()", "()"], "f_group_order": 1, "f_min_rank": 0, '
+            '{"f_group_generators": [], "f_group_order": 1, "f_min_rank": 0, '
             '"j_classes": 120, "minimal_image": [], "monoid_size": 662, "states": 21}\n'
         )
+
+    def test_rank_zero_walks_no_return_words(self):
+        # the return walk of the rank-0 base 'babaabaababaabaa' is cut at horizon 48
+        out = json.loads(run(
+            "monoid", "--code", "aa,ab,babaaba",
+            "--subst", "a->ab;b->a", "--start", "a", "--horizon", "48",
+        ))
+        assert out["f_min_rank"] == 0 and out["f_group_order"] == 1
+        assert out["f_group_generators"] == [] and out["minimal_image"] == []
 
     def test_code_with_three_hundred_states(self):
         # 256 states or more keep their state maps as tuples

@@ -432,7 +432,7 @@ def tuple_f_group(A, F, base=None):
         raise InternalInvariantError(f"base word {word!r} does not reach minimal rank")
     image = sorted(tuple_image(t))
     gens = []
-    for r in sorted(right_return_words(F, word).words, key=shortlex):
+    for r in sorted(right_return_words(F, word).words if rank else (), key=shortlex):
         action = act(r)
         if any(action[q] not in image for q in image):
             raise InternalInvariantError(f"return word {r!r} does not permute the minimal image")
@@ -978,6 +978,15 @@ class TestFMinimal:
             G, base, _ = f_group(A, F)
             assert base == word and G.order() == order
             assert walks == walked
+
+    def test_group_at_rank_zero_walks_nothing(self, fib):
+        A = minimal_automaton_of_star(BifixCode.of(["aa", "ab", "babaaba"]))
+        F = FactorSet.from_substitution(fib, "a", 48)
+        rank, word, _ = f_min_rank_data(A, F)
+        walks = count_walks(F)
+        G, base, names = f_group(A, F)
+        assert (rank, base) == (0, word) and walks == []
+        assert (G.order(), G.generator_cycles(), names) == (1, [], ())
 
     @settings(max_examples=60)
     @given(primitive_substitutions(), bifix_codes(), st.sampled_from([8, 16, 24, 32]))

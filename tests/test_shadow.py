@@ -1,6 +1,8 @@
 """Limit expressions over finite monoids, decoders and separation witnesses."""
 
 import math
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,21 @@ class TestParser:
                 parse_expression(bad, substitutions={})
 
 
+def brute_force_is_code(X: set[str], maxlen: int = 9) -> bool:
+    """No product of at most ``maxlen`` letters spells two different tuples of X."""
+    if "" in X:
+        return False  # ("",) and () spell the same word
+    ways = [Counter({"": 1})]  # ways[n][w]: the number of tuples of X with product w, |w| = n
+    for n in range(1, maxlen + 1):
+        level = Counter()
+        for x in X:
+            if len(x) <= n:
+                for p, k in ways[n - len(x)].items():
+                    level[p + x] += k
+        ways.append(level)
+    return all(k == 1 for level in ways for k in level.values())
+
+
 class TestIsCode:
     def test_examples(self):
         assert is_code({"aa", "ab", "ba"})
@@ -163,6 +180,13 @@ class TestIsCode:
     def test_singletons_and_letters(self):
         assert is_code({"abab"})
         assert is_code({"a", "b"})
+
+    def test_against_two_factorizations_by_brute_force(self):
+        words = ["".join(p) for n in (1, 2, 3) for p in product("ab", repeat=n)]
+        family = [set(X) for k in (1, 2, 3) for X in combinations(words, k)]
+        assert len(family) == 469
+        for X in family + [{"", "a"}]:
+            assert is_code(X) == brute_force_is_code(X), sorted(X)
 
 
 class TestSeparation:

@@ -243,6 +243,17 @@ class TestCertify:
             fib_set.certify(16, "too short", "bb")
         fib_set.certify(16, "too short", "abaab")
 
+    @pytest.mark.parametrize("query", [right_return_words, left_return_words,
+                                       FactorSet.uniform_recurrence_witness],
+                             ids=lambda f: f.__name__)
+    def test_a_word_past_the_horizon_is_refused_as_a_horizon(self, fib, query):
+        F = FactorSet.from_substitution(fib, "a", 8)
+        assert "abaababaa" in FactorSet.from_substitution(fib, "a", 9)
+        with pytest.raises(InsufficientHorizon, match="'abaababaa' is longer than horizon 8"):
+            query(F, "abaababaa")
+        with pytest.raises(ValueError, match="'bb' is not a factor"):
+            query(F, "bb")
+
 
 class TestFactorSetBuilder:
     """The L2-seeded builder: edge cases and a brute-force differential test."""
