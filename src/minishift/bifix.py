@@ -80,14 +80,24 @@ def f_degree(X: BifixCode, F: FactorSet) -> int:
     """Maximal parse count over factors; attained on non-internal factors.
 
     A factor at least as long as the longest code word cannot be internal
-    to a code word, so its parse count realizes the maximum.
+    to a code word, so its parse count realizes the maximum.  X is a prefix
+    code, so from a cut i of w the blocks are forced up to a remainder that
+    no code word prefixes: each cut whose prefix w[:i] has no code-word
+    suffix starts exactly one parse, and no other cut starts one.
     """
     n = X.max_length()
     F.certify(n, f"degree needs factors of length {n}")
     witnesses = F.words_of_length(n)
     if not witnesses:
         raise ValueError("factor set has no word of the required length")
-    return max(len(parses(w, X)) for w in witnesses)
+    words = X.words
+    lengths = {len(x) for x in words}
+
+    def blocked(w: str) -> set[int]:
+        """The cuts i where a code word is a suffix of w[:i]."""
+        return {i for k in lengths for i in range(k, n + 1) if w[i - k : i] in words}
+
+    return max(n + 1 - len(blocked(w)) for w in witnesses)
 
 
 # ------------------------------------------------------------ group codes

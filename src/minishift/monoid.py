@@ -243,27 +243,41 @@ class FiniteMonoid:
         "Algorithms for computing finite semigroups", Foundations of
         Computational Mathematics, 1997).  ``mul`` may also be a right
         action of the generators on points: the closure is then the orbit of
-        ``identity``.
+        ``identity``.  ``bytes`` state maps under ``compose`` are multiplied
+        by one ``bytes.translate`` with a table built once per generator
+        (``_right_action``); ``mul`` is still what the monoid keeps.
         """
-        gens = list(generators.values())
+        act, operands = _right_action(mul, list(generators.values()))
         elements = [identity]
         pos = {identity: 0}
         right: list[int] = []
         found_at = [-1]
-        i = 0
-        while i < len(elements):
-            x = elements[i]
-            for g in gens:
-                y = mul(x, g)
-                k = pos.setdefault(y, len(elements))
-                if k == len(elements):
-                    if k >= budget:
+        setdefault = pos.setdefault
+        record = right.append
+        size = 1
+        for x in elements:  # grows as it is read: breadth-first
+            for g in operands:
+                y = act(x, g)
+                k = setdefault(y, size)
+                if k == size:
+                    if size >= budget:
                         raise BudgetExceeded(f"monoid larger than budget {budget}")
                     elements.append(y)
                     found_at.append(len(right))
-                right.append(k)
-            i += 1
+                    size += 1
+                record(k)
         return cls(elements, pos, mul, identity, generators, right, found_at)
+
+
+def _right_action(mul: Callable, gens: list) -> tuple[Callable, list]:
+    """``(act, operands)`` with act(x, operands[j]) == mul(x, gens[j]).
+
+    ``bytes`` maps under ``compose`` act by ``bytes.translate`` alone, each
+    generator's 256-byte table built once; any other ``mul`` is kept.
+    """
+    if mul is compose and all(type(g) is bytes for g in gens):
+        return bytes.translate, [g + _TAILS[len(g)] for g in gens]
+    return mul, gens
 
 
 def transition_monoid(
@@ -417,7 +431,8 @@ def green(M: FiniteMonoid) -> GreenStructure:
     j_class = [least_l[r] for r in r_class]
     pair_ids: dict[tuple[int, int], int] = {}
     h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
-    idem = [M.is_idempotent(x) for x in M.elements]
+    mul = M._mul
+    idem = [mul(x, x) == x for x in M.elements]
     return GreenStructure(M, r_class, l_class, j_class, h_class, idem)
 
 

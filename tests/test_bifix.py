@@ -19,7 +19,7 @@ from minishift.bifix import (
     parses,
 )
 from minishift.errors import InsufficientHorizon
-from minishift.monoid import Automaton, transition_monoid
+from minishift.monoid import Automaton, parse_permutation, transition_monoid
 from minishift.words import Alphabet, FactorSet, shortlex
 
 
@@ -176,6 +176,72 @@ class TestDegree:
         X = BifixCode.of(["a" * 20])
         with pytest.raises(InsufficientHorizon):
             f_degree(X, FactorSet.from_substitution(fib, "a", 16))
+
+
+def max_parse_count(X: BifixCode, F: FactorSet) -> int:
+    """Oracle for ``f_degree``: the most parses that ``parses`` lists on a factor of length max |x|."""
+    return max(len(parses(w, X)) for w in F.words_of_length(X.max_length()))
+
+
+# Generating pairs of A5 and S5 as cycles of 1..5, and relabellings of the points.
+PERMUTATION_PAIRS = {"A5": ("(1 2 3)", "(3 4 5)"), "S5": ("(1 2 3 4 5)", "(1 2)")}
+RELABELLINGS = [(1, 2, 3, 4, 5), (2, 3, 1, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4)]
+
+
+def relabelled_spec(pair: str, pi: tuple, letters: list[str]) -> GroupCodeSpec:
+    """The pair's action with point p renamed pi[p - 1], base point 1; a third
+    letter acts as the first then the second."""
+    dom = (1, 2, 3, 4, 5)
+    a, b = (parse_permutation(text, dom) for text in PERMUTATION_PAIRS[pair])
+    perms = [a, b, {p: b[a[p]] for p in dom}]
+    images = {x: {pi[p - 1]: pi[g[p] - 1] for p in dom} for x, g in zip(letters, perms)}
+    return GroupCodeSpec(dom, images, 1)
+
+
+class TestDegreeByCuts:
+    """``f_degree`` counts cuts; ``parses`` lists every parse: the two must agree."""
+
+    @pytest.mark.parametrize(
+        "fixture, answered",
+        [("fib_set_64", 55), ("tm_set_64", 55), ("trib_set_64", 221), ("quad_set", 55)],
+    )
+    def test_cyclic_group_codes(self, request, fixture, answered):
+        F = request.getfixturevalue(fixture)
+        letters = F.words_of_length(1)
+        seen = 0
+        for m in range(1, 6):
+            for weights in product(range(m), repeat=len(letters)):
+                spec = GroupCodeSpec.cyclic(m, dict(zip(letters, weights)))
+                try:
+                    X = group_code_intersection(spec, F)
+                except InsufficientHorizon:
+                    continue
+                assert f_degree(X, F) == max_parse_count(X, F), (m, weights)
+                seen += 1
+        assert seen == answered
+
+    @pytest.mark.parametrize("pair", sorted(PERMUTATION_PAIRS))
+    @pytest.mark.parametrize("fixture", ["fib_set_64", "tm_set_64", "trib_set_64", "quad_set"])
+    def test_relabelled_permutation_codes(self, request, fixture, pair):
+        F = request.getfixturevalue(fixture)
+        for pi in RELABELLINGS:
+            X = group_code_intersection(relabelled_spec(pair, pi, F.words_of_length(1)), F)
+            assert f_degree(X, F) == max_parse_count(X, F) == 5, pi
+
+    @pytest.mark.parametrize(
+        "words, degree",
+        [
+            (["a", "b"], 1),
+            (["aa", "ab", "ba"], 2),
+            (["aab", "aba", "abb", "baa", "bab", "bba"], 3),
+            (["aba"], 4),
+            (["aa", "bab", "baab"], 4),
+            (["aabaa"], 6),
+        ],
+    )
+    def test_hand_written_codes(self, fib_set_64, words, degree):
+        X = BifixCode.of(words)
+        assert f_degree(X, fib_set_64) == max_parse_count(X, fib_set_64) == degree
 
 
 class TestGroupCodes:

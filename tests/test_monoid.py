@@ -41,7 +41,7 @@ from minishift.monoid import (
     transformation_rank,
     transition_monoid,
 )
-from minishift.monoid import _left_graph, _sccs
+from minishift.monoid import _left_graph, _right_action, _sccs
 from minishift.returns import right_return_words
 from minishift.words import Alphabet, FactorSet, shortlex
 from test_bifix import bifix_codes
@@ -65,6 +65,22 @@ def small_automata(draw, max_states=3):
             if r is not None:
                 transitions[(q, a)] = r
     return Automaton(Alphabet.of(letters), states, 0, frozenset({0}), transitions)
+
+
+@st.composite
+def byte_automata(draw):
+    """Partial automata on fewer than 256 states: small random ones, or two
+    letters acting as q -> k*q + c mod n on six to 255 states, each with up
+    to three states that have no transition on it."""
+    if draw(st.booleans()):
+        return draw(small_automata(max_states=5))
+    n = draw(st.integers(6, 255))
+    transitions = {}
+    for a in "ab":
+        k, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        holes = draw(st.sets(st.integers(0, n - 1), max_size=3))
+        transitions.update({(q, a): (k * q + c) % n for q in range(n) if q not in holes})
+    return Automaton(AB, tuple(range(n)), 0, frozenset({0}), transitions)
 
 
 @st.composite
@@ -764,6 +780,68 @@ class TestCayleyGraph:
         with pytest.raises(BudgetExceeded) as cut:
             FiniteMonoid.from_generators(gens, compose, identity, budget=len(M) - 1)
         assert str(cut.value) == f"monoid larger than budget {len(M) - 1}"
+
+
+def generic_compose(x, y):
+    """``compose`` under another name: the closure then calls it for every product."""
+    return compose(x, y)
+
+
+def green_lists(M):
+    G = green(M)
+    return G.r_class, G.l_class, G.j_class, G.h_class, G.idempotent
+
+
+def assert_closures_agree(gens, identity, budget):
+    """The closure under ``compose`` and under ``generic_compose`` agree, or
+    both stop with the same refusal; returns the first, or None if cut."""
+    try:
+        slow = FiniteMonoid.from_generators(gens, generic_compose, identity, budget)
+    except BudgetExceeded as cut:
+        with pytest.raises(BudgetExceeded) as same:
+            FiniteMonoid.from_generators(gens, compose, identity, budget)
+        assert str(same.value) == str(cut)
+        return None
+    fast = FiniteMonoid.from_generators(gens, compose, identity, budget)
+    assert fast.elements == slow.elements
+    assert fast.right == slow.right and fast.found_at == slow.found_at
+    assert green_lists(fast) == green_lists(slow)
+    return fast
+
+
+class TestTableClosure:
+    """The closure by per-generator ``bytes.translate`` tables against the generic one."""
+
+    @settings(max_examples=120)
+    @given(byte_automata(), st.integers(1, 3000))
+    def test_same_closure_as_the_generic_path(self, A, budget):
+        gens = A.letter_transformations()
+        identity = A.transformation("")
+        assert _right_action(compose, list(gens.values()))[0] is bytes.translate
+        M = assert_closures_agree(gens, identity, budget)
+        if M is not None and len(M) > 1:
+            assert assert_closures_agree(gens, identity, len(M)) is not None
+            assert assert_closures_agree(gens, identity, len(M) - 1) is None
+
+    def test_256_states_or_more_close_on_the_tuple_path(self):
+        n = 300
+        A = Automaton(
+            AB,
+            tuple(range(n)),
+            0,
+            frozenset({0}),
+            {**{(q, "a"): (q + 1) % n for q in range(n)}, **{(q, "b"): 0 for q in range(n)}},
+        )
+        gens = A.letter_transformations()
+        assert _right_action(compose, list(gens.values()))[0] is compose
+        M = assert_closures_agree(gens, A.transformation(""), DEFAULT_MONOID_BUDGET)
+        assert len(M) == 2 * n  # the n rotations and the n constant maps
+        assert {type(x) for x in M.elements} == {tuple}
+
+    def test_other_multiplications_are_kept(self):
+        gens = [(1, 0), (0, 1)]
+        assert _right_action(compose, gens) == (compose, gens)
+        assert _right_action(generic_compose, [b"\x01\x00"]) == (generic_compose, [b"\x01\x00"])
 
 
 class TestGreenOracle:
