@@ -88,7 +88,8 @@ def episturmian_left_returns(directive: str, u: str) -> set[str]:
 
     Recipe: take the minimal n with u a factor of the n-th palindromic
     prefix u_n, the unique z with z+u a prefix of u_n, and conjugate the
-    images psi(directive[:n])(a) by z.
+    images psi(directive[:n])(a) by z.  The letters a are those of the tail
+    word directed by directive[n:], so every letter must occur there.
     """
     if not u:
         raise ValueError("factor must be nonempty")
@@ -103,6 +104,12 @@ def episturmian_left_returns(directive: str, u: str) -> set[str]:
     else:
         raise InsufficientHorizon(
             f"{u!r} not a factor of the prefix directed by {directive!r}"
+        )
+    missing = set(alphabet) - set(directive[n:])
+    if missing:
+        raise InsufficientHorizon(
+            f"{u!r} needs depth {n} of directive {directive!r}, whose tail "
+            f"{directive[n:]!r} lacks the letters {''.join(sorted(missing))!r}"
         )
     count = occurrences(u, prefix)
     if count != 1:

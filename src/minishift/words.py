@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -205,7 +205,8 @@ class FactorSet:
     """All factors of a subshift up to a horizon, with provenance.
 
     ``complete`` asserts that ``factors`` equals the set of all factors of
-    the underlying subshift of length <= ``horizon``.
+    the underlying subshift of length <= ``horizon``.  Its members are kept
+    in one list per length too: a builder's prefix levels, or ``factors`` bucketed.
     """
 
     def __init__(
@@ -221,9 +222,24 @@ class FactorSet:
         self.factors = frozenset(factors)
         self.complete = complete
         self.source = source
-        self._buckets: dict[int, list[str]] | None = None
+        self._levels: dict[int, list[str]] = {}
+        for w in self.factors:
+            self._levels.setdefault(len(w), []).append(w)
         self._by_length: dict[int, tuple[str, ...]] = {}
         self._returns: dict[str, frozenset[str] | None] = {}
+
+    @classmethod
+    def _of_windows(cls, alphabet: Alphabet, horizon: int, windows: set[str], source: str):
+        """Certified set of an infinite word whose factors of length L are ``windows``: each
+        shorter factor extends to the right, so level n is the prefixes of level n + 1."""
+        levels, level = {0: [""]}, windows
+        for n in range(horizon, 0, -1):
+            levels[n] = list(level)
+            level = {u[:-1] for u in level}
+        F = cls(alphabet, horizon, (), True, source)
+        F.factors = frozenset(chain.from_iterable(levels.values()))
+        F._levels = levels
+        return F
 
     def __contains__(self, word: str) -> bool:
         return word in self.factors
@@ -232,14 +248,11 @@ class FactorSet:
         return len(self.factors)
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
-        """Members of length ``n`` in shortlex order; buckets by length on first use."""
+        """Members of length ``n`` in shortlex order; each length is sorted on first use."""
         if n not in self._by_length:
-            if self._buckets is None:
-                self._buckets = {}
-                for w in self.factors:
-                    self._buckets.setdefault(len(w), []).append(w)
-            bucket = self._buckets.pop(n, ())
-            self._by_length[n] = tuple(sorted(bucket, key=self.alphabet.key))
+            # within one length the key only translates letters: str order if they are sorted
+            key = None if list(self.alphabet) == sorted(self.alphabet) else self.alphabet.key
+            self._by_length[n] = tuple(sorted(self._levels.pop(n, ()), key=key))
         return self._by_length[n]
 
     def sorted_words(self) -> list[str]:
@@ -360,16 +373,11 @@ class FactorSet:
             if max(map(len, power.values())) > max_prefix:
                 raise BudgetExceeded("fixed-point prefix budget exceeded")
 
-        # windows of the widest length, then their prefixes and suffixes
         pairs = sorted(tail_pairs(k), key=alphabet.key) if horizon else []
         words = [power[ab[0]] + power[ab[1]] for ab in pairs]
-        level = {w[i : i + horizon] for w in words for i in range(len(w) - horizon + 1)}
-        factors = level | {""}
-        for _ in range(horizon):
-            level = {u[1:] for u in level} | {u[:-1] for u in level}
-            factors |= level
+        windows = {w[i : i + horizon] for w in words for i in range(len(w) - horizon + 1)}
         source = f"{source}: factors of tau_[0,{k})(ab) for ab in L2 = {{{','.join(pairs)}}}"
-        return cls(alphabet, horizon, factors, complete=True, source=source)
+        return cls._of_windows(alphabet, horizon, windows, source)
 
     @classmethod
     def from_substitution(
@@ -412,10 +420,9 @@ class FactorSet:
         """Factors of the periodic word ``word^infinity``."""
         if not word:
             raise ValueError("periodic word must be nonempty")
-        alphabet = Alphabet.of(sorted(set(word)))
-        reps = (horizon // len(word)) + 2
-        factors = factors_of(word * reps, horizon)
-        return cls(alphabet, horizon, factors, complete=True, source=f"periodic {word}")
+        text = word * (horizon // len(word) + 2)
+        windows = {text[i : i + horizon] for i in range(len(word))}
+        return cls._of_windows(Alphabet.of(sorted(set(word))), horizon, windows, f"periodic {word}")
 
     @classmethod
     def from_words(cls, alphabet: Alphabet, words: Iterable[str], horizon: int) -> "FactorSet":

@@ -1,9 +1,10 @@
 """Palindromic closure, elementary morphisms, directed words and left returns."""
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minishift.episturmian import (
@@ -58,6 +59,25 @@ UNITS = [
     for p in product(letters, repeat=n)
     if set(p) == set(letters)
 ]
+
+
+@lru_cache(maxsize=None)
+def directed_prefix(unit: str) -> str:
+    """2^13 letters of the word directed by ``unit`` repeated: every factor up to
+    length 16 occurs in it (``test_every_unit_matches_the_directed_word``)."""
+    return justin_prefix(unit, 2**13)
+
+
+@st.composite
+def infinite_words(draw):
+    """A certified set at a horizon L <= 16, and a prefix of its infinite word that
+    holds every factor of length <= L: a periodic word or a directed word."""
+    horizon = draw(st.integers(0, 16))
+    if draw(st.booleans()):
+        word = draw(st.text(alphabet="abc", min_size=1, max_size=6))
+        return FactorSet.from_periodic(word, horizon), word * (horizon + 2)
+    unit = draw(st.sampled_from(UNITS))
+    return episturmian_factor_set(unit * 20, horizon), directed_prefix(unit)
 
 
 class TestClosure:
@@ -189,6 +209,21 @@ class TestFactorSet:
             episturmian_factor_set("baaa", 2)
 
 
+class TestPrefixChain:
+    """Sets built from their widest windows by prefixes alone, against a scan."""
+
+    @settings(max_examples=80)
+    @given(infinite_words())
+    def test_matches_the_factors_of_a_long_prefix(self, built):
+        F, w = built
+        L, letters = F.horizon, F.alphabet.letters
+        assert F.factors == {w[i:j] for i in range(len(w)) for j in range(i, min(i + L, len(w)) + 1)}
+        for n in range(L + 2):
+            members = [u for u in F.factors if len(u) == n]
+            assert F.words_of_length(n) == tuple(
+                sorted(members, key=lambda u: [letters.index(c) for c in u]))
+
+
 class TestLeftReturns:
     def test_single_letter(self):
         assert episturmian_left_returns("ab" * 6, "a") == {"a", "ab"}
@@ -204,6 +239,12 @@ class TestLeftReturns:
     def test_missing_factor(self):
         with pytest.raises(InsufficientHorizon):
             episturmian_left_returns("abab", "bb")
+
+    @pytest.mark.parametrize("directive, missing", [("abbbbb", "a"), ("ab", "ab")])
+    def test_tail_missing_a_letter(self, directive, missing):
+        # b first occurs in Pal(ab) = aba, and the letters after ab fix its returns
+        with pytest.raises(InsufficientHorizon, match=f"lacks the letters '{missing}'"):
+            episturmian_left_returns(directive, "b")
 
     def test_agrees_with_factor_set_returns(self, fib_set_64):
         for u in ["a", "b", "aa", "ab", "ba", "aba", "aab", "abaab"]:

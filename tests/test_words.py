@@ -1,6 +1,7 @@
 """Words, substitutions and certified factor sets."""
 
 import re
+from itertools import repeat
 
 import pytest
 from hypothesis import assume, given, settings
@@ -314,6 +315,30 @@ class TestFactorSetBuilder:
     def test_source_records_certificate(self, tm):
         F = FactorSet.from_substitution(tm, "a", 16)
         assert F.source.endswith("tau_[0,4)(ab) for ab in L2 = {aa,ab,ba,bb}")
+
+
+class TestLengthIndex:
+    """``words_of_length`` reads the lists per length that each constructor keeps."""
+
+    def test_order_on_an_alphabet_not_in_code_point_order(self):
+        ba = Alphabet.of("ba")
+        fib_ba = Substitution(ba, {"a": "ab", "b": "a"})
+        sets = [
+            FactorSet.from_directive(ba, repeat(fib_ba), lambda k: {"aa", "ab", "ba"}, 12, "fib"),
+            FactorSet.from_words(Alphabet.of("cab"), ["abcab", "ccab", "bacca"], 5),
+        ]
+        for F in sets:
+            for n in range(-1, F.horizon + 2):
+                members = [w for w in F.factors if len(w) == n]
+                assert F.words_of_length(n) == tuple(sorted(members, key=F.alphabet.key))
+        assert sets[0].words_of_length(2) == ("ba", "ab", "aa")
+        assert sets[1].words_of_length(1) == ("c", "a", "b")
+
+    def test_the_flat_constructor_buckets_suffixes(self):
+        # b is a factor of ab but no prefix of a longer factor
+        F = FactorSet.from_words(Alphabet.of("ab"), ["ab"], 3)
+        assert F.factors == {"", "a", "b", "ab"}
+        assert [F.words_of_length(n) for n in range(4)] == [("",), ("a", "b"), ("ab",), ()]
 
 
 class TestDifferentialOracles:
