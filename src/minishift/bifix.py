@@ -128,6 +128,8 @@ class GroupCodeSpec:
     @classmethod
     def cyclic(cls, m: int, weights: dict[str, int]) -> "GroupCodeSpec":
         """Regular representation of Z/m with letter a adding weights[a]."""
+        if m < 1:
+            raise ValueError("modulus must be positive")
         dom = tuple(range(m))
         images = {
             a: {p: (p + k) % m for p in dom} for a, k in weights.items()
@@ -202,21 +204,21 @@ def minimal_automaton_of_star(X: BifixCode, alphabet: Alphabet | None = None) ->
             return ""
         return q if q in residuals else None
 
-    # breadth-first numbering of the classes from the root, states named 1..n
+    # breadth-first numbering of the classes from the root, states named 1..n;
+    # equal residuals move alike, so the prefix that first reached a class
+    # (queue[i - 1] for state i) writes that class's transitions
     number = {class_of[""]: 1}
     queue = [""]
-    for p in queue:
+    transitions = {}
+    for i, p in enumerate(queue, 1):
         for a in alphabet:
             q = target(p, a)
-            if q is not None and class_of[q] not in number:
+            if q is None:
+                continue
+            if class_of[q] not in number:
                 number[class_of[q]] = len(number) + 1
                 queue.append(q)
-    transitions = {}
-    for p in sorted(residuals, key=shortlex):
-        for a in alphabet:
-            q = target(p, a)
-            if q is not None:
-                transitions[(number[class_of[p]], a)] = number[class_of[q]]
+            transitions[(i, a)] = number[class_of[q]]
     return Automaton(
         alphabet,
         tuple(number.values()),

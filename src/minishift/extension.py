@@ -131,6 +131,8 @@ def classify(F: FactorSet, max_length: int) -> Classification:
     other side, the graph is a star, of multiplicity 0, connected and
     acyclic, so no graph is built; every other word gets its graph.
     """
+    if max_length < 0:
+        raise ValueError(f"classify({max_length}) of a negative length")
     needed = max_length + 2
     F.certify(needed, f"classification up to length {max_length} needs horizon {needed}")
     factors, letters = F.factors, F.alphabet.letters

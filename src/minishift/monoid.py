@@ -145,6 +145,7 @@ def omega_index(start: int, period: int) -> int:
 # ---------------------------------------------------------------- monoids
 
 
+@dataclass(eq=False, repr=False)
 class FiniteMonoid:
     """Finite monoid with explicit elements, generator witnesses and Cayley graph.
 
@@ -154,23 +155,13 @@ class FiniteMonoid:
     the identity).
     """
 
-    def __init__(
-        self,
-        elements: list,
-        pos: dict,
-        mul: Callable,
-        identity,
-        generators: dict[str, Hashable],
-        right: list[int],
-        found_at: list[int],
-    ) -> None:
-        self.elements = elements
-        self.pos = pos
-        self._mul = mul
-        self.identity = identity
-        self.generators = generators
-        self.right = right
-        self.found_at = found_at
+    elements: list
+    pos: dict
+    mul: Callable
+    identity: Hashable
+    generators: dict[str, Hashable]
+    right: list[int]
+    found_at: list[int]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -190,29 +181,26 @@ class FiniteMonoid:
             words.append(words[p] + names[b])
         return dict(zip(self.elements, words))
 
-    def mul(self, x, y):
-        return self._mul(x, y)
-
     def product(self, xs: Iterable):
         acc = self.identity
         for x in xs:
-            acc = self._mul(acc, x)
+            acc = self.mul(acc, x)
         return acc
 
     def image_of_word(self, word: str):
         return self.product(self.generators[a] for a in word)
 
     def is_idempotent(self, x) -> bool:
-        return self._mul(x, x) == x
+        return self.mul(x, x) == x
 
     def index_period(self, s) -> tuple[int, int]:
         """Least (i, p) with s^(i+p) = s^i, i >= 1, p >= 1."""
-        _, preperiod, period = orbit(s, lambda t: self._mul(t, s))
+        _, preperiod, period = orbit(s, lambda t: self.mul(t, s))
         return preperiod + 1, period
 
     def omega_power(self, s):
         """The unique idempotent power of ``s``."""
-        powers, preperiod, period = orbit(s, lambda t: self._mul(t, s))
+        powers, preperiod, period = orbit(s, lambda t: self.mul(t, s))
         power = powers[omega_index(preperiod + 1, period) - 1]  # powers[n] is s^(n+1)
         if not self.is_idempotent(power):
             raise InternalInvariantError("omega power not idempotent")
@@ -431,7 +419,7 @@ def green(M: FiniteMonoid) -> GreenStructure:
     j_class = [least_l[r] for r in r_class]
     pair_ids: dict[tuple[int, int], int] = {}
     h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
-    mul = M._mul
+    mul = M.mul
     idem = [mul(x, x) == x for x in M.elements]
     return GreenStructure(M, r_class, l_class, j_class, h_class, idem)
 
@@ -652,12 +640,14 @@ def f_group(
     """Permutation group induced by return words on a minimal image.
 
     Returns (group, base word, image as a tuple of original state names).
+    A given ``base`` must be a factor of minimal rank.
     At rank 0 the image is empty and the group trivial: no return word is walked.
     """
     from .returns import right_return_words
 
     rank, word, _ = f_min_rank_data(A, F)
     if base is not None:
+        F.certify(word=base)
         word = base
     letter_maps = A.letter_transformations()
     t = _word_action(letter_maps, word, len(A.states))

@@ -81,21 +81,18 @@ class TruncationStage:
     words: frozenset[str]
 
 
-@dataclass(frozen=True)
-class LimitReturnTruncation:
-    stages: tuple[TruncationStage, ...]
-
-
 def limit_return_truncation(
     F: FactorSet,
     seeds: list[tuple[str, str]],
     depth: int,
-) -> LimitReturnTruncation:
+) -> tuple[TruncationStage, ...]:
     """Stages R_n = r_n * R_F(l_n r_n) * r_n^{-1} with nesting verified.
 
     ``seeds`` lists the (l_n, r_n) pairs; each l_n r_n must be a factor.
     Each stage must decompose into products of the previous stage's words.
     """
+    if depth < 0:
+        raise ValueError(f"truncation depth must be nonnegative, got {depth}")
     if depth > len(seeds):
         raise ValueError("not enough seeds for requested depth")
     stages: list[TruncationStage] = []
@@ -110,4 +107,4 @@ def limit_return_truncation(
                         f"stage word {w!r} not a product of previous stage"
                     )
         stages.append(stage)
-    return LimitReturnTruncation(tuple(stages))
+    return tuple(stages)

@@ -267,7 +267,6 @@ def separation_witness(
     psi: MorphismToFinite,
     u: str,
     v: str,
-    budget: int = DEFAULT_MONOID_BUDGET,
 ) -> SeparationReport:
     """Matrix morphism realizing the decoder of X, separating u from v.
 
@@ -314,7 +313,7 @@ def separation_witness(
         tuple(M.identity if i == j else None for j in range(n)) for i in range(n)
     )
     matrices = FiniteMonoid.from_generators(
-        letter_matrix, lambda A, B: _matrix_mul(A, B, M.mul), ident, budget
+        letter_matrix, lambda A, B: _matrix_mul(A, B, M.mul), ident, DEFAULT_MONOID_BUDGET
     )
     alpha = matrices.image_of_word
 

@@ -161,15 +161,15 @@ class Substitution:
         """Homomorphic extension: concatenation of letter images."""
         return "".join(self.images[self.alphabet.check_word(c)] for c in word)
 
-    def iterate(self, letter: str, k: int, budget: int = DEFAULT_MAX_PREFIX) -> str:
+    def iterate(self, letter: str, k: int) -> str:
         """The word obtained by applying the substitution ``k`` times to a letter."""
         if k < 0:
             raise ValueError("iteration count must be nonnegative")
         w = self.alphabet.check_word(letter)
         for _ in range(k):
             w = self.apply(w)
-            if len(w) > budget:
-                raise BudgetExceeded(f"iterate longer than budget {budget}")
+            if len(w) > DEFAULT_MAX_PREFIX:
+                raise BudgetExceeded(f"iterate longer than budget {DEFAULT_MAX_PREFIX}")
         return w
 
     def incidence_matrix(self) -> list[list[int]]:
@@ -347,7 +347,6 @@ class FactorSet:
         tail_pairs: Callable[[int], set[str]],
         horizon: int,
         source: str,
-        max_prefix: int = DEFAULT_MAX_PREFIX,
     ) -> "FactorSet":
         """Certified factor set of the S-adic word s = tau_0 tau_1 ... tau_{k-1}(s_k).
 
@@ -370,7 +369,7 @@ class FactorSet:
                 break
             power = {c: "".join(power[d] for d in tau.images[c]) for c in power}
             k += 1
-            if max(map(len, power.values())) > max_prefix:
+            if max(map(len, power.values())) > DEFAULT_MAX_PREFIX:
                 raise BudgetExceeded("fixed-point prefix budget exceeded")
 
         pairs = sorted(tail_pairs(k), key=alphabet.key) if horizon else []
@@ -385,7 +384,6 @@ class FactorSet:
         subst: Substitution,
         letter: str,
         horizon: int,
-        max_prefix: int = DEFAULT_MAX_PREFIX,
     ) -> "FactorSet":
         """Certified factor set of the fixed point of a primitive substitution.
 
@@ -411,15 +409,15 @@ class FactorSet:
                 pairs.add(ab)
                 todo.append(images[ab[0]] + images[ab[1]])
         source = f"substitution {subst.serialize()} from {letter}"
-        return cls.from_directive(
-            subst.alphabet, repeat(subst), lambda k: pairs, horizon, source, max_prefix
-        )
+        return cls.from_directive(subst.alphabet, repeat(subst), lambda k: pairs, horizon, source)
 
     @classmethod
     def from_periodic(cls, word: str, horizon: int) -> "FactorSet":
         """Factors of the periodic word ``word^infinity``."""
         if not word:
             raise ValueError("periodic word must be nonempty")
+        if horizon < 0:
+            raise ValueError(f"horizon must be nonnegative, got {horizon}")
         text = word * (horizon // len(word) + 2)
         windows = {text[i : i + horizon] for i in range(len(word))}
         return cls._of_windows(Alphabet.of(sorted(set(word))), horizon, windows, f"periodic {word}")

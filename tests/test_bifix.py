@@ -249,6 +249,10 @@ class TestGroupCodes:
         assert GroupCodeSpec.cyclic(5, {"a": 1, "b": 1}).degree() == 5
         assert GroupCodeSpec.cyclic(3, {"a": 0, "b": 1}).degree() == 3
 
+    def test_cyclic_spec_of_modulus_zero(self):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            GroupCodeSpec.cyclic(0, {"a": 1, "b": 1})
+
     def test_from_cycles(self):
         spec = GroupCodeSpec.from_cycles(
             (1, 2, 3), {"a": "(1 2 3)", "b": "(1 2)"}

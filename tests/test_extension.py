@@ -36,6 +36,8 @@ def assert_edges_match_every_pair(F):
 
 def per_word_classify(F, max_length):
     """Oracle: an extension graph for every word, as classify built them before."""
+    if max_length < 0:
+        raise ValueError(f"classify({max_length}) of a negative length")
     if max_length > F.horizon - 2:
         raise InsufficientHorizon(
             f"classification up to length {max_length} needs horizon {max_length + 2}"
@@ -53,8 +55,8 @@ def per_word_classify(F, max_length):
 def refusal(f, *args):
     try:
         return f(*args)
-    except InsufficientHorizon as e:
-        return f"InsufficientHorizon: {e}"
+    except (InsufficientHorizon, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
 
 
 class TestExtensionGraph:
@@ -145,6 +147,11 @@ class TestClassify:
 
     def test_tribonacci_tree(self, trib_set):
         assert classify(trib_set, 8).tree
+
+    def test_negative_length(self, fib_set):
+        assert [r.word for r in classify(fib_set, 0).records] == [""]
+        with pytest.raises(ValueError, match=r"classify\(-1\) of a negative length"):
+            classify(fib_set, -1)
 
     def test_thue_morse_not_neutral_at_empty_word(self, tm_set):
         cl = classify(tm_set, 4)

@@ -1019,6 +1019,13 @@ class TestFMinimal:
         with pytest.raises(InternalInvariantError):
             f_group(three_state, fib_set, base="")
 
+    @pytest.mark.parametrize("base", ["bb", "zz"])
+    def test_non_factor_base_rejected(self, fib, base):
+        F = FactorSet.from_substitution(fib, "a", 24)
+        X = group_code_intersection(GroupCodeSpec.cyclic(2, {"a": 1, "b": 1}), F)
+        with pytest.raises(ValueError, match=f"'{base}' is not a factor"):
+            f_group(minimal_automaton_of_star(X), F, base=base)
+
     def test_letter_missing_from_the_automaton(self, fib_set):
         only_a = minimal_automaton_of_star(BifixCode.of(["a"]))
         with pytest.raises(ValueError, match="'b'"):

@@ -433,7 +433,7 @@ class TestTruncation:
         seeds = substitution_seeds(fib, "a", 2)
         assert seeds[0] == ("aba", "aba")
         tr = limit_return_truncation(fib_set_64, seeds, 2)
-        words = [sorted(s.words, key=lambda w: (len(w), w)) for s in tr.stages]
+        words = [sorted(s.words, key=lambda w: (len(w), w)) for s in tr]
         assert words[0] == ["aba", "ababa"]
         assert words[1] == ["abaababa", "abaababaababa"]
 
@@ -441,7 +441,7 @@ class TestTruncation:
         tr = limit_return_truncation(
             fib_set_64, substitution_seeds(fib, "a", 2), 2
         )
-        for n, stage in enumerate(tr.stages, start=1):
+        for n, stage in enumerate(tr, start=1):
             images = {fib.iterate(w, 2 * n) for w in ["a", "ba"]}
             assert stage.words == images
 
@@ -450,7 +450,7 @@ class TestTruncation:
         tr = limit_return_truncation(
             fib_set_64, substitution_seeds(fib, "a", 2), 2
         )
-        assert len(tr.stages) == 2
+        assert len(tr) == 2
 
     def test_stage_that_does_not_nest_is_refused(self, fib_set_64):
         # b R(ab) b^-1 holds baa, which is no product of aba and ababa
@@ -460,3 +460,7 @@ class TestTruncation:
     def test_depth_exceeds_seeds(self, fib, fib_set_64):
         with pytest.raises(ValueError):
             limit_return_truncation(fib_set_64, substitution_seeds(fib, "a", 1), 2)
+
+    def test_negative_depth(self, fib, fib_set_64):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            limit_return_truncation(fib_set_64, substitution_seeds(fib, "a", 2), -1)

@@ -213,10 +213,11 @@ class TestSeparation:
         with pytest.raises(NotACode):
             separation_witness({"a", "ab", "b"}, {"a": "a", "b": "ab", "c": "b"}, mod2, "a", "aa")
 
-    def test_matrix_monoid_budget(self, fib_set, mod2):
+    def test_matrix_monoid_budget(self, fib_set, mod2, monkeypatch):
+        monkeypatch.setattr("minishift.shadow.DEFAULT_MONOID_BUDGET", 2)
         X = connective_code(fib_set, "a", "b")
         with pytest.raises(BudgetExceeded):
-            separation_witness(X, {"a": "ab", "b": "aab"}, mod2, "a", "ab", budget=2)
+            separation_witness(X, {"a": "ab", "b": "aab"}, mod2, "a", "ab")
 
     def test_bad_bijection(self, mod2):
         with pytest.raises(ValueError):

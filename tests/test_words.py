@@ -29,7 +29,14 @@ from minishift.returns import (
     right_return_words,
 )
 from minishift.shadow import connective_code
-from minishift.words import Alphabet, FactorSet, Substitution, factors_of, occurrences
+from minishift.words import (
+    DEFAULT_MAX_PREFIX,
+    Alphabet,
+    FactorSet,
+    Substitution,
+    factors_of,
+    occurrences,
+)
 
 
 words_ab = st.text(alphabet="ab", max_size=12)
@@ -112,7 +119,7 @@ class TestSubstitution:
 
     def test_iterate_budget(self, fib):
         with pytest.raises(BudgetExceeded):
-            fib.iterate("a", 200, budget=1000)
+            fib.iterate("a", 200)
 
     def test_primitive(self, fib, quad):
         assert fib.is_primitive()
@@ -202,6 +209,10 @@ class TestFactorSet:
         F = FactorSet.from_periodic("abc", 6)
         assert F.complexity(4) == 3
         assert "abca" in F and "acbc" not in F
+
+    def test_periodic_negative_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be nonnegative, got -1"):
+            FactorSet.from_periodic("abc", -1)
 
 
 CODE = BifixCode.of(["aa", "ab", "ba"])
@@ -297,7 +308,7 @@ class TestFactorSetBuilder:
 
     def test_tiny_prefix_budget(self, tm):
         with pytest.raises(BudgetExceeded):
-            FactorSet.from_substitution(tm, "a", 64, max_prefix=32)
+            FactorSet.from_substitution(tm, "a", DEFAULT_MAX_PREFIX + 1)
 
     def test_letter_swap_not_primitive(self):
         # no image ever grows, so only the primitivity check stops this input
