@@ -651,8 +651,8 @@ def f_group(
         word = base
     letter_maps = A.letter_transformations()
     t = _word_action(letter_maps, word, len(A.states))
-    if transformation_rank(t) != rank:
-        raise InternalInvariantError(f"base word {word!r} does not reach minimal rank")
+    if base is not None and (base_rank := transformation_rank(t)) != rank:
+        raise ValueError(f"base word {base!r} has rank {base_rank}, above the minimal rank {rank}")
     image = sorted(transformation_image(t))
     gens = []
     for r in sorted(right_return_words(F, word).words if rank else (), key=shortlex):

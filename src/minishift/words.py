@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -73,6 +73,12 @@ class Alphabet:
 def shortlex(word: str) -> tuple[int, str]:
     """Shortlex sort key in code-point order; ``Alphabet.key`` orders by letter position."""
     return (len(word), word)
+
+
+def _level_key(alphabet: Alphabet) -> Callable[[str], tuple[int, str]] | None:
+    """Sort key within one length: ``Alphabet.key`` only renames letters there, so
+    letters in code-point order (every library constructor sorts them) need no key."""
+    return None if list(alphabet) == sorted(alphabet) else alphabet.key
 
 
 def factors_of(word: str, maxlen: int) -> set[str]:
@@ -206,7 +212,8 @@ class FactorSet:
 
     ``complete`` asserts that ``factors`` equals the set of all factors of
     the underlying subshift of length <= ``horizon``.  Its members are kept
-    in one list per length too: a builder's prefix levels, or ``factors`` bucketed.
+    in one shortlex-sorted tuple per length too: a builder's prefix levels,
+    or ``factors`` bucketed and sorted.
     """
 
     def __init__(
@@ -222,23 +229,23 @@ class FactorSet:
         self.factors = frozenset(factors)
         self.complete = complete
         self.source = source
-        self._levels: dict[int, list[str]] = {}
-        for w in self.factors:
-            self._levels.setdefault(len(w), []).append(w)
-        self._by_length: dict[int, tuple[str, ...]] = {}
+        key = _level_key(alphabet)
+        by_length = groupby(sorted(self.factors, key=len), len)
+        self._levels = {n: tuple(sorted(ws, key=key)) for n, ws in by_length}
         self._returns: dict[str, frozenset[str] | None] = {}
 
     @classmethod
     def _of_windows(cls, alphabet: Alphabet, horizon: int, windows: set[str], source: str):
         """Certified set of an infinite word whose factors of length L are ``windows``: each
-        shorter factor extends to the right, so level n is the prefixes of level n + 1."""
-        levels, level = {0: [""]}, windows
+        shorter factor extends to the right, so level n is the prefixes of level n + 1.  The
+        windows are sorted once: prefixes of a sorted level are sorted with repeats adjacent."""
+        levels, level = {0: ("",)}, tuple(sorted(windows, key=_level_key(alphabet)))
         for n in range(horizon, 0, -1):
-            levels[n] = list(level)
-            level = {u[:-1] for u in level}
+            levels[n] = level
+            level = tuple(dict.fromkeys([u[:-1] for u in level]))
         F = cls(alphabet, horizon, (), True, source)
         F.factors = frozenset(chain.from_iterable(levels.values()))
-        F._levels = levels
+        F._levels = dict(sorted(levels.items()))
         return F
 
     def __contains__(self, word: str) -> bool:
@@ -248,15 +255,11 @@ class FactorSet:
         return len(self.factors)
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
-        """Members of length ``n`` in shortlex order; each length is sorted on first use."""
-        if n not in self._by_length:
-            # within one length the key only translates letters: str order if they are sorted
-            key = None if list(self.alphabet) == sorted(self.alphabet) else self.alphabet.key
-            self._by_length[n] = tuple(sorted(self._levels.pop(n, ()), key=key))
-        return self._by_length[n]
+        """Members of length ``n`` in shortlex order."""
+        return self._levels.get(n, ())
 
     def sorted_words(self) -> list[str]:
-        return sorted(self.factors, key=self.alphabet.key)
+        return list(chain.from_iterable(self._levels.values()))
 
     def certify(self, needed: int = 0, refusal: str = "", word: str | None = None) -> None:
         """The gate of every query: refuse unless this set is certified complete,

@@ -1016,7 +1016,7 @@ class TestFMinimal:
         assert G.order() == 2
 
     def test_bad_base_rejected(self, three_state, fib_set):
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(ValueError, match="base word '' has rank 3, above the minimal rank 2"):
             f_group(three_state, fib_set, base="")
 
     @pytest.mark.parametrize("base", ["bb", "zz"])

@@ -328,8 +328,32 @@ class TestFactorSetBuilder:
         assert F.source.endswith("tau_[0,4)(ab) for ab in L2 = {aa,ab,ba,bb}")
 
 
+def assert_levels_sorted(F: FactorSet) -> None:
+    """Each level strictly increases under the alphabet's key and is the set of
+    prefixes of the top level; ``sorted_words`` is the whole set in that order."""
+    key = F.alphabet.key
+    top = F.words_of_length(F.horizon)
+    for n in range(F.horizon + 1):
+        level = F.words_of_length(n)
+        assert all(key(u) < key(v) for u, v in zip(level, level[1:]))
+        assert level == tuple(sorted({w[:n] for w in top}, key=key))
+    assert F.sorted_words() == sorted(F.factors, key=key)
+
+
 class TestLengthIndex:
-    """``words_of_length`` reads the lists per length that each constructor keeps."""
+    """``words_of_length`` reads the sorted tuple per length that every constructor keeps."""
+
+    @settings(max_examples=80)
+    @given(primitive_substitutions(), st.integers(2, 24), st.data())
+    def test_every_level_is_sorted_where_built(self, sigma, L, data):
+        order = data.draw(st.permutations(sigma.alphabet.letters))
+        permuted = Substitution(Alphabet.of(order), sigma.images)
+        start = data.draw(st.sampled_from(order))
+        word = data.draw(st.text(alphabet="abc", min_size=1, max_size=6))
+        for horizon in (0, 1, L):
+            assert_levels_sorted(FactorSet.from_substitution(sigma, start, horizon))
+            assert_levels_sorted(FactorSet.from_substitution(permuted, start, horizon))
+            assert_levels_sorted(FactorSet.from_periodic(word, horizon))
 
     def test_order_on_an_alphabet_not_in_code_point_order(self):
         ba = Alphabet.of("ba")
