@@ -10,6 +10,7 @@ separation witnesses), cli (command-line interface).
 
 from .errors import (
     BudgetExceeded,
+    InputError,
     InsufficientHorizon,
     InternalInvariantError,
     MinishiftError,
@@ -27,6 +28,7 @@ __all__ = [
     "Substitution",
     "MinishiftError",
     "ParseError",
+    "InputError",
     "BudgetExceeded",
     "NotPrimitive",
     "InsufficientHorizon",

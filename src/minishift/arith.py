@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class FactorialDigits:
@@ -19,10 +21,10 @@ class FactorialDigits:
 
     def __post_init__(self) -> None:
         if not self.digits:
-            raise ValueError("need at least one digit")
+            raise InputError("need at least one digit")
         for i, c in enumerate(self.digits, start=1):
             if not 0 <= c <= i:
-                raise ValueError(f"digit c_{i}={c} out of range 0..{i}")
+                raise InputError(f"digit c_{i}={c} out of range 0..{i}")
 
     @property
     def precision(self) -> int:
@@ -43,7 +45,7 @@ class FactorialDigits:
 def to_factorial(x: int, k: int) -> FactorialDigits:
     """Residue of ``x`` modulo (k+1)! as factorial digits c_1..c_k."""
     if k < 1:
-        raise ValueError("precision must be at least 1")
+        raise InputError("precision must be at least 1")
     x %= math.factorial(k + 1)
     digits = []
     for i in range(1, k + 1):
@@ -55,7 +57,7 @@ def to_factorial(x: int, k: int) -> FactorialDigits:
 def add(x: FactorialDigits, y: FactorialDigits) -> FactorialDigits:
     """Digitwise sum with carries; digit i wraps at i+1."""
     if x.precision != y.precision:
-        raise ValueError("precision mismatch")
+        raise InputError("precision mismatch")
     digits = []
     carry = 0
     for i, (a, b) in enumerate(zip(x.digits, y.digits), start=1):
@@ -69,7 +71,7 @@ def add(x: FactorialDigits, y: FactorialDigits) -> FactorialDigits:
 def pisano_period(m: int) -> int:
     """Period of the Fibonacci sequence modulo m."""
     if m < 2:
-        raise ValueError("modulus must be at least 2")
+        raise InputError(f"modulus must be at least 2, got {m}")
     a, b = 0, 1
     for n in range(1, 6 * m * m + 1):
         a, b = b, (a + b) % m
@@ -97,12 +99,10 @@ def fib_mod(n: int | FactorialDigits, m: int) -> int:
     stands for its residue class; the result is well defined whenever the
     Pisano period divides the digits' modulus.
     """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    period = pisano_period(m)
+    period = pisano_period(m)  # refuses m < 2
     if isinstance(n, FactorialDigits):
         if n.modulus % period != 0:
-            raise ValueError(
+            raise InputError(
                 f"digit precision too low: modulus {n.modulus} does not "
                 f"determine the index modulo the Pisano period {period}"
             )

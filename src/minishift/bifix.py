@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import InsufficientHorizon
+from .errors import InputError, InsufficientHorizon
 from .words import Alphabet, FactorSet, shortlex, star_factorization
 
 if TYPE_CHECKING:
@@ -36,9 +36,9 @@ class BifixCode:
 
     def __post_init__(self) -> None:
         if not self.words:
-            raise ValueError("a bifix code needs at least one word")
+            raise InputError("a bifix code needs at least one word")
         if not is_bifix(self.words):
-            raise ValueError("word set is not bifix")
+            raise InputError("word set is not bifix")
 
     @classmethod
     def of(cls, words: Iterable[str]) -> "BifixCode":
@@ -89,7 +89,7 @@ def f_degree(X: BifixCode, F: FactorSet) -> int:
     F.certify(n, f"degree needs factors of length {n}")
     witnesses = F.words_of_length(n)
     if not witnesses:
-        raise ValueError("factor set has no word of the required length")
+        raise InputError("factor set has no word of the required length")
     words = X.words
     lengths = {len(x) for x in words}
 
@@ -129,7 +129,7 @@ class GroupCodeSpec:
     def cyclic(cls, m: int, weights: dict[str, int]) -> "GroupCodeSpec":
         """Regular representation of Z/m with letter a adding weights[a]."""
         if m < 1:
-            raise ValueError("modulus must be positive")
+            raise InputError("modulus must be positive")
         dom = tuple(range(m))
         images = {
             a: {p: (p + k) % m for p in dom} for a, k in weights.items()

@@ -1,4 +1,6 @@
 """Command-line surface: one-shot deterministic computations, JSON output.
+It parses text and maps errors to exit codes; the library checks each value it
+reads and refuses it as ``InputError``, which exits 2, so no check is written twice.
 
 Each process runs one command, and start-up is most of its time, so ``main``
 builds an ``argparse`` parser for the invoked command alone, and the module
@@ -58,23 +60,6 @@ def nonempty(flag, value):
     return value
 
 
-def parse_word(text: str, letters, option: str) -> str:
-    """``text`` if every letter of it is in ``letters``."""
-    for c in text:
-        if c not in letters:
-            raise ParseError(f"{option}: letter {c!r} not in {''.join(letters)!r}")
-    return text
-
-
-def parse_factor(F: FactorSet, text: str, option: str) -> str:
-    """``text`` if it is a factor of ``F``; too long for the horizon exits 3."""
-    parse_word(text, F.alphabet, option)
-    F.certify(len(text), f"{option} {text!r} is longer than horizon {F.horizon}")
-    if text not in F:
-        raise ParseError(f"{option}: {text!r} is not a factor")
-    return text
-
-
 def parse_cyclic(group: str) -> int | None:
     """The modulus M of ``cyclic:M``, or None for a permutation group."""
     if not group.startswith("cyclic:"):
@@ -86,10 +71,7 @@ def parse_cyclic(group: str) -> int | None:
 
 
 def build_factor_set(subst: str, start: str, horizon: int) -> FactorSet:
-    sigma = Substitution.parse(subst)
-    if not start:
-        raise ParseError("--start must be nonempty")
-    return FactorSet.from_substitution(sigma, parse_word(start, sigma.alphabet, "--start"), horizon)
+    return FactorSet.from_substitution(Substitution.parse(subst), start, horizon)
 
 
 def parse_assignments(text: str, sep: str, eq: str, what: str) -> dict[str, str]:
@@ -231,10 +213,9 @@ def subst_cmd(subst, apply, iterate, power, primitive):
     sigma = Substitution.parse(subst)
     out = {"substitution": sigma.serialize()}
     if apply is not None:
-        out["apply"] = sigma.apply(parse_word(apply, sigma.alphabet, "--apply"))
+        out["apply"] = sigma.apply(apply)
     if iterate is not None:
-        word = parse_word(iterate, sigma.alphabet, "--iterate")
-        out["iterate"] = sigma.iterate(word, power)
+        out["iterate"] = sigma.iterate(iterate, power)
     if primitive:
         out["primitive"] = sigma.is_primitive()
     emit(out)
@@ -255,8 +236,7 @@ def factors_cmd(subst, start, periodic, horizon, complexity, witness):
     if complexity is not None:
         out["complexity"] = F.complexity(complexity)
     if witness is not None:
-        word = parse_factor(F, witness, "--witness")
-        out["witness"] = F.uniform_recurrence_witness(word)
+        out["witness"] = F.uniform_recurrence_witness(witness)
     emit(out)
 
 
@@ -271,7 +251,8 @@ def classify_cmd(subst, start, maxlen, word, dot):
     out = {"acyclic": cl.acyclic, "connected": cl.connected, "neutral": cl.neutral,
            "tree": cl.tree, "max_length": maxlen}
     if word is not None:
-        g = ext_mod.extension_graph(F, parse_factor(F, word, "--word"))
+        F.certify(word=word)  # a non-factor is refused before extension_graph's horizon
+        g = ext_mod.extension_graph(F, word)
         out["word"] = word
         out["multiplicity"] = g.multiplicity()
         if dot:
@@ -288,7 +269,6 @@ def returns_cmd(subst, start, word, horizon, left, gamma):
     from . import returns as ret_mod
 
     F = build_factor_set(subst, start, horizon)
-    word = parse_factor(F, word, "--word")
     out = {}
     if left:
         out["left"] = ret_mod.left_return_words(F, word).sorted_words()
@@ -310,7 +290,6 @@ def episturmian_cmd(directive, word, pal, horizon):
     if pal is not None:
         out["pal"] = epi_mod.pal(pal)
     if word is not None:
-        word = parse_word(word, directive, "--word")
         out["left"] = sorted(epi_mod.episturmian_left_returns(directive, word), key=shortlex)
     if horizon is not None:
         F = epi_mod.episturmian_factor_set(directive, horizon)
@@ -325,16 +304,11 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot):
     """Folded subgroup graph: rank, index, membership, Hall separation."""
     from . import freegroup as fg_mod
 
-    try:
-        alphabet = Alphabet.of(alphabet_text)
-    except ValueError as exc:
-        raise ParseError(f"--alphabet: {exc}") from None
+    alphabet = Alphabet.of(alphabet_text)
     for c in alphabet_text:
         if not c.islower():
             raise ParseError(f"--alphabet: letter {c!r} is not lowercase (capitals are inverses)")
-    letters = alphabet_text + alphabet_text.upper()  # capitals are inverses
-    gens = [parse_word(g.strip(), letters, "--generators") for g in generators.split(",")]
-    gens = [g for g in gens if g]
+    gens = [g for g in map(str.strip, generators.split(",")) if g]
     H = fg_mod.subgroup(gens, alphabet)
     out = {
         "rank": H.rank(),
@@ -343,9 +317,9 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot):
         "basis": fg_mod.is_basis_of_free_group(gens, alphabet),
     }
     if member is not None:
-        out["member"] = H.membership(parse_word(member, letters, "--member"))
+        out["member"] = H.membership(H.check_word(member))  # membership("c") is False, no refusal
     if separate is not None:
-        K = fg_mod.separating_subgroup(H, parse_word(separate, letters, "--separate"))
+        K = fg_mod.separating_subgroup(H, separate)
         out["separating_index"] = K.index()
         out["separated"] = not K.membership(separate)
         if dot:
@@ -371,8 +345,6 @@ def monoid_cmd(code, subst, start, horizon, eggbox, budget):
     if eggbox and subst is None:
         raise ParseError("--eggbox needs --subst and --start")
     words = {w.strip() for w in code.split(",") if w.strip()}
-    if not words or not bifix_mod.is_bifix(words):
-        raise ParseError(f"--code: {code!r} is not a nonempty bifix code")
     A = bifix_mod.minimal_automaton_of_star(bifix_mod.BifixCode.of(words))
     M = monoid_mod.transition_monoid(A, budget)
     structure = monoid_mod.green(M)
@@ -380,7 +352,6 @@ def monoid_cmd(code, subst, start, horizon, eggbox, budget):
            "j_classes": len(structure.classes("J"))}
     if subst is not None:
         F = build_factor_set(subst, start, horizon)
-        parse_word("".join(F.alphabet), A.alphabet, "--subst")  # the code's letters
         if eggbox:
             base = monoid_mod.f_min_rank_data(A, F)[1]
             print(structure.eggbox(structure.j_class[M.pos[A.transformation(base)]]))
@@ -458,12 +429,8 @@ def shadow_separate_cmd(code, beta, group, images, u, v):
 
     X = {w.strip() for w in code.split(",") if w.strip()}
     bmap = parse_assignments(beta, ",", "=", "--beta entry")
-    if sorted(bmap.values()) != sorted(X):
-        raise ParseError("--beta must map its letters one-to-one onto --code")
     psi = morphism_from_options(group, images, bmap)
-    report = shadow_mod.separation_witness(
-        X, bmap, psi, parse_word(u, bmap, "-u"), parse_word(v, bmap, "-v")
-    )
+    report = shadow_mod.separation_witness(X, bmap, psi, u, v)
 
     def show(matrix):
         return [["." if e is None else str(e) for e in row] for row in matrix]
@@ -488,10 +455,7 @@ def arith_cmd(to_factorial, precision, fib_mod, fib_limit, offset):
         out["digits"] = list(d.digits)
         out["display"] = str(d)
     if fib_mod:
-        n, m = fib_mod
-        if m < 2:
-            raise ParseError(f"--fib-mod: modulus must be at least 2, got {m}")
-        out["fib_mod"] = arith_mod.fib_mod(n, m)
+        out["fib_mod"] = arith_mod.fib_mod(*fib_mod)
     if fib_limit is not None:
         out["fib_factorial_sequence"] = arith_mod.fib_factorial_limit(fib_limit, offset, 1, 12)
     if not out:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, InsufficientHorizon, InternalInvariantError
+from typing import Iterator
+
+from .errors import BudgetExceeded, InputError, InsufficientHorizon, InternalInvariantError
 from .words import Alphabet, FactorSet, Substitution, occurrences
 
 DEFAULT_PAL_BUDGET = 10**6
@@ -25,13 +27,21 @@ def palindromic_closure(w: str) -> str:
     return w  # n == 0
 
 
-def pal(u: str) -> str:
-    """Iterated palindromic closure: Pal(ua) = (Pal(u)a)^(+), Pal('') = ''."""
+def palindromic_prefixes(u: str) -> Iterator[str]:
+    """Pal(u[:1]), Pal(u[:2]), ...: Pal(ua) = (Pal(u)a)^(+), refused past the budget."""
     out = ""
     for a in u:
         out = palindromic_closure(out + a)
         if len(out) > DEFAULT_PAL_BUDGET:
             raise BudgetExceeded(f"palindromic prefix longer than {DEFAULT_PAL_BUDGET}")
+        yield out
+
+
+def pal(u: str) -> str:
+    """Iterated palindromic closure, Pal('') = ''."""
+    out = ""
+    for out in palindromic_prefixes(u):
+        pass
     return out
 
 
@@ -92,13 +102,11 @@ def episturmian_left_returns(directive: str, u: str) -> set[str]:
     word directed by directive[n:], so every letter must occur there.
     """
     if not u:
-        raise ValueError("factor must be nonempty")
+        raise InputError("factor must be nonempty")
     alphabet = Alphabet.of(sorted(set(directive)))
     alphabet.check_word(u)
 
-    prefix = ""
-    for n, a in enumerate(directive, start=1):
-        prefix = palindromic_closure(prefix + a)
+    for n, prefix in enumerate(palindromic_prefixes(directive), start=1):
         if u in prefix:
             break
     else:

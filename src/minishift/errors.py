@@ -6,7 +6,11 @@ class MinishiftError(Exception):
 
 
 class ParseError(MinishiftError):
-    """Malformed textual input (substitution, permutation, expression...)."""
+    """Malformed textual input; not a ``ValueError``, so argparse keeps its message."""
+
+
+class InputError(MinishiftError, ValueError):
+    """A value the library refuses: a stray letter, a non-factor, a bad length or modulus."""
 
 
 class BudgetExceeded(MinishiftError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import InputError
 from .words import FactorSet
 
 
@@ -132,7 +133,7 @@ def classify(F: FactorSet, max_length: int) -> Classification:
     acyclic, so no graph is built; every other word gets its graph.
     """
     if max_length < 0:
-        raise ValueError(f"classify({max_length}) of a negative length")
+        raise InputError(f"classify({max_length}) of a negative length")
     needed = max_length + 2
     F.certify(needed, f"classification up to length {max_length} needs horizon {needed}")
     factors, letters = F.factors, F.alphabet.letters

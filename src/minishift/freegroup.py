@@ -6,7 +6,7 @@ corresponding uppercase letter is its inverse ("aB" means a b^{-1}).
 
 from __future__ import annotations
 
-from .errors import NotSeparable
+from .errors import InputError, NotSeparable
 from .words import Alphabet
 
 
@@ -81,16 +81,20 @@ class SubgroupGraph:
         """Attach a base-to-base path spelling the reduced word."""
         self.add_path(word, close=True)
 
+    def check_word(self, word: str) -> str:
+        """``word`` if each letter or its inverse is in the alphabet, checked before reduction."""
+        if not self._steps.keys() >= set(word):
+            bad = next(c for c in word if c not in self._steps)
+            raise InputError(f"letter {bad!r} outside alphabet")
+        return word
+
     def add_path(self, word: str, close: bool) -> int:
         """Attach a path from the base spelling ``word``; returns its endpoint."""
-        return self._attach(reduce(word), close)
+        return self._attach(reduce(self.check_word(word)), close)
 
     def _attach(self, word: str, close: bool) -> int:
-        """``add_path`` for a reduced word."""
+        """``add_path`` for a reduced word over the alphabet."""
         steps = self._steps
-        if not steps.keys() >= set(word):
-            bad = next(c for c in word if c not in steps)
-            raise ValueError(f"letter {bad!r} outside alphabet")
         n = len(word)
         parent, find = self._parent, self._find
         start = len(parent)  # the path's vertex after letter j is numbered start + j
@@ -223,7 +227,7 @@ def subgroup(generators: list[str] | set[str], alphabet: Alphabet) -> SubgroupGr
     Each vertex but the base lies on a reduced loop, so it keeps degree >= 2.
     """
     g = SubgroupGraph(alphabet)
-    for w in sorted({reduce(w) for w in generators} - {""}):
+    for w in sorted({reduce(g.check_word(w)) for w in generators} - {""}):
         g._attach(w, close=True)
     return g
 
@@ -246,7 +250,7 @@ def separating_subgroup(H: SubgroupGraph, x: str) -> SubgroupGraph:
     letter's partial injection on vertices into a permutation (smallest free
     slot).  The path ends away from the base, so x is excluded.
     """
-    x = reduce(x)
+    x = reduce(H.check_word(x))
     if H.membership(x):
         raise NotSeparable(f"{x!r} belongs to the subgroup")
     g = H.copy()

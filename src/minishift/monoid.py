@@ -11,6 +11,7 @@ from typing import Callable, Hashable, Iterable
 from .errors import (
     DEFAULT_MONOID_BUDGET,
     BudgetExceeded,
+    InputError,
     InsufficientHorizon,
     InternalInvariantError,
     ParseError,
@@ -38,14 +39,14 @@ class Automaton:
     def __post_init__(self) -> None:
         pool = set(self.states)
         if self.initial not in pool:
-            raise ValueError("initial state unknown")
+            raise InputError("initial state unknown")
         if not self.terminals <= pool:
-            raise ValueError("terminal state unknown")
+            raise InputError("terminal state unknown")
         for (q, a), r in self.transitions.items():
             if q not in pool or r not in pool:
-                raise ValueError(f"transition ({q!r},{a!r})->{r!r} uses unknown state")
+                raise InputError(f"transition ({q!r},{a!r})->{r!r} uses unknown state")
             if a not in self.alphabet:
-                raise ValueError(f"transition letter {a!r} outside alphabet")
+                raise InputError(f"transition letter {a!r} outside alphabet")
 
     def run(self, word: str, start: Hashable | None = None) -> Hashable | None:
         q = self.initial if start is None else start
@@ -235,6 +236,8 @@ class FiniteMonoid:
         by one ``bytes.translate`` with a table built once per generator
         (``_right_action``); ``mul`` is still what the monoid keeps.
         """
+        if budget < 1:
+            raise InputError(f"budget must be at least 1, got {budget}")
         act, operands = _right_action(mul, list(generators.values()))
         elements = [identity]
         pos = {identity: 0}
@@ -499,9 +502,9 @@ class PermGroup:
         self.generators = []
         for g in generators:
             if sorted(g, key=str) != sorted(self.domain, key=str):
-                raise ValueError("generator domain mismatch")
+                raise InputError("generator domain mismatch")
             if set(g.values()) != set(self.domain):
-                raise ValueError(f"not a permutation: {g}")
+                raise InputError(f"not a permutation: {g}")
             self.generators.append(dict(g))
         self._closure: FiniteMonoid | None = None
 
@@ -594,9 +597,9 @@ def f_min_rank_data(
 
     F.certify()
     letter_maps = A.letter_transformations()
-    missing = [a for a in F.words_of_length(1) if a not in letter_maps]
+    missing = [a for a in F.alphabet if a not in letter_maps]  # not level 1: empty at L = 0
     if missing:
-        raise ValueError(f"automaton has no letter {''.join(missing)!r} of the factor set")
+        raise InputError(f"automaton has no letter {''.join(missing)!r} of the factor set")
     current = {"": _state_map(range(len(A.states)), len(A.states))}
     best_rank = len(A.states) + 1
     refusal = None
@@ -652,7 +655,7 @@ def f_group(
     letter_maps = A.letter_transformations()
     t = _word_action(letter_maps, word, len(A.states))
     if base is not None and (base_rank := transformation_rank(t)) != rank:
-        raise ValueError(f"base word {base!r} has rank {base_rank}, above the minimal rank {rank}")
+        raise InputError(f"base word {base!r} has rank {base_rank}, above the minimal rank {rank}")
     image = sorted(transformation_image(t))
     gens = []
     for r in sorted(right_return_words(F, word).words if rank else (), key=shortlex):
@@ -672,7 +675,7 @@ def f_group(
 def cyclic_monoid(m: int) -> FiniteMonoid:
     """The additive group of integers modulo m, generated by 1."""
     if m < 1:
-        raise ValueError("modulus must be positive")
+        raise InputError("modulus must be positive")
     return FiniteMonoid.from_generators({"g": 1 % m}, lambda x, y: (x + y) % m, 0, m)
 
 

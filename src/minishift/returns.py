@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InsufficientHorizon, InternalInvariantError
+from .errors import InputError, InsufficientHorizon, InternalInvariantError
 from .words import FactorSet, shortlex, star_factorization
 
 
@@ -52,7 +52,7 @@ def left_return_words(F: FactorSet, x: str) -> ReturnSet:
 def gamma(F: FactorSet, x: str, maxlen: int) -> set[str]:
     """Words w of length <= maxlen with xw a factor ending with x."""
     if maxlen < 0:
-        raise ValueError(f"gamma({x!r}, {maxlen}) of a negative length")
+        raise InputError(f"gamma({x!r}, {maxlen}) of a negative length")
     needed = len(x) + maxlen
     F.certify(needed, f"gamma({x!r}, {maxlen}) needs horizon {needed}", x)
     out = set()
@@ -92,9 +92,9 @@ def limit_return_truncation(
     Each stage must decompose into products of the previous stage's words.
     """
     if depth < 0:
-        raise ValueError(f"truncation depth must be nonnegative, got {depth}")
+        raise InputError(f"truncation depth must be nonnegative, got {depth}")
     if depth > len(seeds):
-        raise ValueError("not enough seeds for requested depth")
+        raise InputError("not enough seeds for requested depth")
     stages: list[TruncationStage] = []
     for l_part, r_part in seeds[:depth]:
         returns = right_return_words(F, l_part + r_part).words

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .errors import (
+    InputError,
     InternalInvariantError,
     NotACode,
     NothingToSeparate,
@@ -282,7 +283,9 @@ def separation_witness(
     if not is_code(X):
         raise NotACode(f"{sorted(X)} is not a code")
     if set(beta.values()) != set(X) or len(beta) != len(X):
-        raise ValueError("beta must be a bijection onto the code")
+        raise InputError("beta must be a bijection onto the code")
+    if stray := sorted(set(u + v) - beta.keys()):
+        raise InputError(f"letter {stray[0]!r} of u or v has no image under beta")
     M = psi.target
     if psi.of_word(u) == psi.of_word(v):
         raise NothingToSeparate("the two words have equal images already")

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import (
     BudgetExceeded,
+    InputError,
     InsufficientHorizon,
     InternalInvariantError,
     NotPrimitive,
@@ -31,12 +32,12 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         if not self.letters:
-            raise ValueError("alphabet must be nonempty")
+            raise InputError("alphabet must be nonempty")
         if len(set(self.letters)) != len(self.letters):
-            raise ValueError("alphabet has duplicate letters")
+            raise InputError("alphabet has duplicate letters")
         for c in self.letters:
             if len(c) != 1:
-                raise ValueError(f"letters must be single characters, got {c!r}")
+                raise InputError(f"letters must be single characters, got {c!r}")
 
     @classmethod
     def of(cls, letters: Iterable[str]) -> "Alphabet":
@@ -66,7 +67,7 @@ class Alphabet:
     def check_word(self, word: str) -> str:
         for c in word:
             if c not in self._index:
-                raise ValueError(f"letter {c!r} not in alphabet {self.letters}")
+                raise InputError(f"letter {c!r} not in alphabet {self.letters}")
         return word
 
 
@@ -130,11 +131,11 @@ class Substitution:
         for a in self.alphabet:
             img = self.images.get(a)
             if not img:
-                raise ValueError(f"image of {a!r} missing or empty")
+                raise InputError(f"image of {a!r} missing or empty")
             self.alphabet.check_word(img)
         extra = set(self.images) - set(self.alphabet.letters)
         if extra:
-            raise ValueError(f"images given for unknown letters {sorted(extra)}")
+            raise InputError(f"images given for unknown letters {sorted(extra)}")
 
     @classmethod
     def parse(cls, text: str) -> "Substitution":
@@ -157,7 +158,7 @@ class Substitution:
             raise ParseError("no rules given")
         try:
             return cls(Alphabet.of(sorted(images)), images)
-        except ValueError as exc:
+        except InputError as exc:
             raise ParseError(str(exc)) from None
 
     def serialize(self) -> str:
@@ -170,7 +171,7 @@ class Substitution:
     def iterate(self, letter: str, k: int) -> str:
         """The word obtained by applying the substitution ``k`` times to a letter."""
         if k < 0:
-            raise ValueError("iteration count must be nonnegative")
+            raise InputError("iteration count must be nonnegative")
         w = self.alphabet.check_word(letter)
         for _ in range(k):
             w = self.apply(w)
@@ -262,22 +263,24 @@ class FactorSet:
         return list(chain.from_iterable(self._levels.values()))
 
     def certify(self, needed: int = 0, refusal: str = "", word: str | None = None) -> None:
-        """The gate of every query: refuse unless this set is certified complete,
-        reaches horizon ``needed`` (else ``refusal``) and holds ``word``; a word
-        longer than the horizon is refused as a horizon, not as a non-factor."""
+        """The gate of every query: refuse unless ``word`` is over the alphabet, the set is
+        certified complete, reaches horizon ``needed`` (else ``refusal``) and holds ``word``;
+        a word longer than the horizon is refused as a horizon, not as a non-factor."""
+        if stray := word is not None and word not in self.factors:
+            self.alphabet.check_word(word)
         if not self.complete:
             raise InsufficientHorizon("factor set is not certified complete")
         if needed > self.horizon:
             raise InsufficientHorizon(refusal)
-        if word is not None and word not in self.factors:
+        if stray:
             if len(word) > self.horizon:
                 raise InsufficientHorizon(f"{word!r} is longer than horizon {self.horizon}")
-            raise ValueError(f"{word!r} is not a factor")
+            raise InputError(f"{word!r} is not a factor")
 
     def complexity(self, n: int) -> int:
         """Number of factors of length exactly ``n``."""
         if n < 0:
-            raise ValueError(f"complexity({n}) of a negative length")
+            raise InputError(f"complexity({n}) of a negative length")
         self.certify(n, f"complexity({n}) beyond horizon {self.horizon}")
         return len(self.words_of_length(n))
 
@@ -363,7 +366,7 @@ class FactorSet:
         does not ask it.  A one-letter shift is the constant word.
         """
         if horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {horizon}")
+            raise InputError(f"horizon must be nonnegative, got {horizon}")
         if len(alphabet) == 1:
             return cls.from_periodic(alphabet.letters[0], horizon)
         power, k = {c: c for c in alphabet}, 0
@@ -400,7 +403,7 @@ class FactorSet:
         if not subst.is_primitive():
             raise NotPrimitive(f"{subst.serialize()} is not primitive")
         if not letter:
-            raise ValueError("start word must be nonempty")
+            raise InputError("start word must be nonempty")
         subst.alphabet.check_word(letter)
         images = subst.images
 
@@ -418,9 +421,9 @@ class FactorSet:
     def from_periodic(cls, word: str, horizon: int) -> "FactorSet":
         """Factors of the periodic word ``word^infinity``."""
         if not word:
-            raise ValueError("periodic word must be nonempty")
+            raise InputError("periodic word must be nonempty")
         if horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {horizon}")
+            raise InputError(f"horizon must be nonnegative, got {horizon}")
         text = word * (horizon // len(word) + 2)
         windows = {text[i : i + horizon] for i in range(len(word))}
         return cls._of_windows(Alphabet.of(sorted(set(word))), horizon, windows, f"periodic {word}")

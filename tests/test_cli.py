@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minishift.cli import COMMANDS, DOCS, dispatch, main
-from minishift.errors import InsufficientHorizon, ParseError
+from minishift.errors import InputError, InsufficientHorizon, ParseError
 
 
 def invoke(*args):
@@ -361,10 +361,15 @@ class TestExitCodes:
         (["episturmian", "--directive", "abab", "--horizon", "-1"], ParseError),
         (["classify", "--subst", "a->ab;b->a", "--start", "a", "--maxlen", "-3"], ParseError),
         (["subst", "--subst", "a->ab;b->a", "--iterate", "a", "-k", "-1"], ParseError),
-        (["subst", "--subst", "a->ab;b->a", "--iterate", "c"], ParseError),
-        (["factors", "--subst", "a->ab;b->a", "--start", "a", "--witness", "bb"], ParseError),
-        (["classify", "--subst", "a->ab;b->a", "--start", "a", "--word", "c"], ParseError),
-        (["freegroup", "--alphabet", "ab", "--generators", "ab", "--member", "ac"], ParseError),
+        (["subst", "--subst", "a->ab;b->a", "--iterate", "c"], InputError),
+        (["factors", "--subst", "a->ab;b->a", "--start", "a", "--witness", "bb"], InputError),
+        (["classify", "--subst", "a->ab;b->a", "--start", "a", "--word", "c"], InputError),
+        (["classify", "--subst", "a->ab;b->a", "--start", "a", "--maxlen", "6",
+          "--word", "bbbbbbb"], InputError),
+        (["freegroup", "--alphabet", "ab", "--generators", "a,cC"], InputError),
+        (["monoid", "--code", "aa,ab,ba", "--subst", "a->ab;b->ac;c->a", "--start", "a",
+          "--horizon", "0"], InputError),
+        (["freegroup", "--alphabet", "ab", "--generators", "ab", "--member", "ac"], InputError),
         (["horder", "--subst", "a->ab;b->a", "--group", "cyclic:0", "--images", "a=1,b=1"],
          ParseError),
         (["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "abaababaa",
@@ -382,19 +387,19 @@ class TestExitCodes:
         (["shadow", "horder", "--subst", "a->ab;b->a", "--group", "cyclic:3",
           "--images", "a=1,c=1"], ParseError),
         (["shadow", "separate", "--code", "ab,aab", "--beta", "a=ab,b=aab",
-          "--group", "cyclic:2", "--images", "a=1,b=1", "-u", "a", "-v", "c"], ParseError),
-        (["freegroup", "--alphabet", "aab", "--generators", "ab"], ParseError),
+          "--group", "cyclic:2", "--images", "a=1,b=1", "-u", "a", "-v", "c"], InputError),
+        (["freegroup", "--alphabet", "aab", "--generators", "ab"], InputError),
         (["arith", "--to-factorial", "5", "-k", "0"], ParseError),
-        (["arith", "--fib-mod", "10", "0"], ParseError),
+        (["arith", "--fib-mod", "10", "0"], InputError),
         (["arith", "--fib-limit", "0"], ParseError),
         (["factors", "--periodic", ""], ParseError),
-        (["returns", "--subst", "a->ab;b->a", "--start", "", "--word", ""], ParseError),
+        (["returns", "--subst", "a->ab;b->a", "--start", "", "--word", ""], InputError),
         (["subst", "--subst", "a->ab"], ParseError),
-        (["monoid", "--code", "a,ab"], ParseError),
+        (["monoid", "--code", "a,ab"], InputError),
         (["monoid", "--code", "aa,ab,ba", "--subst", "a->ab;b->ac;c->a", "--start", "a"],
-         ParseError),
+         InputError),
         (["episturmian", "--directive", "abab", "--word", ""], ParseError),
-        (["episturmian", "--directive", "abab", "--word", "c"], ParseError),
+        (["episturmian", "--directive", "abab", "--word", "c"], InputError),
         (["factors", "--subst", "a->ab;b->a", "--start", "a", "--horizon", "6",
           "--complexity", "-1"], ParseError),
         (["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "a",
@@ -407,7 +412,8 @@ class TestExitCodes:
           "--group", "", "--images", "a:(1 2);b:(1 2)", "-u", "a", "-v", "b"], ParseError),
     ], ids=["returns-horizon", "monoid-horizon", "bifix-horizon", "episturmian-horizon",
             "classify-maxlen", "subst-power", "iterate-letter", "witness-not-factor",
-            "classify-word-letter", "member-letter", "cyclic-zero", "word-beyond-horizon",
+            "classify-word-letter", "classify-word-not-factor", "generator-cancelling-letters",
+            "code-letters-at-horizon-0", "member-letter", "cyclic-zero", "word-beyond-horizon",
             "mixed-points", "bifix-missing-image", "no-points", "horder-missing-image",
             "eval-missing-image", "shadow-horder-missing-image", "separate-letter",
             "duplicate-alphabet", "factorial-precision", "fib-modulus", "fib-limit-modulus",
@@ -415,7 +421,7 @@ class TestExitCodes:
             "empty-episturmian-word", "episturmian-word-letter", "negative-complexity",
             "negative-gamma", "bifix-empty-group", "eval-empty-group",
             "separate-empty-group"])
-    def test_rejected_by_an_option_parser(self, argv, error):
+    def test_refused_as_input(self, argv, error):
         with pytest.raises(error):
             dispatch(argv)
 

@@ -16,7 +16,7 @@ from minishift.episturmian import (
     palindromic_closure,
     psi,
 )
-from minishift.errors import InsufficientHorizon
+from minishift.errors import BudgetExceeded, InsufficientHorizon
 from minishift.returns import left_return_words
 from minishift.words import Alphabet, FactorSet
 
@@ -239,6 +239,15 @@ class TestLeftReturns:
     def test_missing_factor(self):
         with pytest.raises(InsufficientHorizon):
             episturmian_left_returns("abab", "bb")
+
+    def test_prefixes_past_the_budget_are_refused(self, monkeypatch):
+        # Pal((ab)^8) has 4179 letters, and aaa is a factor of none of its prefixes
+        monkeypatch.setattr("minishift.episturmian.DEFAULT_PAL_BUDGET", 1000)
+        with pytest.raises(BudgetExceeded, match="longer than 1000"):
+            pal("ab" * 8)
+        with pytest.raises(BudgetExceeded, match="longer than 1000"):
+            episturmian_left_returns("ab" * 8, "aaa")
+        assert episturmian_left_returns("ab" * 8, "aa") == {"aab", "aabab"}
 
     @pytest.mark.parametrize("directive, missing", [("abbbbb", "a"), ("ab", "ab")])
     def test_tail_missing_a_letter(self, directive, missing):

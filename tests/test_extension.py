@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minishift.errors import InsufficientHorizon
+from minishift.errors import InputError, InsufficientHorizon
 from minishift.extension import (
     Classification,
     ExtensionGraph,
@@ -37,7 +37,7 @@ def assert_edges_match_every_pair(F):
 def per_word_classify(F, max_length):
     """Oracle: an extension graph for every word, as classify built them before."""
     if max_length < 0:
-        raise ValueError(f"classify({max_length}) of a negative length")
+        raise InputError(f"classify({max_length}) of a negative length")
     if max_length > F.horizon - 2:
         raise InsufficientHorizon(
             f"classification up to length {max_length} needs horizon {max_length + 2}"

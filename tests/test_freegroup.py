@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minishift.errors import NotSeparable
+from minishift.errors import InputError, NotSeparable
 from minishift.freegroup import (
     SubgroupGraph,
     generates,
@@ -430,6 +430,16 @@ class TestFoldOracle:
         with pytest.raises(ValueError, match="letter 'c' outside alphabet"):
             separating_subgroup(subgroup(["aa"], AB), "ac")
         assert not subgroup(["aa"], AB).membership("c")
+
+    def test_letters_are_checked_before_reduction(self):
+        # "cC" reduces to the empty word, so the letters are checked before reduction
+        with pytest.raises(InputError, match="letter 'c' outside alphabet"):
+            subgroup(["a", "cC"], AB)
+        with pytest.raises(InputError, match="letter 'c' outside alphabet"):
+            SubgroupGraph(AB).add_loop("acCb")
+        with pytest.raises(InputError, match="letter 'c' outside alphabet"):
+            separating_subgroup(subgroup(["aa"], AB), "cC")
+        assert subgroup(["aa"], AB).check_word("aB") == "aB"
 
     def test_base_survives_a_merge(self):
         g = SubgroupGraph(AB)

@@ -1,9 +1,11 @@
 """Every module imports on its own, so no import cycle hides behind an order."""
 
+import ast
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,15 @@ def test_module_imports_alone(module):
     assert r.returncode == 0, r.stderr
     if module != "cli":
         assert r.stdout == "False\n"
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])
+def test_the_library_refuses_input_as_input_error(module):
+    # an InputError is a ValueError that main maps to exit 2; a bare one is a traceback
+    tree = ast.parse(Path(minishift.__path__[0], f"{module}.py").read_text())
+    raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+              for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+    assert [n.lineno for n in raised if getattr(n, "id", None) == "ValueError"] == []
 
 
 CLI_BASE = {"minishift", "minishift.cli", "minishift.errors", "minishift.words"}

@@ -17,6 +17,7 @@ from minishift.bifix import (
 from minishift.errors import (
     DEFAULT_MONOID_BUDGET,
     BudgetExceeded,
+    InputError,
     InsufficientHorizon,
     InternalInvariantError,
     ParseError,
@@ -781,6 +782,12 @@ class TestCayleyGraph:
             FiniteMonoid.from_generators(gens, compose, identity, budget=len(M) - 1)
         assert str(cut.value) == f"monoid larger than budget {len(M) - 1}"
 
+    @pytest.mark.parametrize("gens", [{"a": (0, 1)}, {"a": (1, 0)}], ids=["identity", "swap"])
+    def test_budget_below_one_is_refused(self, gens):
+        # refused before closing: the identity's closure never meets the size check
+        with pytest.raises(InputError, match="budget must be at least 1, got 0"):
+            FiniteMonoid.from_generators(gens, compose, (0, 1), budget=0)
+
 
 def generic_compose(x, y):
     """``compose`` under another name: the closure then calls it for every product."""
@@ -1023,13 +1030,21 @@ class TestFMinimal:
     def test_non_factor_base_rejected(self, fib, base):
         F = FactorSet.from_substitution(fib, "a", 24)
         X = group_code_intersection(GroupCodeSpec.cyclic(2, {"a": 1, "b": 1}), F)
-        with pytest.raises(ValueError, match=f"'{base}' is not a factor"):
+        # a letter outside the alphabet is refused before the factor test
+        refusal = {"bb": "'bb' is not a factor", "zz": "letter 'z'"}[base]
+        with pytest.raises(InputError, match=refusal):
             f_group(minimal_automaton_of_star(X), F, base=base)
 
     def test_letter_missing_from_the_automaton(self, fib_set):
         only_a = minimal_automaton_of_star(BifixCode.of(["a"]))
         with pytest.raises(ValueError, match="'b'"):
             f_min_rank_data(only_a, fib_set)
+
+    def test_letter_missing_from_the_automaton_at_horizon_zero(self, fib):
+        # no factor of length 1 is known there: the letters are the set's alphabet
+        only_a = minimal_automaton_of_star(BifixCode.of(["a"]))
+        with pytest.raises(InputError, match="automaton has no letter 'b'"):
+            f_min_rank_data(only_a, FactorSet.from_substitution(fib, "a", 0))
 
     def test_rank_zero_past_two_lengths_of_rank_one(self, fib):
         # rank 1 from length 5 on, rank 0 only from length 20 on

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from minishift.errors import (
     BudgetExceeded,
+    InputError,
     NotACode,
     NothingToSeparate,
     NotPrimitive,
@@ -218,6 +219,12 @@ class TestSeparation:
         X = connective_code(fib_set, "a", "b")
         with pytest.raises(BudgetExceeded):
             separation_witness(X, {"a": "ab", "b": "aab"}, mod2, "a", "ab")
+
+    @pytest.mark.parametrize("u, v", [("a", "c"), ("ac", "b")])
+    def test_a_letter_without_a_beta_image(self, fib_set, mod2, u, v):
+        X = connective_code(fib_set, "a", "b")
+        with pytest.raises(InputError, match="letter 'c' of u or v has no image under beta"):
+            separation_witness(X, {"a": "ab", "b": "aab"}, mod2, u, v)
 
     def test_bad_bijection(self, mod2):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from minishift.bifix import (
 )
 from minishift.errors import (
     BudgetExceeded,
+    InputError,
     InsufficientHorizon,
     NotPrimitive,
     ParseError,
@@ -265,6 +266,20 @@ class TestCertify:
             query(F, "abaababaa")
         with pytest.raises(ValueError, match="'bb' is not a factor"):
             query(F, "bb")
+
+    @pytest.mark.parametrize("query, word", [
+        (right_return_words, "c" * 10),
+        (left_return_words, "c" * 10),
+        (FactorSet.uniform_recurrence_witness, "c" * 10),
+        (extension_graph, "c" * 7),
+        (lambda F, x: gamma(F, x, 20), "c"),
+        (lambda F, x: FactorSet.from_words(F.alphabet, ["ab"], 2).certify(99, "", x), "c"),
+    ], ids=["right_return_words", "left_return_words", "witness", "extension_graph", "gamma",
+            "uncertified"])
+    def test_a_stray_letter_is_refused_before_any_horizon(self, fib, query, word):
+        F = FactorSet.from_substitution(fib, "a", 8)
+        with pytest.raises(InputError, match="letter 'c' not in alphabet"):
+            query(F, word)
 
 
 class TestFactorSetBuilder:
