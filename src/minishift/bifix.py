@@ -115,6 +115,10 @@ class GroupCodeSpec:
     images: dict  # letter -> point permutation (dict)
     base_point: object
 
+    def __post_init__(self) -> None:
+        if self.base_point not in self.domain:
+            raise InputError(f"base point {self.base_point!r} not in domain {self.domain}")
+
     @classmethod
     def from_cycles(
         cls, domain: Iterable, cycles: dict[str, str], base_point=None

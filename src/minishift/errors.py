@@ -20,7 +20,7 @@ class BudgetExceeded(MinishiftError):
 DEFAULT_MONOID_BUDGET = 20000  # elements a monoid closure may reach
 
 
-class NotPrimitive(MinishiftError):
+class NotPrimitive(InputError):
     """Operation requires a primitive substitution."""
 
 
@@ -28,15 +28,15 @@ class InsufficientHorizon(MinishiftError):
     """The factor set horizon is too small to answer the query."""
 
 
-class NotSeparable(MinishiftError):
+class NotSeparable(InputError):
     """No finite-index subgroup can separate the element (it is a member)."""
 
 
-class NotACode(MinishiftError):
+class NotACode(InputError):
     """The given word set is not a code (fails Sardinas-Patterson)."""
 
 
-class NothingToSeparate(MinishiftError):
+class NothingToSeparate(InputError):
     """The two inputs already have equal images; separation is vacuous."""
 
 

@@ -6,6 +6,8 @@ corresponding uppercase letter is its inverse ("aB" means a b^{-1}).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InputError, NotSeparable
 from .words import Alphabet
 
@@ -25,6 +27,20 @@ def reduce(w: str) -> str:
         else:
             out.append(c)
     return "".join(out)
+
+
+@lru_cache(maxsize=64)  # kept per alphabet: a graph and each basis test read it
+def _letters(alphabet: Alphabet) -> frozenset[str]:
+    """The letters of group words over ``alphabet``: each letter and its inverse (upper case)."""
+    letters = alphabet.letters
+    return frozenset(c for a in letters for c in (a, a.upper()) if c.lower() in letters)
+
+
+def _check_letters(word: str, letters) -> str:
+    """``word`` if each of its letters is one of ``letters`` (see ``_letters``)."""
+    if not letters >= set(word):
+        raise InputError(f"letter {next(c for c in word if c not in letters)!r} outside alphabet")
+    return word
 
 
 class SubgroupGraph:
@@ -62,11 +78,9 @@ class SubgroupGraph:
         self._steps: dict[str, tuple[list[int], list[int]]] = {}
         self._slots = [(out, True) for out in self._out.values()]
         self._slots += [(inc, False) for inc in self._inc.values()]
-        for c in {*alphabet, *(a.upper() for a in alphabet)}:
-            a = c.lower()
-            if a in self._out:
-                out, inc = self._out[a], self._inc[a]
-                self._steps[c] = (out, inc) if c.islower() else (inc, out)
+        for c in _letters(alphabet):
+            out, inc = self._out[c.lower()], self._inc[c.lower()]
+            self._steps[c] = (out, inc) if c.islower() else (inc, out)
 
     # -- construction -------------------------------------------------
 
@@ -83,10 +97,7 @@ class SubgroupGraph:
 
     def check_word(self, word: str) -> str:
         """``word`` if each letter or its inverse is in the alphabet, checked before reduction."""
-        if not self._steps.keys() >= set(word):
-            bad = next(c for c in word if c not in self._steps)
-            raise InputError(f"letter {bad!r} outside alphabet")
-        return word
+        return _check_letters(word, self._steps.keys())
 
     def add_path(self, word: str, close: bool) -> int:
         """Attach a path from the base spelling ``word``; returns its endpoint."""
@@ -239,6 +250,7 @@ def generates(generators: list[str] | set[str], alphabet: Alphabet) -> bool:
 
 def is_basis_of_free_group(generators: list[str] | set[str], alphabet: Alphabet) -> bool:
     """A generating set whose cardinality (after reduction) equals the rank."""
+    _check_letters("".join(generators), _letters(alphabet))
     distinct = {reduce(w) for w in generators} - {""}
     return len(distinct) == len(alphabet) and generates(distinct, alphabet)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Hashable, Iterable
 
 from .errors import (
@@ -19,6 +19,7 @@ from .errors import (
 from .words import Alphabet, FactorSet, shortlex
 
 DEFAULT_ORDER_BUDGET = 10080
+ISOMORPHISM_CAP = 240  # order past which is_isomorphic_small refuses two groups
 StateMap = bytes | tuple[int | None, ...]  # see _state_map
 _TAILS = [bytes(range(n, 256)) for n in range(257)]  # y + _TAILS[len(y)] sends len(y) to itself
 
@@ -60,8 +61,11 @@ class Automaton:
         return self.run(word) in self.terminals
 
     def transformation(self, word: str) -> StateMap:
-        """State map of ``word``: ``bytes`` (n for no state) on n < 256 states, else a tuple."""
-        return _word_action(self.letter_transformations(), word, len(self.states))
+        """State map of ``word``: ``bytes`` (n for no state) on n < 256 states, else a tuple;
+        a letter without a map sends every state to none."""
+        n = len(self.states)
+        maps, dead = self.letter_transformations(), _state_map([None] * n, n)
+        return reduce(compose, [maps.get(a, dead) for a in word], _state_map(range(n), n))
 
     def letter_transformations(self) -> dict[str, StateMap]:
         """Each letter's state map, read off ``transitions``, encoded as by ``transformation``."""
@@ -100,12 +104,6 @@ def compose(x: StateMap, y: StateMap) -> StateMap:
     if type(x) is bytes:
         return x.translate(y + _TAILS[len(y)])
     return tuple([None if q is None else y[q] for q in x])
-
-
-def _word_action(letter_maps: dict, word: str, n: int) -> StateMap:
-    """The letter maps of ``word`` composed from the identity; a letter without one maps to none."""
-    dead = _state_map([None] * n, n)
-    return reduce(compose, [letter_maps.get(a, dead) for a in word], _state_map(range(n), n))
 
 
 def transformation_rank(t: StateMap) -> int:
@@ -153,7 +151,7 @@ class FiniteMonoid:
     Built by ``from_generators``: ``right[i * len(generators) + j]`` is the
     position of ``elements[i]`` times the j-th generator, and ``found_at[i]``
     is the slot of ``right`` where ``elements[i]`` was first reached (-1 for
-    the identity).
+    the identity): a spanning tree, read by ``unwind``.
     """
 
     elements: list
@@ -167,20 +165,27 @@ class FiniteMonoid:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def witness(self) -> dict:
-        """Each element's shortlex-least generator word, in element order.
+    def unwind(self, first, step: Callable) -> list:
+        """A value per element along the spanning tree ``found_at``: entry 0 is ``first``, and
+        entry k is step(entry[p], b) when elements[k] was first found as elements[p] * g_b.
 
-        Spelled out on first use from ``found_at``: the element first found
-        at slot s is the one at s // |gens| times generator s % |gens|.
+        That tree is all the left Cayley graph needs: if x = y * g_b was first found from y,
+        then g_a * x = (g_a * y) * g_b, a lookup in ``right`` at the left neighbour of the
+        earlier y (Froidure & Pin, "Algorithms for computing finite semigroups", Foundations
+        of Computational Mathematics, 1997).
         """
-        names = list(self.generators)
-        d = len(names)
-        words = [""]
+        d = len(self.generators)
+        out = [first]
         for slot in self.found_at[1:]:
             p, b = divmod(slot, d)
-            words.append(words[p] + names[b])
-        return dict(zip(self.elements, words))
+            out.append(step(out[p], b))
+        return out
+
+    @cached_property
+    def witness(self) -> dict:
+        """Each element's shortlex-least generator word, in element order."""
+        names = list(self.generators)
+        return dict(zip(self.elements, self.unwind("", lambda word, b: word + names[b])))
 
     def product(self, xs: Iterable):
         acc = self.identity
@@ -226,11 +231,7 @@ class FiniteMonoid:
         witnessed by its shortlex-least word in the generator order.  Every
         product x * g_b is recorded as an int in the right Cayley graph
         ``right``, and ``found_at`` keeps the product that first reached
-        each element.  That is all the left graph needs: if x = y * g_b was
-        first found from y, then g_a * x = (g_a * y) * g_b, a lookup in
-        ``right`` at the left neighbour of the earlier y (Froidure & Pin,
-        "Algorithms for computing finite semigroups", Foundations of
-        Computational Mathematics, 1997).  ``mul`` may also be a right
+        each element (see ``unwind``).  ``mul`` may also be a right
         action of the generators on points: the closure is then the orbit of
         ``identity``.  ``bytes`` state maps under ``compose`` are multiplied
         by one ``bytes.translate`` with a table built once per generator
@@ -388,15 +389,11 @@ class GreenStructure:
 
 
 def _left_graph(M: FiniteMonoid) -> list[int]:
-    """Left Cayley graph, laid out like ``M.right``: slot k * |gens| + a holds g_a * x_k."""
-    d = len(M.generators)
-    right = M.right
-    left = right[:d]  # g_a * 1 = 1 * g_a
-    for slot in M.found_at[1:]:
-        p, b = divmod(slot, d)
-        for a in range(p * d, p * d + d):
-            left.append(right[left[a] * d + b])
-    return left
+    """Left Cayley graph, laid out like ``M.right``: slot k * |gens| + a holds g_a * x_k,
+    column a unwound from g_a * 1 = right[a] (``FiniteMonoid.unwind``)."""
+    d, right = len(M.generators), M.right
+    columns = [M.unwind(right[a], lambda x, b: right[x * d + b]) for a in range(d)]
+    return list(chain.from_iterable(zip(*columns)))
 
 
 def green(M: FiniteMonoid) -> GreenStructure:
@@ -407,10 +404,7 @@ def green(M: FiniteMonoid) -> GreenStructure:
     H = R meet L.  In a finite monoid J = D = R o L, and each R-class of a
     D-class meets each L-class of it, so a J-class is named by the least L
     id over any one of its R-classes.  The left graph takes no
-    multiplication: if x_k was first found as x_p * g_b, then g_a * x_k =
-    (g_a * x_p) * g_b, so left[k][a] = right[left[p][a]][b] with p < k
-    (Froidure & Pin, "Algorithms for computing finite semigroups",
-    Foundations of Computational Mathematics, 1997).
+    multiplication (``FiniteMonoid.unwind``).
     """
     n = len(M)
     d = len(M.generators)
@@ -533,22 +527,23 @@ def _element_order(t: tuple[int, ...]) -> int:
     return len(orbit(t, lambda u: compose(u, t))[0])
 
 
-def is_isomorphic_small(G: PermGroup, H: PermGroup, budget: int = 240) -> bool:
+def is_isomorphic_small(G: PermGroup, H: PermGroup) -> bool:
     """Brute-force isomorphism test for groups of small order.
 
     Images h_b of G's generators g_b are extended along G's closure: the
     element first found as x * g_b maps to image(x) * h_b.  They give an
     isomorphism iff that map is a bijection that sends every edge x * g_b of
-    the right Cayley graph to image(x) * h_b.  H is closed up to ``budget``
-    and G up to |H| (or ``budget``); both in full only if both exceed it.
+    the right Cayley graph to image(x) * h_b.  H is closed up to
+    ``ISOMORPHISM_CAP`` and G up to |H| (or the cap); both in full only if
+    both exceed it.
     """
     h_order = g_order = None
     with suppress(BudgetExceeded):
-        h_order = H.order(budget)
+        h_order = H.order(ISOMORPHISM_CAP)
     with suppress(BudgetExceeded):
-        g_order = G.order(h_order or budget)
+        g_order = G.order(h_order or ISOMORPHISM_CAP)
     if h_order is None and g_order is None and H.order() == G.order():
-        raise BudgetExceeded(f"isomorphism search capped at order {budget}")
+        raise BudgetExceeded(f"isomorphism search capped at order {ISOMORPHISM_CAP}")
     if h_order is None or g_order != h_order:
         return False
     hel = H.elements()
@@ -559,9 +554,7 @@ def is_isomorphic_small(G: PermGroup, H: PermGroup, budget: int = 240) -> bool:
         horders.setdefault(_element_order(h), []).append(h)
 
     def extends(images: tuple) -> bool:
-        image = [hel[0]]
-        for slot in M.found_at[1:]:
-            image.append(compose(image[slot // d], images[slot % d]))
+        image = M.unwind(hel[0], lambda x, b: compose(x, images[b]))
         return len(set(image)) == len(hel) and all(
             image[k] == compose(image[slot // d], images[slot % d])
             for slot, k in enumerate(M.right)
@@ -652,14 +645,13 @@ def f_group(
     if base is not None:
         F.certify(word=base)
         word = base
-    letter_maps = A.letter_transformations()
-    t = _word_action(letter_maps, word, len(A.states))
+    t = A.transformation(word)
     if base is not None and (base_rank := transformation_rank(t)) != rank:
         raise InputError(f"base word {base!r} has rank {base_rank}, above the minimal rank {rank}")
     image = sorted(transformation_image(t))
     gens = []
     for r in sorted(right_return_words(F, word).words if rank else (), key=shortlex):
-        action = _word_action(letter_maps, r, len(A.states))
+        action = A.transformation(r)
         if any(action[q] not in image for q in image):
             raise InternalInvariantError(
                 f"return word {r!r} does not permute the minimal image"

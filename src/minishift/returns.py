@@ -25,7 +25,7 @@ def right_return_words(F: FactorSet, x: str) -> ReturnSet:
     """Complete set of right return words to ``x``, by ``FactorSet.first_returns``."""
     words = F.first_returns(x)
     if words is None:
-        n = F._cut_walk_witness(x)
+        n = F.uniform_recurrence_witness(x)
         raise InsufficientHorizon(
             f"return words to {x!r} may have complete-return length {n + 1}, "
             f"beyond horizon {F.horizon}"

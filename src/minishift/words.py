@@ -179,32 +179,18 @@ class Substitution:
                 raise BudgetExceeded(f"iterate longer than budget {DEFAULT_MAX_PREFIX}")
         return w
 
-    def incidence_matrix(self) -> list[list[int]]:
-        """Entry [i][j] counts occurrences of letter i in the image of letter j."""
-        letters = self.alphabet.letters
-        return [
-            [self.images[b].count(a) for b in letters]
-            for a in letters
-        ]
-
     def is_primitive(self) -> bool:
         """True iff some power of the incidence matrix is entrywise positive.
 
-        The power (|A|-1)^2 + 1 suffices (Wielandt's bound).
+        Entry [i][j] counts letter i in the image of letter j, and the power
+        (|A|-1)^2 + 1 suffices (Wielandt's bound).
         """
-        k = len(self.alphabet)
-        n = (k - 1) ** 2 + 1
-        m = self.incidence_matrix()
-        # boolean matrix power by repeated multiplication; k is tiny
-        acc = m
-        for _ in range(n - 1):
-            acc = [
-                [
-                    int(any(acc[i][t] and m[t][j] for t in range(k)))
-                    for j in range(k)
-                ]
-                for i in range(k)
-            ]
+        letters = self.alphabet.letters
+        k = len(letters)
+        acc = m = [[self.images[b].count(a) for b in letters] for a in letters]
+        for _ in range((k - 1) ** 2):  # boolean matrix power by repeated multiplication; k is tiny
+            acc = [[int(any(acc[i][t] and m[t][j] for t in range(k))) for j in range(k)]
+                   for i in range(k)]
         return all(all(row) for row in acc)
 
 
@@ -333,10 +319,6 @@ class FactorSet:
         returns = self.first_returns(x)
         if returns is not None:
             return len(x) + max(map(len, returns)) - 1
-        return self._cut_walk_witness(x)
-
-    def _cut_walk_witness(self, x: str) -> int:
-        """Witness of ``x`` past a cut ``first_returns`` walk: L if each length-L word holds x."""
         if all(x in w for w in self.words_of_length(self.horizon)):
             return self.horizon
         raise InsufficientHorizon(

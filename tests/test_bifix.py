@@ -18,7 +18,7 @@ from minishift.bifix import (
     minimal_automaton_of_star,
     parses,
 )
-from minishift.errors import InsufficientHorizon
+from minishift.errors import InputError, InsufficientHorizon
 from minishift.monoid import Automaton, parse_permutation, transition_monoid
 from minishift.words import Alphabet, FactorSet, shortlex
 
@@ -259,6 +259,12 @@ class TestGroupCodes:
         )
         assert spec.degree() == 3
         assert spec.base_point == 1
+
+    @pytest.mark.parametrize("base_point", ["1", 0, 6])
+    def test_base_point_outside_the_domain_is_refused(self, base_point):
+        # refused where it is given, not as a KeyError in the intersection's point walk
+        with pytest.raises(InputError, match=r"base point .* not in domain \(1, 2, 3\)"):
+            GroupCodeSpec.from_cycles((1, 2, 3), {"a": "(1 2 3)", "b": "(1 2)"}, base_point)
 
     def test_fibonacci_meets_z2(self, fib_set):
         spec = GroupCodeSpec.cyclic(2, {"a": 1, "b": 1})

@@ -427,9 +427,9 @@ class TestExitCodes:
 
 
 # Values for the property test below: well-formed ones, and malformed ones of
-# every kind the option parsers reject.  --dot is left out (it writes files),
-# and so is --base-point: a base point is read as a string, so a permutation
-# group code with one ends in a KeyError, a known escape kept for now.
+# every kind the option parsers reject.  --dot is left out (it writes files).
+# --base-point is read as text: against the numbered points of these images it
+# lies outside the domain, which the group code refuses (exit 2).
 SUBSTS = st.sampled_from(["a->ab;b->a", "a->ab;b->ba", "a->ab;b->ac;c->a", "a->ab;b->aaab",
                           "a->b;b->a", "a->ab", "a->", "x", ""])
 WORDS = st.sampled_from(["", "a", "b", "c", "ab", "ba", "aa", "abaab", "aB", "x y"])
@@ -455,7 +455,7 @@ OPTIONS = {
                   "--subst": SUBSTS, "--start": WORDS, "--horizon": SMALL, "--eggbox": None,
                   "--budget": st.sampled_from(["5", "20000"])},
     ("bifix",): {"--group": GROUPS, "--images": IMAGES, "--subst": SUBSTS, "--start": WORDS,
-                 "--horizon": SMALL, "--no-degree": None},
+                 "--horizon": SMALL, "--no-degree": None, "--base-point": SMALL},
     ("horder",): {"--subst": SUBSTS, "--group": GROUPS, "--images": IMAGES},
     ("shadow", "horder"): {"--subst": SUBSTS, "--group": GROUPS, "--images": IMAGES},
     ("shadow", "eval"): {"--expr": st.sampled_from(["a", "(ab)^w", "subst^w(phi, a)",
@@ -518,19 +518,14 @@ def golden_argvs():
 
 
 GOLDENS = json.loads((PERFBENCH / "goldens.json").read_text())["cli"]
-# A base point is read as a string, so a permutation group code with one ends
-# in a KeyError; the benchmark counts that argv as a known escape for now.
-BASE_POINT_ESCAPE = pytest.mark.skip(reason="--base-point is read as a string: a known escape")
 
 
 def test_goldens_hold_every_argv_of_the_mix():
     assert sorted(json.dumps(argv) for _, argv in golden_argvs()) == sorted(GOLDENS)
 
 
-@pytest.mark.parametrize("kind, argv", [
-    pytest.param(kind, argv, marks=[BASE_POINT_ESCAPE] if "--base-point" in argv else [])
-    for kind, argv in golden_argvs()
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("kind, argv", golden_argvs(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_cli_contract_on_the_benchmark_goldens(kind, argv):
     """In-process ``main``: "ok" prints the golden stdout, the others exit 2 or 3."""
     code, stdout, stderr = invoke(*argv)

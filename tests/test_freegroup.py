@@ -439,7 +439,10 @@ class TestFoldOracle:
             SubgroupGraph(AB).add_loop("acCb")
         with pytest.raises(InputError, match="letter 'c' outside alphabet"):
             separating_subgroup(subgroup(["aa"], AB), "cC")
+        with pytest.raises(InputError, match="letter 'c' outside alphabet"):
+            is_basis_of_free_group(["a", "b", "cC"], AB)
         assert subgroup(["aa"], AB).check_word("aB") == "aB"
+        assert is_basis_of_free_group(["a", "bB", "b"], AB)
 
     def test_base_survives_a_merge(self):
         g = SubgroupGraph(AB)

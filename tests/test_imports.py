@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import minishift
+from minishift.errors import InputError, NotACode, NothingToSeparate, NotPrimitive, NotSeparable
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(minishift.__path__))
 
@@ -37,6 +38,27 @@ def test_the_library_refuses_input_as_input_error(module):
     raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
               for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
     assert [n.lineno for n in raised if getattr(n, "id", None) == "ValueError"] == []
+
+
+@pytest.mark.parametrize("error", [NotPrimitive, NotACode, NotSeparable, NothingToSeparate])
+def test_each_refusal_of_a_value_is_an_input_error(error):
+    assert issubclass(error, InputError)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_another_modules_private_attribute(module):
+    # a name with a leading underscore is read on self or cls, or where it is defined
+    tree = ast.parse(Path(minishift.__path__[0], f"{module}.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {n.attr for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)}
+    defined |= {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    foreign = [f"{module}.py:{n.lineno} {n.attr}" for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+               and n.attr.startswith("_") and not n.attr.startswith("__")
+               and getattr(n.value, "id", None) not in ("self", "cls") and n.attr not in defined]
+    assert foreign == []
 
 
 CLI_BASE = {"minishift", "minishift.cli", "minishift.errors", "minishift.words"}

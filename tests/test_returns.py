@@ -228,17 +228,10 @@ class TestWalkAgainstScan:
         (3, "a", "return words to 'a' may have complete-return length 4, beyond horizon 3"),
         (8, "aa", "no uniform recurrence witness for 'aa' within horizon 8"),
     ], ids=["witness-at-the-horizon", "no-witness"])
-    def test_refused_query_walks_once(self, tm, monkeypatch, horizon, x, message):
-        # a cut walk is worded from the length-L words, not from a second walk
+    def test_refused_query_walks_once(self, tm, horizon, x, message):
+        # a cut walk is worded from the stored walk and the length-L words, not a second walk
         F = FactorSet.from_substitution(tm, "a", horizon)
-        walks = []
-        first_returns = FactorSet.first_returns
-
-        def counted(self, y):
-            walks.append(y)
-            return first_returns(self, y)
-
-        monkeypatch.setattr(FactorSet, "first_returns", counted)
+        walks = count_walks(F)
         with pytest.raises(InsufficientHorizon) as refused:
             right_return_words(F, x)
         assert walks == [x]
