@@ -53,9 +53,6 @@ class ExtensionGraph:
                         stack.append(w)
         return count
 
-    def is_tree(self) -> bool:
-        return self.is_connected() and self.is_acyclic()
-
     def to_dot(self) -> str:
         lines = ["graph extension {", "  rankdir=LR;"]
         lines.append("  { rank=same; " + " ".join(f'"L_{a}"' for a in self.left) + " }")

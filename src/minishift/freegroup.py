@@ -31,8 +31,11 @@ def reduce(w: str) -> str:
 
 @lru_cache(maxsize=64)  # kept per alphabet: a graph and each basis test read it
 def _letters(alphabet: Alphabet) -> frozenset[str]:
-    """The letters of group words over ``alphabet``: each letter and its inverse (upper case)."""
+    """The letters of group words over ``alphabet``: each letter and its inverse (upper case).
+    A letter that is not lowercase is refused: it would have no inverse, or be one."""
     letters = alphabet.letters
+    if bad := [a for a in letters if not a.islower()]:
+        raise InputError(f"letter {bad[0]!r} is not lowercase (capitals are inverses)")
     return frozenset(c for a in letters for c in (a, a.upper()) if c.lower() in letters)
 
 
@@ -90,10 +93,6 @@ class SubgroupGraph:
             parent[v] = parent[parent[v]]
             v = parent[v]
         return v
-
-    def add_loop(self, word: str) -> None:
-        """Attach a base-to-base path spelling the reduced word."""
-        self.add_path(word, close=True)
 
     def check_word(self, word: str) -> str:
         """``word`` if each letter or its inverse is in the alphabet, checked before reduction."""

@@ -29,25 +29,33 @@ _TAILS = [bytes(range(n, 256)) for n in range(257)]  # y + _TAILS[len(y)] sends 
 
 @dataclass(eq=False)
 class Automaton:
-    """Deterministic partial automaton."""
+    """Deterministic partial automaton.  The pass that checks the transitions builds ``pos``
+    (state to position) and ``letter_maps`` (see ``_state_map``); nothing changes them after."""
 
     alphabet: Alphabet
     states: tuple[Hashable, ...]
     initial: Hashable
     terminals: frozenset
     transitions: dict[tuple[Hashable, str], Hashable]
+    pos: dict = field(init=False, repr=False)
+    letter_maps: dict[str, StateMap] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        pool = set(self.states)
-        if self.initial not in pool:
+        pos = self.pos = {q: i for i, q in enumerate(self.states)}
+        if len(pos) != len(self.states):
+            raise InputError("repeated state")
+        if self.initial not in pos:
             raise InputError("initial state unknown")
-        if not self.terminals <= pool:
+        if not self.terminals <= pos.keys():
             raise InputError("terminal state unknown")
+        targets: dict[str, list] = {a: [None] * len(pos) for a in self.alphabet}
         for (q, a), r in self.transitions.items():
-            if q not in pool or r not in pool:
+            if q not in pos or r not in pos:
                 raise InputError(f"transition ({q!r},{a!r})->{r!r} uses unknown state")
-            if a not in self.alphabet:
+            if a not in targets:
                 raise InputError(f"transition letter {a!r} outside alphabet")
+            targets[a][pos[q]] = pos[r]
+        self.letter_maps = {a: _state_map(t, len(pos)) for a, t in targets.items()}
 
     def run(self, word: str, start: Hashable | None = None) -> Hashable | None:
         q = self.initial if start is None else start
@@ -62,21 +70,13 @@ class Automaton:
 
     def transformation(self, word: str) -> StateMap:
         """State map of ``word``: ``bytes`` (n for no state) on n < 256 states, else a tuple;
-        a letter without a map sends every state to none."""
+        a letter without a map sends every state to none.  The empty word gives the identity."""
         n = len(self.states)
-        maps, dead = self.letter_transformations(), _state_map([None] * n, n)
+        maps, dead = self.letter_maps, _state_map([None] * n, n)
         return reduce(compose, [maps.get(a, dead) for a in word], _state_map(range(n), n))
 
-    def letter_transformations(self) -> dict[str, StateMap]:
-        """Each letter's state map, read off ``transitions``, encoded as by ``transformation``."""
-        pos = {q: i for i, q in enumerate(self.states)}
-        return {
-            a: _state_map([pos.get(self.transitions.get((q, a))) for q in self.states], len(pos))
-            for a in self.alphabet
-        }
-
     def to_dot(self) -> str:
-        pos = {q: i for i, q in enumerate(self.states)}
+        pos = self.pos
         lines = ["digraph automaton {", f'  {pos[self.initial]} [shape=diamond];']
         for t in sorted(pos[q] for q in self.terminals):
             lines.append(f"  {t} [peripheries=2];")
@@ -199,11 +199,6 @@ class FiniteMonoid:
     def is_idempotent(self, x) -> bool:
         return self.mul(x, x) == x
 
-    def index_period(self, s) -> tuple[int, int]:
-        """Least (i, p) with s^(i+p) = s^i, i >= 1, p >= 1."""
-        _, preperiod, period = orbit(s, lambda t: self.mul(t, s))
-        return preperiod + 1, period
-
     def omega_power(self, s):
         """The unique idempotent power of ``s``."""
         powers, preperiod, period = orbit(s, lambda t: self.mul(t, s))
@@ -276,10 +271,7 @@ def transition_monoid(
     A: Automaton, budget: int = DEFAULT_MONOID_BUDGET
 ) -> FiniteMonoid:
     """Monoid of state transformations generated by the letter actions."""
-    identity = _state_map(range(len(A.states)), len(A.states))
-    return FiniteMonoid.from_generators(
-        A.letter_transformations(), compose, identity, budget
-    )
+    return FiniteMonoid.from_generators(A.letter_maps, compose, A.transformation(""), budget)
 
 
 # ---------------------------------------------------------------- Green
@@ -344,8 +336,8 @@ class GreenStructure:
     def classes(self, kind: str) -> dict[int, list[int]]:
         """Member indices of each class of kind R, L, J or H.
 
-        Grouped on the first call and kept: later calls, ``j_class_members``
-        and ``h_class_of`` return the same lists, which callers must not change.
+        Grouped on the first call and kept: later calls and ``j_class_members``
+        return the same lists, which callers must not change.
         """
         if kind not in self._groups:
             ids = {"R": self.r_class, "L": self.l_class, "J": self.j_class, "H": self.h_class}[kind]
@@ -357,12 +349,6 @@ class GreenStructure:
 
     def j_class_members(self, cid: int) -> list[int]:
         return self.classes("J").get(cid, [])
-
-    def is_regular_j(self, cid: int) -> bool:
-        return any(self.idempotent[i] for i in self.j_class_members(cid))
-
-    def h_class_of(self, i: int) -> list[int]:
-        return self.classes("H")[self.h_class[i]]
 
     def eggbox(self, cid: int) -> str:
         """ASCII grid of the J-class: rows R-classes, columns L-classes."""
@@ -589,11 +575,11 @@ def f_min_rank_data(
     from .returns import right_return_words
 
     F.certify()
-    letter_maps = A.letter_transformations()
+    letter_maps = A.letter_maps
     missing = [a for a in F.alphabet if a not in letter_maps]  # not level 1: empty at L = 0
     if missing:
         raise InputError(f"automaton has no letter {''.join(missing)!r} of the factor set")
-    current = {"": _state_map(range(len(A.states)), len(A.states))}
+    current = {"": A.transformation("")}
     best_rank = len(A.states) + 1
     refusal = None
     for n in range(F.horizon + 1):

@@ -207,7 +207,7 @@ def is_code(words: set[str] | frozenset[str]) -> bool:
     """Sardinas-Patterson: X is a code iff no U_n holds the empty word, where
     U_1 = X^-1 X minus {''} and U_n+1 = X^-1 U_n | U_n^-1 X (Berstel, Perrin,
     Reutenauer, Codes and Automata, CUP 2010, ch. 2).  The U_n are sets of
-    suffixes of X, so the sequence repeats within finitely many steps."""
+    suffixes of X, so the sequence repeats within finitely many steps (``monoid.orbit``)."""
     X = frozenset(w for w in words if w)
     if len(X) != len(words):
         return False  # the empty word is never part of a code
@@ -216,13 +216,8 @@ def is_code(words: set[str] | frozenset[str]) -> bool:
         """P^-1 Q: the words s with p s in Q for some p in P."""
         return frozenset(q[len(p):] for p in P for q in Q if q.startswith(p))
 
-    U, seen = quotient(X, X) - {""}, set()
-    while U not in seen:
-        if "" in U:
-            return False
-        seen.add(U)
-        U = quotient(X, U) | quotient(U, X)
-    return True
+    sequence = orbit(quotient(X, X) - {""}, lambda U: quotient(X, U) | quotient(U, X))[0]
+    return not any("" in U for U in sequence)
 
 
 # ------------------------------------------------------------ separation

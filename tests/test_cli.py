@@ -371,7 +371,7 @@ class TestExitCodes:
           "--horizon", "0"], InputError),
         (["freegroup", "--alphabet", "ab", "--generators", "ab", "--member", "ac"], InputError),
         (["horder", "--subst", "a->ab;b->a", "--group", "cyclic:0", "--images", "a=1,b=1"],
-         ParseError),
+         InputError),
         (["returns", "--subst", "a->ab;b->a", "--start", "a", "--word", "abaababaa",
           "--horizon", "8"], InsufficientHorizon),
         (["horder", "--subst", "a->ab;b->aaab", "--group", "A5", "--images", "a:(1 x)"],

@@ -65,7 +65,7 @@ class TestExtensionGraph:
         assert set(g.edges) == {
             ("a", "a"), ("a", "b"), ("a", "c"), ("b", "a"), ("c", "a"),
         }
-        assert g.is_tree()
+        assert g.is_connected() and g.is_acyclic()
 
     def test_thue_morse_empty_word_complete_bipartite(self, tm_set):
         g = extension_graph(tm_set, "")
@@ -170,7 +170,8 @@ class TestClassify:
                 for w in F.words_of_length(n):
                     g = extension_graph(F, w)
                     balanced = len(g.edges) == len(g.left) + len(g.right) - 1
-                    assert g.is_tree() == (balanced and g.is_connected())
+                    tree = g.is_connected() and g.is_acyclic()
+                    assert tree == (balanced and g.is_connected())
 
     def test_neutral_implies_complexity_law(self, fib_set, trib_set):
         for F in (fib_set, trib_set):

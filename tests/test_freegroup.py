@@ -408,15 +408,15 @@ class TestFoldOracle:
 
     def test_classes_are_named_by_their_least_vertex(self):
         g = SubgroupGraph(AB)
-        g.add_loop("ab")  # 0 -a-> 1 -b-> 0
-        g.add_loop("aa")  # 0 -a-> 2 -a-> 0, so 2 joins 1
+        g.add_path("ab", close=True)  # 0 -a-> 1 -b-> 0
+        g.add_path("aa", close=True)  # 0 -a-> 2 -a-> 0, so 2 joins 1
         assert g.vertices == {0, 1}
         assert g.triples == {(0, "a", 1), (1, "b", 0), (1, "a", 0)}
 
     def test_a_loop_reads_its_prefix_and_suffix(self):
         g = SubgroupGraph(AB)
-        g.add_loop("aab")  # 0 -a-> 1 -a-> 2 -b-> 0
-        g.add_loop("abb")  # reserves 3 and 4: 3 reads as 1, 4 (read back from 0) as 2
+        g.add_path("aab", close=True)  # 0 -a-> 1 -a-> 2 -b-> 0
+        g.add_path("abb", close=True)  # reserves 3 and 4: 3 reads as 1, 4 (read back from 0) as 2
         assert g.vertices == {0, 1, 2}
         assert g.triples == {(0, "a", 1), (1, "a", 2), (2, "b", 0), (1, "b", 2)}
         assert g.add_path("aa", close=False) == 2
@@ -424,7 +424,7 @@ class TestFoldOracle:
     def test_a_path_validates_its_letters(self):
         g = SubgroupGraph(AB)
         with pytest.raises(ValueError, match="letter 'c' outside alphabet"):
-            g.add_loop("abc")
+            g.add_path("abc", close=True)
         with pytest.raises(ValueError, match="letter 'C' outside alphabet"):
             subgroup(["ab", "bC"], AB)
         with pytest.raises(ValueError, match="letter 'c' outside alphabet"):
@@ -436,7 +436,7 @@ class TestFoldOracle:
         with pytest.raises(InputError, match="letter 'c' outside alphabet"):
             subgroup(["a", "cC"], AB)
         with pytest.raises(InputError, match="letter 'c' outside alphabet"):
-            SubgroupGraph(AB).add_loop("acCb")
+            SubgroupGraph(AB).add_path("acCb", close=True)
         with pytest.raises(InputError, match="letter 'c' outside alphabet"):
             separating_subgroup(subgroup(["aa"], AB), "cC")
         with pytest.raises(InputError, match="letter 'c' outside alphabet"):
@@ -444,9 +444,21 @@ class TestFoldOracle:
         assert subgroup(["aa"], AB).check_word("aB") == "aB"
         assert is_basis_of_free_group(["a", "bB", "b"], AB)
 
+    @pytest.mark.parametrize("letters", ["a1", "aB"])
+    def test_letters_that_are_not_lowercase_are_refused(self, letters):
+        # a caseless letter would step backwards, and a capital is an inverse
+        alphabet = Alphabet.of(letters)
+        bad = letters[1]
+        with pytest.raises(InputError, match=f"letter {bad!r} is not lowercase"):
+            SubgroupGraph(alphabet)
+        with pytest.raises(InputError, match=f"letter {bad!r} is not lowercase"):
+            subgroup(["a"], alphabet)
+        with pytest.raises(InputError, match=f"letter {bad!r} is not lowercase"):
+            is_basis_of_free_group(["a", bad], alphabet)
+
     def test_base_survives_a_merge(self):
         g = SubgroupGraph(AB)
-        g.add_loop("aa")  # 0 -a-> 1 -a-> 0
-        g.add_loop("a")  # 0 -a-> 0, so 1 joins the base
+        g.add_path("aa", close=True)  # 0 -a-> 1 -a-> 0
+        g.add_path("a", close=True)  # 0 -a-> 0, so 1 joins the base
         assert g.vertices == {0}
         assert g.triples == {(0, "a", 0)}

@@ -1,10 +1,12 @@
 """Every module imports on its own, so no import cycle hides behind an order."""
 
 import ast
+import importlib
 import json
 import pkgutil
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,24 @@ def test_no_module_reads_another_modules_private_attribute(module):
                and n.attr.startswith("_") and not n.attr.startswith("__")
                and getattr(n.value, "id", None) not in ("self", "cls") and n.attr not in defined]
     assert foreign == []
+
+
+def test_every_traced_name_is_in_the_library():
+    # the benchmark's span tracer rebinds each (module, attribute path) of its TARGETS and
+    # fails on one that is gone; the table is read with ast, so the benchmark is not imported
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    table = next(node.value for node in ast.parse(spans.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    names = [(entry.elts[0].value, entry.elts[1].value) for entry in table.elts]
+    assert names
+    missing = []
+    for module, path in names:
+        try:
+            reduce(getattr, path.split("."), importlib.import_module(f"minishift.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{path}")
+    assert missing == []
 
 
 CLI_BASE = {"minishift", "minishift.cli", "minishift.errors", "minishift.words"}

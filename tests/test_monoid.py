@@ -212,7 +212,7 @@ def schutzenberger_group(M, h_members):
 
 def scanned_min_rank(A, F):
     """Oracle: the least rank over every factor of F, its shortlex-least word and its images."""
-    letter_maps = A.letter_transformations()
+    letter_maps = A.letter_maps
     current = {"": A.transformation("")}
     rank, word, images = len(A.states) + 1, None, set()
     for n in range(F.horizon + 1):
@@ -546,11 +546,19 @@ class TestTransformations:
 
 
 class TestAutomaton:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Automaton(AB, (1,), 2, frozenset(), {})
-        with pytest.raises(ValueError):
-            Automaton(AB, (1,), 1, frozenset(), {(1, "c"): 1})
+    @pytest.mark.parametrize("states, initial, terminals, transitions, message", [
+        ((1,), 2, frozenset(), {}, "initial state unknown"),
+        ((1,), 1, frozenset(), {(1, "c"): 1}, "transition letter 'c' outside alphabet"),
+        # a repeated state would leave letter maps shorter than the identity
+        ((0, 0), 0, frozenset({0}), {(0, "a"): 0}, "repeated state"),
+        ((1,), 1, frozenset({2}), {}, "terminal state unknown"),
+        ((1,), 1, frozenset(), {(2, "a"): 1}, "transition (2,'a')->1 uses unknown state"),
+        ((1,), 1, frozenset(), {(1, "a"): 2}, "transition (1,'a')->2 uses unknown state"),
+    ], ids=["initial", "letter", "repeated-state", "terminal", "source", "target"])
+    def test_validation(self, states, initial, terminals, transitions, message):
+        with pytest.raises(InputError) as refused:
+            Automaton(AB, states, initial, terminals, transitions)
+        assert str(refused.value) == message
 
     def test_run_and_accepts(self, three_state):
         assert three_state.run("ab") == 1
@@ -582,7 +590,7 @@ class TestWordAction:
     @settings(max_examples=30)
     @given(small_automata())
     def test_random_automata_every_short_word(self, A):
-        maps = A.letter_transformations()
+        maps = A.letter_maps
         assert list(maps) == list(A.alphabet)
         assert all(maps[a] == per_state_transformation(A, a) for a in A.alphabet)
         for w in words_up_to("".join(A.alphabet) + "x", 6):
@@ -609,9 +617,10 @@ class TestOrbit:
         M = FiniteMonoid.from_generators(
             {"s": (1, 2, 2), "t": (1, 0, 0)}, compose, (0, 1, 2)
         )
-        assert M.index_period((1, 2, 2)) == (2, 1)
+        # orbit(s, t -> t s) gives the powers s, s^2, ... and (index - 1, period)
+        assert orbit((1, 2, 2), lambda t: M.mul(t, (1, 2, 2)))[1:] == (1, 1)
         assert M.omega_power((1, 2, 2)) == (2, 2, 2)
-        assert M.index_period((1, 0, 0)) == (1, 2)
+        assert orbit((1, 0, 0), lambda t: M.mul(t, (1, 0, 0)))[1:] == (0, 2)
         assert M.omega_power((1, 0, 0)) == (0, 1, 1)
 
 
@@ -629,7 +638,7 @@ class TestFiniteMonoid:
     def test_index_period_and_omega(self, three_state_monoid):
         M = three_state_monoid
         t = M.image_of_word("ab")
-        assert M.index_period(t) == (1, 1)
+        assert orbit(t, lambda u: M.mul(u, t))[1:] == (0, 1)
         assert M.is_idempotent(M.omega_power(t))
         s = M.image_of_word("a")
         assert M.is_idempotent(M.omega_power(s))
@@ -637,7 +646,7 @@ class TestFiniteMonoid:
     def test_cyclic(self):
         C = cyclic_monoid(6)
         assert C.is_group()
-        assert C.index_period(1) == (1, 6)
+        assert orbit(1, lambda t: C.mul(t, 1))[1:] == (0, 6)
         assert C.omega_power(1) == 0
         assert C.image_of_word("ggg") == 3
 
@@ -689,7 +698,7 @@ class TestGreen:
         M = three_state_monoid
         G = green(M)
         cid = G.j_class[M.pos[M.image_of_word("aa")]]
-        assert G.is_regular_j(cid)
+        assert any(G.idempotent[i] for i in G.j_class_members(cid))
 
     def test_j_classes(self, three_state_monoid):
         # by J id: member witnesses, R-class count, L-class count, regular
@@ -699,7 +708,7 @@ class TestGreen:
         assert [
             (sorted(M.witness[M.elements[i]] for i in members),
              len({G.r_class[i] for i in members}), len({G.l_class[i] for i in members}),
-             G.is_regular_j(cid))
+             any(G.idempotent[i] for i in members))
             for cid, members in sorted(G.classes("J").items())
         ] == [
             (["bbb"], 1, 1, True),
@@ -717,7 +726,7 @@ class TestGreen:
         M = three_state_monoid
         G = green(M)
         i = M.pos[M.image_of_word("aa")]
-        h = [M.elements[j] for j in G.h_class_of(i)]
+        h = [M.elements[j] for j in G.classes("H")[G.h_class[i]]]
         assert schutzenberger_group(M, h).order() == 2
 
 
@@ -727,9 +736,9 @@ class TestGreen:
         for cid in set(G.j_class):
             members = [i for i in range(n) if G.j_class[i] == cid]
             assert G.j_class_members(cid) == members
-            assert G.is_regular_j(cid) == any(G.idempotent[i] for i in members)
         for i in range(n):
-            assert G.h_class_of(i) == [j for j in range(n) if G.h_class[j] == G.h_class[i]]
+            members = [j for j in range(n) if G.h_class[j] == G.h_class[i]]
+            assert G.classes("H")[G.h_class[i]] == members
         assert G.j_class_members(max(G.j_class) + 1) == []
 
 
@@ -773,7 +782,7 @@ class TestCayleyGraph:
     def test_budget_of_exactly_the_size(self, A):
         M = transition_monoid(A)
         identity = A.transformation("")
-        gens = A.letter_transformations()
+        gens = A.letter_maps
         same = FiniteMonoid.from_generators(gens, compose, identity, budget=len(M))
         assert same.elements == M.elements and same.witness == M.witness
         if len(M) == 1:
@@ -822,7 +831,7 @@ class TestTableClosure:
     @settings(max_examples=120)
     @given(byte_automata(), st.integers(1, 3000))
     def test_same_closure_as_the_generic_path(self, A, budget):
-        gens = A.letter_transformations()
+        gens = A.letter_maps
         identity = A.transformation("")
         assert _right_action(compose, list(gens.values()))[0] is bytes.translate
         M = assert_closures_agree(gens, identity, budget)
@@ -839,7 +848,7 @@ class TestTableClosure:
             frozenset({0}),
             {**{(q, "a"): (q + 1) % n for q in range(n)}, **{(q, "b"): 0 for q in range(n)}},
         )
-        gens = A.letter_transformations()
+        gens = A.letter_maps
         assert _right_action(compose, list(gens.values()))[0] is compose
         M = assert_closures_agree(gens, A.transformation(""), DEFAULT_MONOID_BUDGET)
         assert len(M) == 2 * n  # the n rotations and the n constant maps
