@@ -104,6 +104,18 @@ def f_degree(X: BifixCode, F: FactorSet) -> int:
 
 
 @dataclass(frozen=True)
+class _Shift:
+    """The permutation p -> (p + k) mod m of 0..m-1, read as ``shift[p]``
+    like a permutation dict, and kept in two ints whatever m is."""
+
+    k: int
+    m: int
+
+    def __getitem__(self, p: int) -> int:
+        return (p + self.k) % self.m
+
+
+@dataclass(frozen=True)
 class GroupCodeSpec:
     """Transitive permutation morphism with a distinguished stabilized point.
 
@@ -111,8 +123,8 @@ class GroupCodeSpec:
     along a path that first returns to it exactly at the end.
     """
 
-    domain: tuple
-    images: dict  # letter -> point permutation (dict)
+    domain: tuple | range
+    images: dict  # letter -> point permutation, read as images[letter][point]
     base_point: object
 
     def __post_init__(self) -> None:
@@ -131,14 +143,14 @@ class GroupCodeSpec:
 
     @classmethod
     def cyclic(cls, m: int, weights: dict[str, int]) -> "GroupCodeSpec":
-        """Regular representation of Z/m with letter a adding weights[a]."""
+        """Regular representation of Z/m with letter a adding weights[a].
+
+        The points are ``range(m)`` and each letter acts by a ``_Shift``, so
+        the spec takes the same memory for every m.
+        """
         if m < 1:
             raise InputError("modulus must be positive")
-        dom = tuple(range(m))
-        images = {
-            a: {p: (p + k) % m for p in dom} for a, k in weights.items()
-        }
-        return cls(dom, images, 0)
+        return cls(range(m), {a: _Shift(k, m) for a, k in weights.items()}, 0)
 
     def degree(self) -> int:
         """Index of the stabilizer = orbit size of the base point."""
@@ -154,26 +166,33 @@ def group_code_intersection(spec: GroupCodeSpec, F: FactorSet) -> BifixCode:
     """The code words of the group code that are factors.
 
     A factor belongs iff its point walk from the base returns to the base
-    exactly at the end.  If some maximal-length factor has no nonempty
-    prefix returning to the base, longer code words may have been cut off.
+    exactly at the end.  F is factorial, so each factor's walk is its
+    longest proper prefix's walk one letter on: the walks are kept level by
+    level, for the factors with no nonempty prefix back at the base.  If
+    some maximal-length factor has no such prefix, longer code words may
+    have been cut off, and the shortlex-first one is named.
     """
     F.certify()
-    base = spec.base_point
-
-    def first_return(w: str) -> int | None:
-        p = base
-        for i, a in enumerate(w, 1):
-            p = spec.images[a][p]
-            if p == base:
-                return i
-        return None
-
-    out = {w for w in F.factors if w and first_return(w) == len(w)}
-    for w in F.words_of_length(F.horizon):
-        if first_return(w) is None:
-            raise InsufficientHorizon(
-                f"factor {w!r} has no code-word prefix; horizon too small"
-            )
+    base, images = spec.base_point, spec.images
+    out = []
+    walks = {"": base}  # each open factor of the last level -> the point its walk reached
+    for n in range(1, F.horizon + 1):
+        if not walks:
+            break
+        reached = {}
+        for w in F.words_of_length(n):
+            prefix = w[:-1]
+            if prefix in walks:
+                p = images[w[-1]][walks[prefix]]
+                if p == base:
+                    out.append(w)
+                else:
+                    reached[w] = p
+        walks = reached
+    if walks:
+        raise InsufficientHorizon(
+            f"factor {next(iter(walks))!r} has no code-word prefix; horizon too small"
+        )
     return BifixCode.of(out)
 
 

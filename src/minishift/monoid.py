@@ -325,22 +325,42 @@ def _sccs(n: int, d: int, graph: list[int]) -> list[int]:
 
 @dataclass
 class GreenStructure:
+    """Green's relations on ``monoid``, as a class id per element position.
+
+    R and J are found by ``green``; L, H and the idempotent flags are built
+    on first read and kept.
+    """
+
     monoid: FiniteMonoid
     r_class: list[int]
-    l_class: list[int]
     j_class: list[int]
-    h_class: list[int]
-    idempotent: list[bool]
     _groups: dict[str, dict[int, list[int]]] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def l_class(self) -> list[int]:
+        M = self.monoid
+        return _sccs(len(M), len(M.generators), _left_graph(M))
+
+    @cached_property
+    def h_class(self) -> list[int]:
+        """H = R meet L: one id per (R id, L id) pair, numbered as first met."""
+        pair_ids: dict[tuple[int, int], int] = {}
+        return [pair_ids.setdefault(key, len(pair_ids)) for key in zip(self.r_class, self.l_class)]
+
+    @cached_property
+    def idempotent(self) -> list[bool]:
+        mul = self.monoid.mul
+        return [mul(x, x) == x for x in self.monoid.elements]
 
     def classes(self, kind: str) -> dict[int, list[int]]:
         """Member indices of each class of kind R, L, J or H.
 
         Grouped on the first call and kept: later calls and ``j_class_members``
-        return the same lists, which callers must not change.
+        return the same lists, which callers must not change.  Only the ids
+        of ``kind`` are read, so J builds no L.
         """
         if kind not in self._groups:
-            ids = {"R": self.r_class, "L": self.l_class, "J": self.j_class, "H": self.h_class}[kind]
+            ids = getattr(self, {"R": "r_class", "L": "l_class", "J": "j_class", "H": "h_class"}[kind])
             out: dict[int, list[int]] = {}
             for i, c in enumerate(ids):
                 out.setdefault(c, []).append(i)
@@ -383,28 +403,31 @@ def _left_graph(M: FiniteMonoid) -> list[int]:
 
 
 def green(M: FiniteMonoid) -> GreenStructure:
-    """Green's relations as strongly connected components of the Cayley graphs.
+    """Green's R and J as strongly connected components; L, H and idempotents on first read.
 
     x R y iff each is reachable from the other in the right Cayley graph
-    that ``from_generators`` recorded, L likewise in the left one, and
-    H = R meet L.  In a finite monoid J = D = R o L, and each R-class of a
-    D-class meets each L-class of it, so a J-class is named by the least L
-    id over any one of its R-classes.  The left graph takes no
-    multiplication (``FiniteMonoid.unwind``).
+    that ``from_generators`` recorded, and L likewise in the left one
+    (``GreenStructure.l_class``).  R is a left congruence, so each generator
+    acts on the R-classes through any one member of a class.  In a finite
+    monoid J = D, and two R-classes lie in one J-class iff each reaches the
+    other under that action: if y = u x v and y J x, then u x J y, and a
+    finite monoid is stable, so u x R y.  J is therefore found on a graph
+    with one node per R-class, with one multiplication per node and
+    generator, and a J-class is named by the least R id among its members.
     """
     n = len(M)
     d = len(M.generators)
     r_class = _sccs(n, d, M.right)
-    l_class = _sccs(n, d, _left_graph(M))
-    least_l = [n] * n
-    for r, l in zip(r_class, l_class):
-        least_l[r] = min(least_l[r], l)
-    j_class = [least_l[r] for r in r_class]
-    pair_ids: dict[tuple[int, int], int] = {}
-    h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
-    mul = M.mul
-    idem = [mul(x, x) == x for x in M.elements]
-    return GreenStructure(M, r_class, l_class, j_class, h_class, idem)
+    rep = [0] * (max(r_class) + 1)
+    for i in reversed(range(n)):
+        rep[r_class[i]] = i  # ends at the least member of each R-class
+    els, pos, mul = M.elements, M.pos, M.mul
+    gens = list(M.generators.values())
+    on_r = _sccs(len(rep), d, [r_class[pos[mul(g, els[i])]] for i in rep for g in gens])
+    least_r: dict[int, int] = {}
+    for r, c in enumerate(on_r):
+        least_r.setdefault(c, r)
+    return GreenStructure(M, r_class, [least_r[on_r[r]] for r in r_class])
 
 
 # ---------------------------------------------------------------- permutations

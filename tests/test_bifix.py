@@ -1,5 +1,6 @@
 """Bifix codes, parse degrees, group code intersections and star automata."""
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from minishift.bifix import (
 from minishift.errors import InputError, InsufficientHorizon
 from minishift.monoid import Automaton, parse_permutation, transition_monoid
 from minishift.words import Alphabet, FactorSet, shortlex
+from test_words import primitive_substitutions
 
 
 def moore_automaton_of_star(X: BifixCode) -> Automaton:
@@ -96,6 +98,46 @@ def searched_orbit_size(spec: GroupCodeSpec) -> int:
                 orbit.add(g[p])
                 queue.append(g[p])
     return len(orbit)
+
+
+def first_return_intersection(spec: GroupCodeSpec, F: FactorSet) -> BifixCode:
+    """Oracle: ``group_code_intersection`` as a walk from the base point for every factor."""
+    F.certify()
+    base = spec.base_point
+
+    def first_return(w: str) -> int | None:
+        p = base
+        for i, a in enumerate(w, 1):
+            p = spec.images[a][p]
+            if p == base:
+                return i
+        return None
+
+    out = {w for w in F.factors if w and first_return(w) == len(w)}
+    for w in F.words_of_length(F.horizon):
+        if first_return(w) is None:
+            raise InsufficientHorizon(f"factor {w!r} has no code-word prefix; horizon too small")
+    return BifixCode.of(out)
+
+
+def code_or_refusal(intersection, spec: GroupCodeSpec, F: FactorSet):
+    """The sorted code words, or the message of the ``InsufficientHorizon`` raised."""
+    try:
+        return intersection(spec, F).sorted_words()
+    except InsufficientHorizon as exc:
+        return str(exc)
+
+
+@st.composite
+def specs_on(draw, letters: str):
+    """A cyclic spec Z/m with m <= 6, or one to five points permuted at random,
+    with an image for each of ``letters``."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        return GroupCodeSpec.cyclic(m, {a: draw(st.integers(-m, m)) for a in letters})
+    dom = tuple(range(1, draw(st.integers(1, 5)) + 1))
+    images = {a: dict(zip(dom, draw(st.permutations(dom)))) for a in letters}
+    return GroupCodeSpec(dom, images, draw(st.sampled_from(dom)))
 
 
 @st.composite
@@ -297,6 +339,27 @@ class TestGroupCodes:
         spec = GroupCodeSpec.cyclic(7, {"a": 1, "b": 1})
         with pytest.raises(InsufficientHorizon):
             group_code_intersection(spec, small)
+
+    @settings(max_examples=200)
+    @given(primitive_substitutions(), st.sampled_from([0, 1, 3, 8, 16, 24]), st.data())
+    def test_intersection_against_a_walk_per_factor(self, sigma, horizon, data):
+        F = FactorSet.from_substitution(sigma, sigma.alphabet.letters[0], horizon)
+        spec = data.draw(specs_on("".join(sigma.alphabet.letters)))
+        assert code_or_refusal(group_code_intersection, spec, F) == \
+            code_or_refusal(first_return_intersection, spec, F)
+
+    def test_cyclic_spec_keeps_no_table_per_point(self, fib_set):
+        """Z/300000 and its refused intersection take a few kilobytes, not a dict per letter."""
+        tracemalloc.start()
+        try:
+            spec = GroupCodeSpec.cyclic(300_000, {"a": 1, "b": 1})
+            with pytest.raises(InsufficientHorizon, match="factor 'aabaababaabaabab' has no"):
+                group_code_intersection(spec, fib_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert spec.images["a"][299_999] == 0 and len(spec.domain) == 300_000
 
 
 class TestStarAutomaton:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minishift.monoid as monoid_mod
 from minishift.bifix import (
     BifixCode,
     GroupCodeSpec,
@@ -371,7 +372,7 @@ def tuple_green(M):
     """(R, L, J, H ids, idempotent flags), each node's edges sliced into its own list.
 
     J is found on its own, by Tarjan on the union of the two graphs, and then
-    each J-class is relabelled by the least L id among its members.
+    each J-class is relabelled by the least R id among its members.
     """
     n = len(M)
     d = len(M.generators)
@@ -383,10 +384,10 @@ def tuple_green(M):
     r_class = parent_sccs(n, [right[i * d : i * d + d] for i in range(n)])
     l_class = parent_sccs(n, [left[i * d : i * d + d] for i in range(n)])
     j_sccs = parent_sccs(n, [both[2 * i * d : 2 * i * d + 2 * d] for i in range(n)])
-    least_l = {}
-    for j, l in zip(j_sccs, l_class):
-        least_l[j] = min(least_l.get(j, l), l)
-    j_class = [least_l[j] for j in j_sccs]
+    least_r = {}
+    for j, r in zip(j_sccs, r_class):
+        least_r[j] = min(least_r.get(j, r), r)
+    j_class = [least_r[j] for j in j_sccs]
     pair_ids = {}
     h_class = [pair_ids.setdefault(key, len(pair_ids)) for key in zip(r_class, l_class)]
     return r_class, l_class, j_class, h_class, [M.is_idempotent(x) for x in M.elements]
@@ -717,10 +718,10 @@ class TestGreen:
             ([""], 1, 1, True),
         ]
 
-    def test_j_id_is_the_least_l_id_of_the_class(self, three_state_monoid):
+    def test_j_id_is_the_least_r_id_of_the_class(self, three_state_monoid):
         G = green(three_state_monoid)
         for cid, members in G.classes("J").items():
-            assert cid == min(G.l_class[i] for i in members)
+            assert cid == min(G.r_class[i] for i in members)
 
     def test_schutzenberger_of_rank_two_class(self, three_state_monoid):
         M = three_state_monoid
@@ -740,6 +741,45 @@ class TestGreen:
             members = [j for j in range(n) if G.h_class[j] == G.h_class[i]]
             assert G.classes("H")[G.h_class[i]] == members
         assert G.j_class_members(max(G.j_class) + 1) == []
+
+    def test_j_and_idempotents_build_no_left_graph(self, three_state_monoid, left_graph_calls):
+        M = three_state_monoid
+        G = green(M)
+        assert len(G.classes("J")) == 4 and len(G.classes("R")) == 7
+        assert G.idempotent == [M.is_idempotent(x) for x in M.elements]
+        assert left_graph_calls == []
+
+    @pytest.mark.parametrize("first", ["l_class", "h_class", "eggbox", "L", "H"])
+    def test_left_graph_built_once_on_first_read(self, three_state_monoid, left_graph_calls,
+                                                 first):
+        M = three_state_monoid
+        G = green(M)
+        reads = {
+            "l_class": lambda: G.l_class,
+            "h_class": lambda: G.h_class,
+            "eggbox": lambda: G.eggbox(G.j_class[M.pos[M.image_of_word("aa")]]),
+            "L": lambda: G.classes("L"),
+            "H": lambda: G.classes("H"),
+            "idempotent": lambda: G.idempotent,
+        }
+        reads[first]()
+        assert left_graph_calls == [M]
+        for read in reads.values():
+            read()
+        assert left_graph_calls == [M]
+
+
+@pytest.fixture
+def left_graph_calls(monkeypatch):
+    """The monoids whose left Cayley graph is built while the test runs."""
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return _left_graph(M)
+
+    monkeypatch.setattr(monoid_mod, "_left_graph", counted)
+    return calls
 
 
 class TestCayleyGraph:
@@ -883,6 +923,15 @@ class TestGreenOracle:
     def test_rank_two_code_monoid(self):
         A = minimal_automaton_of_star(BifixCode.of(["aa", "ab", "ba"]))
         assert_green_matches_definitions(transition_monoid(A))
+
+    def test_a5_code_of_quad_against_the_union_graph(self, quad_set):
+        """J read off the R-classes against Tarjan on the union of both Cayley graphs
+        (``tuple_green``), on the monoid of the A5 group code of quad at L = 32."""
+        X = group_code_intersection(GROUP_SPECS["A5"], quad_set)
+        M = transition_monoid(minimal_automaton_of_star(X), budget=30000)
+        G = green(M)
+        assert (len(M), len(G.classes("J"))) == (25768, 12)
+        assert G.j_class == tuple_green(M)[2]
 
 
 class TestSccs:
