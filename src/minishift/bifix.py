@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError, InsufficientHorizon
@@ -153,7 +154,9 @@ class GroupCodeSpec:
         return cls(range(m), {a: _Shift(k, m) for a, k in weights.items()}, 0)
 
     def degree(self) -> int:
-        """Index of the stabilizer = orbit size of the base point."""
+        """Index of the stabilizer = orbit size of the base point; m / gcd(m, k_i) for shifts."""
+        if all(isinstance(g, _Shift) for g in self.images.values()):
+            return len(self.domain) // gcd(len(self.domain), *(g.k for g in self.images.values()))
         from .monoid import FiniteMonoid
 
         orbit = FiniteMonoid.from_generators(

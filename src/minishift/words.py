@@ -8,8 +8,9 @@ horizon ``L`` together with a completeness certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, groupby, repeat
+from functools import cached_property, reduce
+from itertools import chain, compress, groupby, repeat
+from operator import itemgetter, ne, or_
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -182,16 +183,15 @@ class Substitution:
     def is_primitive(self) -> bool:
         """True iff some power of the incidence matrix is entrywise positive.
 
-        Entry [i][j] counts letter i in the image of letter j, and the power
-        (|A|-1)^2 + 1 suffices (Wielandt's bound).
+        Row i marks the letters whose image holds letter i, a product row ORs the rows its
+        bits pick, and the power (|A|-1)^2 + 1 suffices (Wielandt's bound).
         """
-        letters = self.alphabet.letters
+        letters, images = self.alphabet.letters, self.images
         k = len(letters)
-        acc = m = [[self.images[b].count(a) for b in letters] for a in letters]
-        for _ in range((k - 1) ** 2):  # boolean matrix power by repeated multiplication; k is tiny
-            acc = [[int(any(acc[i][t] and m[t][j] for t in range(k))) for j in range(k)]
-                   for i in range(k)]
-        return all(all(row) for row in acc)
+        acc = rows = [sum(1 << j for j, b in enumerate(letters) if a in images[b]) for a in letters]
+        for _ in range((k - 1) ** 2):
+            acc = [reduce(or_, (rows[t] for t in range(k) if r >> t & 1), 0) for r in acc]
+        return all(r == (1 << k) - 1 for r in acc)
 
 
 class FactorSet:
@@ -199,8 +199,9 @@ class FactorSet:
 
     ``complete`` asserts that ``factors`` equals the set of all factors of
     the underlying subshift of length <= ``horizon``.  Its members are kept
-    in one shortlex-sorted tuple per length too: a builder's prefix levels,
-    or ``factors`` bucketed and sorted.
+    in one shortlex-sorted tuple per length: a builder's prefix levels, or
+    the given ``factors`` bucketed and sorted.  A builder keeps only its
+    levels, and ``factors`` is built from them when first read.
     """
 
     def __init__(
@@ -213,11 +214,12 @@ class FactorSet:
     ) -> None:
         self.alphabet = alphabet
         self.horizon = horizon
-        self.factors = frozenset(factors)
+        if factors := frozenset(factors):  # else left to be read off the levels a builder sets
+            self.factors = factors
         self.complete = complete
         self.source = source
         key = _level_key(alphabet)
-        by_length = groupby(sorted(self.factors, key=len), len)
+        by_length = groupby(sorted(factors, key=len), len)
         self._levels = {n: tuple(sorted(ws, key=key)) for n, ws in by_length}
         self._returns: dict[str, frozenset[str] | None] = {}
 
@@ -225,21 +227,26 @@ class FactorSet:
     def _of_windows(cls, alphabet: Alphabet, horizon: int, windows: set[str], source: str):
         """Certified set of an infinite word whose factors of length L are ``windows``: each
         shorter factor extends to the right, so level n is the prefixes of level n + 1.  The
-        windows are sorted once: prefixes of a sorted level are sorted with repeats adjacent."""
+        windows are sorted once: prefixes of a sorted level are sorted, each repeat next to
+        its first, so a prefix is kept where it differs from the one before."""
         levels, level = {0: ("",)}, tuple(sorted(windows, key=_level_key(alphabet)))
         for n in range(horizon, 0, -1):
             levels[n] = level
-            level = tuple(dict.fromkeys([u[:-1] for u in level]))
+            prefixes = list(map(itemgetter(slice(None, -1)), level))
+            level = tuple(compress(prefixes, map(ne, prefixes, [None, *prefixes])))
         F = cls(alphabet, horizon, (), True, source)
-        F.factors = frozenset(chain.from_iterable(levels.values()))
         F._levels = dict(sorted(levels.items()))
         return F
+
+    @cached_property
+    def factors(self) -> frozenset[str]:
+        return frozenset(chain.from_iterable(self._levels.values()))
 
     def __contains__(self, word: str) -> bool:
         return word in self.factors
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return sum(map(len, self._levels.values()))
 
     def words_of_length(self, n: int) -> tuple[str, ...]:
         """Members of length ``n`` in shortlex order."""

@@ -323,6 +323,23 @@ class TestGroupCodes:
     def test_degree_against_a_search(self, spec):
         assert spec.degree() == searched_orbit_size(spec)
 
+    @settings(max_examples=150)
+    @given(st.integers(1, 40), st.lists(st.integers(-50, 50) | st.just(0), max_size=3))
+    def test_degree_of_a_cyclic_spec_against_a_search(self, m, weights):
+        spec = GroupCodeSpec.cyclic(m, dict(zip("abc", weights)))
+        assert spec.degree() == searched_orbit_size(spec)
+
+    def test_degree_of_a_large_cyclic_spec_needs_no_closure(self):
+        tracemalloc.start()
+        try:
+            degrees = [GroupCodeSpec.cyclic(300_000, weights).degree()
+                       for weights in ({"a": 1, "b": 1}, {"a": 4, "b": 6}, {"a": 0})]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert degrees == [300_000, 150_000, 1]
+        assert peak < 100_000
+
     def test_degree_of_an_intransitive_action(self):
         spec = GroupCodeSpec.from_cycles((1, 2, 3, 4, 5), {"a": "(1 2)", "b": "(3 4 5)"})
         assert spec.degree() == searched_orbit_size(spec) == 2

@@ -63,6 +63,21 @@ def test_no_module_reads_another_modules_private_attribute(module):
     assert foreign == []
 
 
+def test_only_the_constructor_stores_a_factor_set():
+    # a builder keeps its levels and leaves ``factors`` to be built when first read
+    stores = []
+    for module in MODULES:
+        tree = ast.parse(Path(minishift.__path__[0], f"{module}.py").read_text())
+        inits = [f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "FactorSet"
+                 for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+        kept = {id(n) for f in inits for n in ast.walk(f)}
+        stores += [(f"{module}.py:{n.lineno}", id(n) in kept) for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and n.attr == "factors"
+                   and not isinstance(n.ctx, ast.Load)]
+    assert [where for where, inside in stores if not inside] == []
+    assert any(inside for _, inside in stores)  # the scan sees the constructor's own store
+
+
 def test_every_traced_name_is_in_the_library():
     # the benchmark's span tracer rebinds each (module, attribute path) of its TARGETS and
     # fails on one that is gone; the table is read with ast, so the benchmark is not imported

@@ -1,7 +1,8 @@
 """Words, substitutions and certified factor sets."""
 
+import copy
 import re
-from itertools import repeat
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +15,7 @@ from minishift.bifix import (
     group_code_intersection,
     minimal_automaton_of_star,
 )
+from minishift.episturmian import episturmian_factor_set
 from minishift.errors import (
     BudgetExceeded,
     InputError,
@@ -79,6 +81,36 @@ def is_factorial(F: FactorSet) -> bool:
     return all(w[1:] in F and w[:-1] in F for w in F.factors if w)
 
 
+def matrix_power_is_primitive(sigma: Substitution) -> bool:
+    """Oracle: the Wielandt power (k-1)^2 + 1 of the incidence matrix, entry [i][j]
+    the count of letter i in the image of letter j, is positive, by repeated products."""
+    letters = sigma.alphabet.letters
+    k = len(letters)
+    acc = m = [[sigma.images[b].count(a) for b in letters] for a in letters]
+    for _ in range((k - 1) ** 2):
+        acc = [[int(any(acc[i][t] and m[t][j] for t in range(k))) for j in range(k)]
+               for i in range(k)]
+    return all(all(row) for row in acc)
+
+
+@st.composite
+def substitutions(draw):
+    """Random substitutions, primitive or not: 1-4 letters, images of length <= 4."""
+    letters = "abcd"[: draw(st.integers(1, 4))]
+    image = st.text(alphabet=letters, min_size=1, max_size=4)
+    return Substitution.parse(";".join(f"{c}->{draw(image)}" for c in letters))
+
+
+def prefix_chain_levels(F: FactorSet) -> dict[int, tuple[str, ...]]:
+    """Oracle: each level below the top as ``dict.fromkeys`` of the prefixes of the
+    level above, with the empty word at length 0, from ``F``'s top level."""
+    levels, level = {0: ("",)}, F.words_of_length(F.horizon)
+    for n in range(F.horizon, 0, -1):
+        levels[n] = level
+        level = tuple(dict.fromkeys(u[:-1] for u in level))
+    return levels
+
+
 class TestAlphabet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -127,6 +159,14 @@ class TestSubstitution:
         assert quad.is_primitive()
         identity = Substitution.parse("a->a;b->b")
         assert not identity.is_primitive()
+        assert not Substitution.parse("a->b;b->c;c->a").is_primitive()
+        # the Wielandt matrix: its power (k-1)^2 + 1 = 5 is the first positive one
+        assert Substitution.parse("a->b;b->c;c->ab").is_primitive()
+
+    @settings(max_examples=300)
+    @given(substitutions())
+    def test_primitive_against_the_matrix_power(self, sigma):
+        assert sigma.is_primitive() == matrix_power_is_primitive(sigma)
 
     @given(words_ab, st.integers(0, 3), st.integers(0, 3))
     def test_iterate_composes(self, w, m, n):
@@ -389,6 +429,83 @@ class TestLengthIndex:
         F = FactorSet.from_words(Alphabet.of("ab"), ["ab"], 3)
         assert F.factors == {"", "a", "b", "ab"}
         assert [F.words_of_length(n) for n in range(4)] == [("",), ("a", "b"), ("ab",), ()]
+
+
+class TestLazyMembership:
+    """Builders keep the levels only; ``factors`` is built from them when first read."""
+
+    @staticmethod
+    def built_sets(sigma, L, data):
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        unit = data.draw(st.text(alphabet="abc", min_size=1, max_size=4))
+        word = data.draw(st.text(alphabet="abc", min_size=1, max_size=6))
+        return [
+            FactorSet.from_substitution(sigma, start, L),
+            episturmian_factor_set(unit * 64, min(L, 32)),
+            FactorSet.from_periodic(word, L),
+        ]
+
+    @settings(max_examples=60)
+    @given(primitive_substitutions(), st.integers(0, 64), st.data())
+    def test_levels_and_factors_follow_the_prefix_chain(self, sigma, L, data):
+        for F in self.built_sets(sigma, L, data):
+            levels = prefix_chain_levels(F)
+            assert [F.words_of_length(n) for n in range(F.horizon + 2)] == [
+                *(levels[n] for n in range(F.horizon + 1)), ()]
+            assert F.factors == frozenset(chain.from_iterable(levels.values()))
+            assert len(F) == len(F.factors)
+
+    @settings(max_examples=30)
+    @given(primitive_substitutions(), st.integers(0, 24), st.data())
+    def test_reading_levels_builds_no_set(self, sigma, L, data):
+        for F in self.built_sets(sigma, L, data):
+            F.words_of_length(F.horizon)
+            F.complexity(F.horizon)
+            F.sorted_words()
+            len(F)
+            assert "factors" not in vars(F)
+
+    def test_the_first_membership_read_builds_the_set_once(self, fib):
+        F = FactorSet.from_substitution(fib, "a", 12)
+        assert "factors" not in vars(F)
+        assert "aab" in F and "bb" not in F
+        built = vars(F)["factors"]
+        assert built == frozenset(F.sorted_words())
+        F.certify(word="abaab")
+        assert F.first_returns("b") == {"ab", "aab"}
+        assert F.factors is built
+
+    def test_a_deep_copy_carries_the_built_set(self, fib):
+        F = FactorSet.from_substitution(fib, "a", 12)
+        before = copy.deepcopy(F)
+        assert "factors" not in vars(before)
+        assert "aa" in F
+        after = copy.deepcopy(F)
+        assert vars(after)["factors"] == F.factors
+        assert before.factors == F.factors
+        assert [after.words_of_length(n) for n in range(13)] == [
+            F.words_of_length(n) for n in range(13)]
+
+    def test_the_positional_constructor_keeps_its_set(self):
+        members = frozenset({"", "a", "b", "ab", "ba", "aba"})
+        F = FactorSet(Alphabet.of("ab"), 3, members, True, "explicit")
+        assert vars(F)["factors"] is members
+        assert [F.words_of_length(n) for n in range(4)] == [("",), ("a", "b"), ("ab", "ba"),
+                                                            ("aba",)]
+        assert len(F) == 6 and F.sorted_words() == sorted(members, key=F.alphabet.key)
+
+    def test_an_empty_positional_set(self):
+        F = FactorSet(Alphabet.of("ab"), 2, [], True, "nothing")
+        assert F.factors == frozenset() and len(F) == 0 and "" not in F
+        assert F.words_of_length(0) == () and F.sorted_words() == []
+
+    def test_from_words_keeps_its_set(self):
+        F = FactorSet.from_words(Alphabet.of("ab"), ["abba", "bab"], 3)
+        assert "factors" in vars(F)
+        assert F.factors == factors_of("abba", 3) | factors_of("bab", 3)
+        assert [F.words_of_length(n) for n in range(4)] == [
+            tuple(sorted(w for w in F.factors if len(w) == n)) for n in range(4)]
+        assert len(F) == len(F.factors) == 9
 
 
 class TestDifferentialOracles:
