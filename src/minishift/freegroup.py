@@ -1,15 +1,18 @@
 """Free-group words, folded subgroup graphs, index/basis tests, separation.
 
 Group words are strings where a lowercase letter is a generator and the
-corresponding uppercase letter is its inverse ("aB" means a b^{-1}).
+corresponding uppercase letter is its inverse ("aB" means a b^{-1}).  The
+basis test runs Nielsen moves on positive words first, and folds only the
+words they leave.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 
 from .errors import InputError, NotSeparable
-from .words import Alphabet
+from .words import Alphabet, shortlex
 
 
 def invert(w: str) -> str:
@@ -247,11 +250,58 @@ def generates(generators: list[str] | set[str], alphabet: Alphabet) -> bool:
     return subgroup(generators, alphabet).index() == 1
 
 
+def _nielsen_shorten(words: set[str]) -> list[str] | None:
+    """Distinct positive words shortened by Nielsen moves, or None if a move repeats a word.
+
+    Longest word first, a shorter member u that is a prefix or suffix of a word w
+    replaces w by u^-i w u^-j, i and j maximal, so every move keeps the generated
+    subgroup and the word count and shortens the total length.  A repeat (or the
+    empty word) means fewer words generate that subgroup.  The moves stop when no
+    member is a prefix or suffix of a longer one.
+    """
+    ws = sorted(words, key=shortlex)
+    i = len(ws) - 1
+    while i:
+        w = ws[i]
+        for u in ws[:i]:
+            if w.startswith(u) or w.endswith(u):
+                break
+        else:  # no move shortens w: try the next longest
+            i -= 1
+            continue
+        k, start, end = len(u), 0, len(w)
+        while w.startswith(u, start):
+            start += k
+        while end - start >= k and w.endswith(u, start, end):
+            end -= k
+        w = w[start:end]
+        del ws[i]
+        if not w or w in ws:
+            return None
+        insort(ws, w, key=len)
+        i = len(ws) - 1
+    return ws
+
+
 def is_basis_of_free_group(generators: list[str] | set[str], alphabet: Alphabet) -> bool:
-    """A generating set whose cardinality (after reduction) equals the rank."""
+    """A generating set whose cardinality (after reduction) equals the rank.
+
+    Positive words are first shortened by Nielsen moves (``_nielsen_shorten``):
+    words that reach the letters are a basis, and a repeat is not.  Words with
+    an inverse letter, and what the moves leave, are folded by ``generates``.
+    """
     _check_letters("".join(generators), _letters(alphabet))
     distinct = {reduce(w) for w in generators} - {""}
-    return len(distinct) == len(alphabet) and generates(distinct, alphabet)
+    if len(distinct) != len(alphabet):
+        return False
+    if "".join(distinct).islower():
+        shortened = _nielsen_shorten(distinct)
+        if shortened is None:
+            return False
+        if len(shortened[-1]) == 1:  # |A| distinct letters: the alphabet itself
+            return True
+        distinct = shortened
+    return generates(distinct, alphabet)
 
 
 def separating_subgroup(H: SubgroupGraph, x: str) -> SubgroupGraph:

@@ -201,7 +201,10 @@ class FactorSet:
     the underlying subshift of length <= ``horizon``.  Its members are kept
     in one shortlex-sorted tuple per length: a builder's prefix levels, or
     the given ``factors`` bucketed and sorted.  A builder keeps only its
-    levels, and ``factors`` is built from them when first read.
+    levels, and ``factors`` is built from them when first read.  A negative
+    horizon, and a given member with a letter outside the alphabet or longer
+    than the horizon, raise ``InputError``; builders give no members, so no
+    build pays for that check.
     """
 
     def __init__(
@@ -212,9 +215,14 @@ class FactorSet:
         complete: bool,
         source: str,
     ) -> None:
+        if horizon < 0:
+            raise InputError(f"horizon must be nonnegative, got {horizon}")
         self.alphabet = alphabet
         self.horizon = horizon
         if factors := frozenset(factors):  # else left to be read off the levels a builder sets
+            alphabet.check_word("".join(factors))
+            if len(longest := max(factors, key=len)) > horizon:
+                raise InputError(f"member {longest!r} is longer than horizon {horizon}")
             self.factors = factors
         self.complete = complete
         self.source = source

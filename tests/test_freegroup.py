@@ -1,9 +1,13 @@
 """Free group words, folded subgroup graphs, and separating subgroups."""
 
+from bisect import insort
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minishift import freegroup
+from minishift.episturmian import episturmian_factor_set
 from minishift.errors import InputError, NotSeparable
 from minishift.freegroup import (
     SubgroupGraph,
@@ -14,8 +18,8 @@ from minishift.freegroup import (
     separating_subgroup,
     subgroup,
 )
-from minishift.returns import right_return_words
-from minishift.words import Alphabet
+from minishift.returns import left_return_words, right_return_words
+from minishift.words import Alphabet, FactorSet, Substitution
 
 
 AB = Alphabet.of("ab")
@@ -462,3 +466,134 @@ class TestFoldOracle:
         g.add_path("a", close=True)  # 0 -a-> 0, so 1 joins the base
         assert g.vertices == {0}
         assert g.triples == {(0, "a", 0)}
+
+
+def fold_basis(gens, alphabet: Alphabet) -> bool:
+    """Oracle: |A| distinct reduced words that the fold alone finds generating."""
+    distinct = {reduce(w) for w in gens} - {""}
+    return len(distinct) == len(alphabet) and generates(distinct, alphabet)
+
+
+@st.composite
+def word_lists(draw):
+    """1-4 words of length 0-8 over ab or abc, positive or with inverse letters."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    pool = letters + letters.upper() if draw(st.booleans()) else letters
+    words = draw(st.lists(st.text(alphabet=pool, max_size=8), min_size=1, max_size=4))
+    return Alphabet.of(letters), words
+
+
+@st.composite
+def positive_bases(draw):
+    """The letters of ab or abc under random positive Nielsen moves w_i <- w_i w_j or w_j w_i."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    words = list(letters)
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.permutations(range(len(words))))[:2]
+        words[i] = words[i] + words[j] if draw(st.booleans()) else words[j] + words[i]
+    return Alphabet.of(letters), words
+
+
+LONG_POWERS = [
+    (("a" * 200 + "b", "a"), True),
+    (("b" + "a" * 200, "a"), True),
+    (("a" * 150 + "b" + "a" * 150, "a"), True),
+    (("ab" * 100 + "a", "ab"), True),
+    (("a" * 200, "b"), False),
+    (("a" * 200 + "b", "a" * 199 + "b"), True),
+    (("a" * 200 + "b", "a" * 100 + "b"), False),
+    (("a" * 200 + "b", "a", "c"), True),
+    (("c" * 100 + "ab", "c" * 100 + "a", "c"), True),
+]
+
+
+def assert_decided_by_moves(F: FactorSet, maxlen: int, monkeypatch) -> int:
+    """Every return set of every factor up to ``maxlen`` answers True with the fold refused."""
+
+    def no_fold(*args):
+        raise AssertionError("the Nielsen moves left a set to fold")
+
+    monkeypatch.setattr(freegroup, "generates", no_fold)
+    count = 0
+    for n in range(1, maxlen + 1):
+        for x in F.words_of_length(n):
+            for R in (right_return_words(F, x), left_return_words(F, x)):
+                assert len(R.words) == len(F.alphabet)
+                assert is_basis_of_free_group(sorted(R.words), F.alphabet), (x, R.words)
+                count += 1
+    return count
+
+
+class TestNielsenBasis:
+    """The basis test shortens positive words by Nielsen moves before any fold."""
+
+    @settings(max_examples=400)
+    @given(word_lists())
+    def test_agrees_with_the_fold(self, case):
+        A, words = case
+        assert is_basis_of_free_group(words, A) == fold_basis(words, A)
+
+    @settings(max_examples=200)
+    @given(positive_bases())
+    def test_positive_bases_are_bases(self, case):
+        A, words = case
+        assert is_basis_of_free_group(words, A) and fold_basis(words, A)
+
+    @pytest.mark.parametrize("words, expected", LONG_POWERS)
+    def test_long_powers(self, words, expected):
+        A = Alphabet.of("abc" if any("c" in w for w in words) else "ab")
+        assert is_basis_of_free_group(list(words), A) is expected
+        assert fold_basis(words, A) is expected
+
+    @pytest.mark.parametrize("words", [w for w, expected in LONG_POWERS if expected])
+    def test_long_powers_need_no_fold(self, words, monkeypatch):
+        A = Alphabet.of("abc" if any("c" in w for w in words) else "ab")
+        monkeypatch.setattr(freegroup, "generates", None)
+        assert is_basis_of_free_group(list(words), A)
+
+    def test_a_power_is_stripped_in_one_move(self, monkeypatch):
+        moves = []
+
+        def insort_counted(ws, w, key):
+            moves.append(w)
+            insort(ws, w, key=key)
+
+        monkeypatch.setattr(freegroup, "insort", insort_counted)
+        assert is_basis_of_free_group(["a" * 150 + "b" + "a" * 150, "a"], AB)
+        assert moves == ["b"]
+        moves.clear()
+        assert is_basis_of_free_group(["ab" * 100 + "a", "ab"], AB)
+        assert moves == ["a", "b"]
+
+    def test_a_repeat_is_not_a_basis(self, monkeypatch):
+        monkeypatch.setattr(freegroup, "generates", None)
+        assert not is_basis_of_free_group(["ab", "abab"], AB)  # abab = (ab)^2
+        assert not is_basis_of_free_group(["a", "aba", "b"], Alphabet.of("abc"))
+        assert not is_basis_of_free_group(["ab", "aab", "b"], Alphabet.of("abc"))
+
+    def test_a_stall_and_an_inverse_letter_go_to_the_fold(self):
+        # neither word is a prefix or suffix of the other, so the moves stall
+        assert not is_basis_of_free_group(["ab", "ba"], AB)
+        assert is_basis_of_free_group(["aB", "b"], AB)
+        assert not is_basis_of_free_group(["aB", "bA"], AB)
+
+    def test_return_theorem_by_moves_alone(self, fib_set_64, monkeypatch):
+        """Return sets of uniformly recurrent tree sets are bases: no set is left to fold."""
+        trib_96 = FactorSet.from_substitution(Substitution.parse("a->ab;b->ac;c->a"), "a", 96)
+        arnoux_rauzy = episturmian_factor_set("aabcbacbbc" * 10, 96)
+        counts = [assert_decided_by_moves(F, 12, monkeypatch)
+                  for F in (fib_set_64, trib_96, arnoux_rauzy)]
+        assert counts == [2 * 90, 2 * 168, 2 * 168]
+
+    def test_thue_morse_and_quad_answer_as_the_fold(self, tm_set_64, quad_set):
+        verdicts = {}
+        for name, F, maxlen in (("tm", tm_set_64, 8), ("quad", quad_set, 6)):
+            for n in range(1, maxlen + 1):
+                for x in F.words_of_length(n):
+                    R = sorted(right_return_words(F, x).words)
+                    got = is_basis_of_free_group(R, F.alphabet)
+                    assert got == fold_basis(R, F.alphabet), (name, x, R)
+                    verdicts[name, x] = got
+        assert not any(v for (name, _), v in verdicts.items() if name == "tm")
+        quad_bases = sorted(x for (name, x), v in verdicts.items() if name == "quad" and v)
+        assert quad_bases == ["a"]

@@ -508,6 +508,42 @@ class TestLazyMembership:
         assert len(F) == len(F.factors) == 9
 
 
+class TestPositionalChecks:
+    """The positional constructor and ``from_words`` refuse what no factor set can hold."""
+
+    def test_from_words_refuses_a_negative_horizon(self):
+        with pytest.raises(InputError, match="horizon must be nonnegative, got -1"):
+            FactorSet.from_words(Alphabet.of("ab"), ["ab"], -1)
+        with pytest.raises(InputError, match="horizon must be nonnegative, got -2"):
+            FactorSet.from_words(Alphabet.of("ab"), [], -2)
+
+    def test_a_negative_horizon(self):
+        with pytest.raises(InputError, match="horizon must be nonnegative, got -1"):
+            FactorSet(Alphabet.of("ab"), -1, [""], True, "hand")
+        with pytest.raises(InputError, match="horizon must be nonnegative, got -1"):
+            FactorSet(Alphabet.of("ab"), -1, (), True, "hand")
+
+    def test_a_letter_outside_the_alphabet(self):
+        with pytest.raises(InputError, match="letter 'x' not in alphabet"):
+            FactorSet(Alphabet.of("ab"), 1, ["", "a", "b", "x"], True, "hand")
+        with pytest.raises(InputError, match="letter 'c' not in alphabet"):
+            FactorSet(Alphabet.of("ab"), 3, ["", "a", "b", "abc"], False, "hand")
+        with pytest.raises(InputError, match="letter 'x' not in alphabet"):
+            FactorSet.from_words(Alphabet.of("ab"), ["ab", "abx"], 3)
+
+    def test_a_member_longer_than_the_horizon(self):
+        with pytest.raises(InputError, match="member 'abc' is longer than horizon 1"):
+            FactorSet(Alphabet.of("abc"), 1, ["", "a", "b", "c", "abc"], True, "hand")
+        with pytest.raises(InputError, match="member 'ab' is longer than horizon 1"):
+            FactorSet(Alphabet.of("ab"), 1, ["", "a", "b", "ab"], False, "hand")
+
+    def test_valid_sets_are_kept(self, fib_set):
+        F = FactorSet(fib_set.alphabet, fib_set.horizon, fib_set.factors, True, "copy")
+        assert F.factors == fib_set.factors and F.complexity(5) == 6
+        G = FactorSet(Alphabet.of("ab"), 0, [""], True, "empty word")
+        assert G.words_of_length(0) == ("",) and len(G) == 1
+
+
 class TestDifferentialOracles:
     """Certified queries against direct scans of a long iterate."""
 
