@@ -43,10 +43,13 @@ class FactorialDigits:
 
 
 def to_factorial(x: int, k: int) -> FactorialDigits:
-    """Residue of ``x`` modulo (k+1)! as factorial digits c_1..c_k."""
+    """Residue of ``x`` modulo (k+1)! as factorial digits c_1..c_k.
+
+    Floor ``%`` and ``//`` read the digits of that residue off x itself,
+    since x = c_1 1! + ... + c_k k! + (k+1)! q, so (k+1)! is never built.
+    """
     if k < 1:
         raise InputError("precision must be at least 1")
-    x %= math.factorial(k + 1)
     digits = []
     for i in range(1, k + 1):
         digits.append(x % (i + 1))

@@ -177,6 +177,8 @@ def group_code_intersection(spec: GroupCodeSpec, F: FactorSet) -> BifixCode:
     """
     F.certify()
     base, images = spec.base_point, spec.images
+    if missing := [a for a in F.words_of_length(1) if a not in images]:
+        raise InputError(f"group code has no image for {''.join(missing)!r}")
     out = []
     walks = {"": base}  # each open factor of the last level -> the point its walk reached
     for n in range(1, F.horizon + 1):

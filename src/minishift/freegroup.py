@@ -1,9 +1,10 @@
 """Free-group words, folded subgroup graphs, index/basis tests, separation.
 
 Group words are strings where a lowercase letter is a generator and the
-corresponding uppercase letter is its inverse ("aB" means a b^{-1}).  The
-basis test runs Nielsen moves on positive words first, and folds only the
-words they leave.
+corresponding uppercase letter is its inverse ("aB" means a b^{-1}).  A
+subgroup graph lays its paths down unfolded and folds them in one union-find
+pass.  The basis test runs Nielsen moves on positive words first, refuses a
+letter-count determinant other than +-1, and folds only the words left.
 """
 
 from __future__ import annotations
@@ -52,163 +53,100 @@ def _check_letters(word: str, letters) -> str:
 class SubgroupGraph:
     """Folded labeled graph of a finitely generated free-group subgroup.
 
-    The graph is kept folded (deterministic) after every path it is given.
-    For each alphabet letter a, ``_out[a][v]`` is the vertex the a-edge from
-    v reaches and ``_inc[a][w]`` the vertex whose a-edge reaches w, or -1;
-    stored vertices are read through the union-find ``_parent``, whose roots
-    are the live vertices, and ``_live`` and ``_edges`` count them and the
-    edges.  A path first reads the longest prefix of its reduced word along
-    existing edges (a loop also its longest suffix, back from the base),
-    attaches the rest, and folds each label clash at once (Kapovich &
+    Each path is laid down unfolded, one new vertex per letter (the last
+    letter of a loop ends at the base), and the graph is then folded by one
+    worklist union-find pass: the ends of two equally labeled edges out of,
+    or into, one vertex are identified until none remain (Kapovich &
     Myasnikov, "Stallings foldings and subgroups of free groups", J. Algebra
-    248, 2002).
-
-    Numbering: each path reserves the vertex numbers its unfolded path would
-    take (one per letter, the last letter of a loop ending at the base), and
-    a merge keeps the lesser vertex.  So every vertex is named by the least
-    vertex of its class in the unfolded graph, the base 0 survives, and the
-    names do not depend on the order of the folds.  ``vertices`` and
-    ``triples`` (v, a, w), with a positive letter, are views of the arrays.
+    248, 2002).  A merge keeps the lesser vertex, so every vertex is named by
+    the least vertex of its class in the unfolded graph, the base 0 survives,
+    and the names do not depend on the order of the folds.  ``vertices`` and
+    ``triples`` (v, a, w), with a positive letter, are the folded graph, and
+    ``_step`` maps (v, c) to the vertex the letter c leads to from v, a
+    capital read backwards.
     """
 
     def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.base = 0
-        self._parent = [0]
-        self._out: dict[str, list[int]] = {a: [-1] for a in alphabet}
-        self._inc: dict[str, list[int]] = {a: [-1] for a in alphabet}
-        self._live = 1
-        self._edges = 0
-        # a letter c of a word steps along (forward, backward) arrays: c's
-        # label is c.lower(), read backwards when c is not lowercase
-        self._steps: dict[str, tuple[list[int], list[int]]] = {}
-        self._slots = [(out, True) for out in self._out.values()]
-        self._slots += [(inc, False) for inc in self._inc.values()]
-        for c in _letters(alphabet):
-            out, inc = self._out[c.lower()], self._inc[c.lower()]
-            self._steps[c] = (out, inc) if c.islower() else (inc, out)
+        self.vertices = {0}
+        self.triples: set[tuple[int, str, int]] = set()
+        self._letters = _letters(alphabet)
+        self._step: dict[tuple[int, str], int] = {}
+        self._next = 1  # the number of the next vertex a path lays down
 
     # -- construction -------------------------------------------------
 
-    def _find(self, v: int) -> int:
-        parent = self._parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     def check_word(self, word: str) -> str:
         """``word`` if each letter or its inverse is in the alphabet, checked before reduction."""
-        return _check_letters(word, self._steps.keys())
+        return _check_letters(word, self._letters)
 
     def add_path(self, word: str, close: bool) -> int:
-        """Attach a path from the base spelling ``word``; returns its endpoint."""
-        return self._attach(reduce(self.check_word(word)), close)
+        """Attach a path from the base spelling ``word`` and fold; returns its endpoint."""
+        word = reduce(self.check_word(word))
+        self._attach(word, close)
+        self._fold()
+        return self.trace(word)
 
-    def _attach(self, word: str, close: bool) -> int:
-        """``add_path`` for a reduced word over the alphabet."""
-        steps = self._steps
-        n = len(word)
-        parent, find = self._parent, self._find
-        start = len(parent)  # the path's vertex after letter j is numbered start + j
-        reserved = n - 1 if close else n
-        parent.extend(range(start, start + reserved))
-        for array, _ in self._slots:
-            array.extend([-1] * reserved)
-        # read the longest prefix along existing edges: its vertices fold away
-        v, i = self.base, 0
-        while i < n and (t := steps[word[i]][0][v]) >= 0:
-            v = find(t)
-            if i < reserved:
-                parent[start + i] = v
-            i += 1
-        if close and i == n:
-            self._merge(v, self.base)
-            return self.base
-        # a loop also reads its longest suffix back from the base, up to letter i
-        u, m = self.base, n
-        while close and m > i + 1 and (t := steps[word[m - 1]][1][u]) >= 0:
-            u = find(t)
-            m -= 1
-            parent[start + m - 1] = u
-        stop = m - 1 if close else n
-        for j in range(i, stop):
-            w = start + j
-            forward, backward = steps[word[j]]
-            forward[v] = w
-            backward[w] = v
+    def _attach(self, word: str, close: bool) -> None:
+        """Lay a reduced word over the alphabet down from the base, unfolded."""
+        v, last = self.base, len(word) - 1
+        for i, c in enumerate(word):
+            if close and i == last:
+                w = self.base
+            else:
+                w, self._next = self._next, self._next + 1
+            self.triples.add((v, c, w) if c.islower() else (w, c.lower(), v))
             v = w
-        self._live += stop - i
-        self._edges += stop - i
-        if not close:
-            return v
-        forward, backward = steps[word[m - 1]]
-        t = backward[u]
-        if t < 0:
-            forward[v] = u
-            backward[u] = v
-            self._edges += 1
-        else:  # u already has this letter's edge in: fold v onto its source
-            self._merge(t, v)
-        return self.base
 
-    def _merge(self, x: int, y: int) -> None:
-        """Identify x and y, then every pair of vertices that forces."""
-        parent, find = self._parent, self._find
-        pending = [(x, y)]
+    def _fold(self) -> None:
+        """Identify the ends of equally labeled edges at one vertex until none remain."""
+        parent = list(range(self._next))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        step: dict[tuple[int, str], int] = {}
+        pending = []
+        for v, a, w in self.triples:
+            for key, t in (((v, a), w), ((w, a.upper()), v)):
+                if (s := step.setdefault(key, t)) != t:
+                    pending.append((s, t))
         while pending:
-            x, y = pending.pop()
-            x, y = find(x), find(y)
+            x, y = map(find, pending.pop())
             if x == y:
                 continue
             keep, drop = (x, y) if x < y else (y, x)
             parent[drop] = keep
-            self._live -= 1
-            for array, is_out in self._slots:
-                t = array[drop]
-                if t < 0:
-                    continue
-                k = array[keep]
-                if k < 0:
-                    array[keep] = t
-                else:
-                    pending.append((k, t))
-                    if is_out:  # two edges out of one vertex become one
-                        self._edges -= 1
+            for c in self._letters:  # drop's edges become keep's
+                if (t := step.pop((drop, c), None)) is not None:
+                    if (s := step.setdefault((keep, c), t)) != t:
+                        pending.append((s, t))
+        self._step = {key: find(t) for key, t in step.items()}
+        self.vertices = {self.base, *(v for v, _ in self._step)}
+        self.triples = {(v, c, w) for (v, c), w in self._step.items() if c.islower()}
 
     # -- queries -------------------------------------------------------
 
-    @property
-    def vertices(self) -> set[int]:
-        return {v for v, p in enumerate(self._parent) if v == p}
-
-    @property
-    def triples(self) -> set[tuple[int, str, int]]:
-        find, vertices = self._find, self.vertices
-        return {
-            (v, a, find(out[v])) for a, out in self._out.items() for v in vertices if out[v] >= 0
-        }
-
     def rank(self) -> int:
-        return self._edges - self._live + 1
+        return len(self.triples) - len(self.vertices) + 1
 
     def is_complete(self) -> bool:
         """Every vertex has an edge out, and so (folded) one in, for every letter."""
-        return self._edges == len(self.alphabet) * self._live
+        return len(self.triples) == len(self.alphabet) * len(self.vertices)
 
     def index(self) -> int | None:
         """Subgroup index: the vertex count if complete, else None (infinite)."""
-        return self._live if self.is_complete() else None
+        return len(self.vertices) if self.is_complete() else None
 
     def trace(self, word: str) -> int | None:
-        find, steps = self._find, self._steps
-        v = find(self.base)
+        v: int | None = self.base
         for c in reduce(word):
-            step = steps.get(c)
-            t = -1 if step is None else step[0][v]
-            if t < 0:
+            if (v := self._step.get((v, c))) is None:
                 return None
-            v = find(t)
         return v
 
     def membership(self, word: str) -> bool:
@@ -224,13 +162,8 @@ class SubgroupGraph:
     def copy(self) -> "SubgroupGraph":
         """The same graph; its next path numbers from one past its greatest vertex."""
         g = SubgroupGraph(self.alphabet)
-        find = self._find
-        size = max(self.vertices) + 1
-        g._parent[:] = [find(v) for v in range(size)]
-        for a in self.alphabet:
-            for mine, theirs in ((self._out[a], g._out[a]), (self._inc[a], g._inc[a])):
-                theirs[:] = [-1 if t < 0 else find(t) for t in mine[:size]]
-        g._live, g._edges = self._live, self._edges
+        g.vertices, g.triples, g._step = set(self.vertices), set(self.triples), dict(self._step)
+        g._next = max(self.vertices) + 1
         return g
 
 
@@ -242,6 +175,7 @@ def subgroup(generators: list[str] | set[str], alphabet: Alphabet) -> SubgroupGr
     g = SubgroupGraph(alphabet)
     for w in sorted({reduce(g.check_word(w)) for w in generators} - {""}):
         g._attach(w, close=True)
+    g._fold()
     return g
 
 
@@ -283,12 +217,31 @@ def _nielsen_shorten(words: set[str]) -> list[str] | None:
     return ws
 
 
+def _abelian_determinant(words: list[str] | set[str], alphabet: Alphabet) -> int:
+    """Determinant of the |A| words' letter counts (a capital counts -1), by Bareiss elimination."""
+    m = [[w.count(a) - w.count(a.upper()) for a in alphabet] for w in words]
+    sign, previous = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
+        previous = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
 def is_basis_of_free_group(generators: list[str] | set[str], alphabet: Alphabet) -> bool:
     """A generating set whose cardinality (after reduction) equals the rank.
 
     Positive words are first shortened by Nielsen moves (``_nielsen_shorten``):
     words that reach the letters are a basis, and a repeat is not.  Words with
-    an inverse letter, and what the moves leave, are folded by ``generates``.
+    an inverse letter, and what the moves leave, must have a letter-count
+    determinant of +-1 (a basis of F(A) maps to a basis of Z^|A|), and are
+    then folded by ``generates``.
     """
     _check_letters("".join(generators), _letters(alphabet))
     distinct = {reduce(w) for w in generators} - {""}
@@ -301,6 +254,8 @@ def is_basis_of_free_group(generators: list[str] | set[str], alphabet: Alphabet)
         if len(shortened[-1]) == 1:  # |A| distinct letters: the alphabet itself
             return True
         distinct = shortened
+    if abs(_abelian_determinant(distinct, alphabet)) != 1:
+        return False
     return generates(distinct, alphabet)
 
 
@@ -315,13 +270,11 @@ def separating_subgroup(H: SubgroupGraph, x: str) -> SubgroupGraph:
     if H.membership(x):
         raise NotSeparable(f"{x!r} belongs to the subgroup")
     g = H.copy()
-    g._attach(x, close=False)
+    g.add_path(x, close=False)
     order = sorted(g.vertices)
     for a in g.alphabet:
-        out, inc = g._out[a], g._inc[a]
-        missing_out = [v for v in order if out[v] < 0]
-        missing_in = [v for v in order if inc[v] < 0]
-        for v, w in zip(missing_out, missing_in):
-            out[v], inc[w] = w, v
-        g._edges += len(missing_out)
+        missing_out = [v for v in order if (v, a) not in g._step]
+        missing_in = [v for v in order if (v, a.upper()) not in g._step]
+        g.triples |= {(v, a, w) for v, w in zip(missing_out, missing_in)}
+    g._fold()  # the new edges complete each letter's injection: nothing folds
     return g

@@ -61,6 +61,11 @@ class MorphismToFinite:
     def of_word(self, word: str):
         return self.target.product(self.images[a] for a in word)
 
+    def check_letters(self, letters) -> None:
+        """Refuse the letters among ``letters`` that have no image."""
+        if missing := [a for a in letters if a not in self.images]:
+            raise InputError(f"morphism has no image for {''.join(missing)!r}")
+
 
 def _assignment_orbit(
     subst: Substitution, morphism: MorphismToFinite
@@ -71,6 +76,7 @@ def _assignment_orbit(
     n-th iterate of the i-th letter.
     """
     letters = subst.alphabet.letters
+    morphism.check_letters(letters)
     M = morphism.target
     images = [[letters.index(b) for b in subst.images[a]] for a in letters]
     return orbit(
@@ -83,6 +89,7 @@ def evaluate(expr: PseudowordExpr, morphism: MorphismToFinite):
     """Value of the expression under the morphism."""
     M = morphism.target
     if isinstance(expr, Letter):
+        morphism.check_letters(expr.letter)
         return morphism.images[expr.letter]
     if isinstance(expr, Concat):
         return M.mul(evaluate(expr.left, morphism), evaluate(expr.right, morphism))
@@ -281,6 +288,7 @@ def separation_witness(
         raise InputError("beta must be a bijection onto the code")
     if stray := sorted(set(u + v) - beta.keys()):
         raise InputError(f"letter {stray[0]!r} of u or v has no image under beta")
+    psi.check_letters(beta)
     M = psi.target
     if psi.of_word(u) == psi.of_word(v):
         raise NothingToSeparate("the two words have equal images already")

@@ -41,6 +41,16 @@ class TestFactorialDigits:
         d = to_factorial(x, k)
         assert d.to_int() % math.factorial(k + 1) == x % math.factorial(k + 1)
 
+    @given(st.integers(-(10**20), 10**20), st.integers(1, 30))
+    def test_digits_of_the_residue_without_it(self, x, k):
+        """Oracle: the digits of x reduced modulo (k+1)! first."""
+        r = x % math.factorial(k + 1)
+        digits = []
+        for i in range(1, k + 1):
+            digits.append(r % (i + 1))
+            r //= i + 1
+        assert to_factorial(x, k).digits == tuple(digits)
+
     def test_maximal_digit_identity(self):
         # sum of i * i! for i <= n equals (n+1)! - 1
         for n in range(1, 8):

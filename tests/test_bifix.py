@@ -308,6 +308,11 @@ class TestGroupCodes:
         with pytest.raises(InputError, match=r"base point .* not in domain \(1, 2, 3\)"):
             GroupCodeSpec.from_cycles((1, 2, 3), {"a": "(1 2 3)", "b": "(1 2)"}, base_point)
 
+    def test_a_letter_without_an_image_is_refused(self, fib_set):
+        spec = GroupCodeSpec.from_cycles((1, 2, 3), {"a": "(1 2 3)"})
+        with pytest.raises(InputError, match="group code has no image for 'b'"):
+            group_code_intersection(spec, fib_set)
+
     def test_fibonacci_meets_z2(self, fib_set):
         spec = GroupCodeSpec.cyclic(2, {"a": 1, "b": 1})
         X = group_code_intersection(spec, fib_set)

@@ -1,6 +1,7 @@
 """Free group words, folded subgroup graphs, and separating subgroups."""
 
 from bisect import insort
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -507,12 +508,12 @@ LONG_POWERS = [
 ]
 
 
+def no_fold(*args):
+    raise AssertionError("a set was left to fold")
+
+
 def assert_decided_by_moves(F: FactorSet, maxlen: int, monkeypatch) -> int:
     """Every return set of every factor up to ``maxlen`` answers True with the fold refused."""
-
-    def no_fold(*args):
-        raise AssertionError("the Nielsen moves left a set to fold")
-
     monkeypatch.setattr(freegroup, "generates", no_fold)
     count = 0
     for n in range(1, maxlen + 1):
@@ -597,3 +598,65 @@ class TestNielsenBasis:
         assert not any(v for (name, _), v in verdicts.items() if name == "tm")
         quad_bases = sorted(x for (name, x), v in verdicts.items() if name == "quad" and v)
         assert quad_bases == ["a"]
+
+    def test_thue_morse_and_quad_need_no_fold(self, tm, quad, monkeypatch):
+        """What the moves leave has a letter-count determinant other than +-1: no set is folded."""
+        sets = {name: FactorSet.from_substitution(sigma, "a", 64)
+                for name, sigma in (("tm", tm), ("quad", quad))}
+        monkeypatch.setattr(freegroup, "generates", no_fold)
+        verdicts = {}
+        for name, F in sets.items():
+            for n in range(1, 9):
+                for x in F.words_of_length(n):
+                    R = sorted(right_return_words(F, x).words)
+                    verdicts[name, x] = is_basis_of_free_group(R, F.alphabet)
+                    assert verdicts[name, x] == fold_basis(R, F.alphabet), (name, x, R)
+        assert len(verdicts) == 92 + 53
+        assert [key for key, v in verdicts.items() if v] == [("quad", "a")]
+        # a periodic set's return set that the moves leave as {a, b, cc}
+        assert not is_basis_of_free_group(["a", "ba", "cca"], Alphabet.of("abc"))
+
+
+def permutation_determinant(m: list[list[int]]) -> int:
+    """Oracle: the sum over permutations, each signed by its inversions."""
+    n, total = len(m), 0
+    for p in permutations(range(n)):
+        term = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        for i in range(n):
+            term *= m[i][p[i]]
+        total += term
+    return total
+
+
+@st.composite
+def letter_count_cases(draw):
+    """An alphabet of 1-5 letters and as many group words over it, capitals included."""
+    letters = "abcde"[: draw(st.integers(1, 5))]
+    word = st.text(alphabet=letters + letters.upper(), max_size=8)
+    return Alphabet.of(letters), draw(st.lists(word, min_size=len(letters), max_size=len(letters)))
+
+
+class TestAbelianDeterminant:
+    """The letter-count determinant that the basis test reads before any fold."""
+
+    @settings(max_examples=400)
+    @given(letter_count_cases())
+    def test_agrees_with_the_permutation_expansion(self, case):
+        A, words = case
+        m = [[w.count(a) - w.count(a.upper()) for a in A] for w in words]
+        assert freegroup._abelian_determinant(words, A) == permutation_determinant(m)
+
+    def test_examples(self):
+        abc = Alphabet.of("abc")
+        assert freegroup._abelian_determinant(["a", "ba", "cca"], abc) == 2
+        assert freegroup._abelian_determinant(["ab", "ba"], AB) == 0
+        assert freegroup._abelian_determinant(["b", "a"], AB) == -1
+        assert freegroup._abelian_determinant(["aB", "bbA"], AB) == 1
+        # a zero pivot swaps rows: the first column is 0, 1, 0
+        assert freegroup._abelian_determinant(["b", "a", "c"], abc) == -1
+
+    @settings(max_examples=200)
+    @given(positive_bases())
+    def test_a_basis_has_determinant_one(self, case):
+        A, words = case
+        assert abs(freegroup._abelian_determinant(words, A)) == 1

@@ -62,6 +62,12 @@ def mod3():
 
 
 @pytest.fixture(scope="module")
+def a_only():
+    """A morphism with an image for a only."""
+    return MorphismToFinite(cyclic_monoid(3), {"a": 1})
+
+
+@pytest.fixture(scope="module")
 def alt5():
     dom = (1, 2, 3, 4, 5)
     M = monoid_from_permutations(
@@ -112,6 +118,10 @@ class TestEvaluate:
         with pytest.raises(NotPrimitive):
             evaluate(SubstOmega(sigma, "a"), mod2)
 
+    def test_a_letter_without_an_image_is_refused(self, a_only):
+        with pytest.raises(InputError, match="morphism has no image for 'b'"):
+            evaluate(parse_expression("ab"), a_only)
+
 
 class TestHOrder:
     def test_fibonacci_small_moduli(self, fib, mod2, mod3):
@@ -134,6 +144,10 @@ class TestHOrder:
                 a: M.product(vec[b] for b in fib.images[a]) for a in "ab"
             }
         assert vec == start
+
+    def test_a_letter_without_an_image_is_refused(self, fib, a_only):
+        with pytest.raises(InputError, match="morphism has no image for 'b'"):
+            h_order(fib, a_only)
 
 
 class TestParser:
@@ -225,6 +239,10 @@ class TestSeparation:
         X = connective_code(fib_set, "a", "b")
         with pytest.raises(InputError, match="letter 'c' of u or v has no image under beta"):
             separation_witness(X, {"a": "ab", "b": "aab"}, mod2, u, v)
+
+    def test_a_beta_letter_without_a_psi_image(self, a_only):
+        with pytest.raises(InputError, match="morphism has no image for 'b'"):
+            separation_witness({"ab", "aab"}, {"a": "ab", "b": "aab"}, a_only, "a", "ab")
 
     def test_bad_bijection(self, mod2):
         with pytest.raises(ValueError):
