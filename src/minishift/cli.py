@@ -27,7 +27,6 @@ from .errors import (
 from .words import Alphabet, FactorSet, Substitution, shortlex
 
 if TYPE_CHECKING:
-    from . import bifix as bifix_mod
     from . import shadow as shadow_mod
 
 EXIT_PARSE = 2
@@ -124,20 +123,6 @@ def parse_images(group: str, images: str, letters) -> tuple[int | None, tuple, d
     if missing:
         raise ParseError(f"--images: no image for {''.join(missing)!r}")
     return m, domain, out
-
-
-def group_spec_from_options(
-    group: str, images: str, base_point, letters
-) -> bifix_mod.GroupCodeSpec:
-    from . import bifix as bifix_mod
-
-    m, domain, out = parse_images(group, images, letters)
-    if m is not None:
-        return bifix_mod.GroupCodeSpec.cyclic(m, out)
-    if not domain:
-        raise ParseError(f"--images: {images!r} moves no point")
-    base = domain[0] if base_point is None else base_point
-    return bifix_mod.GroupCodeSpec(domain, out, base)
 
 
 def morphism_from_options(group: str, images: str, letters) -> shadow_mod.MorphismToFinite:
@@ -370,8 +355,14 @@ def bifix_cmd(group, images, base_point, subst, start, horizon, degree):
     """Group code intersected with a factor set; F-degree and F-group."""
     from . import bifix as bifix_mod
 
-    letters = Substitution.parse(subst).alphabet
-    spec = group_spec_from_options(group, images, base_point, letters)
+    m, domain, maps = parse_images(group, images, Substitution.parse(subst).alphabet)
+    if m is not None:
+        spec = bifix_mod.GroupCodeSpec.cyclic(m, maps)
+    elif not domain:
+        raise ParseError(f"--images: {images!r} moves no point")
+    else:
+        base = domain[0] if base_point is None else base_point
+        spec = bifix_mod.GroupCodeSpec(domain, maps, base)
     F = build_factor_set(subst, start, horizon)
     X = bifix_mod.group_code_intersection(spec, F)
     out = {"code": X.sorted_words(), "size": len(X.words)}

@@ -52,11 +52,11 @@ def elementary_morphism(a: str, alphabet: Alphabet) -> Substitution:
 
 
 def psi(u: str, alphabet: Alphabet) -> Substitution:
-    """Composition of elementary morphisms along ``u`` (left factor outermost)."""
+    """Composition of elementary morphisms along ``u`` (left factor outermost): composing
+    on the right with psi_a keeps the image of a and puts it in front of every other image."""
     images = {b: b for b in alphabet}
-    for a in reversed(u):
-        step = elementary_morphism(a, alphabet)
-        images = {b: step.apply(images[b]) for b in alphabet}
+    for a in alphabet.check_word(u):
+        images = {b: image if b == a else images[a] + image for b, image in images.items()}
     return Substitution(alphabet, images)
 
 

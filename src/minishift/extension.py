@@ -23,35 +23,28 @@ class ExtensionGraph:
 
     def is_connected(self) -> bool:
         """Connected as an undirected bipartite graph (vacuously for <= 1 vertex)."""
-        return self._component_count <= 1
+        return len(self.left) + len(self.right) - self._joins <= 1
 
     def is_acyclic(self) -> bool:
-        # a bipartite multigraph-free graph is acyclic iff every connected
-        # component has edges = vertices - 1; equivalently edges = vertices - c
-        vertices = len(self.left) + len(self.right)
-        return len(self.edges) == vertices - self._component_count
+        return self._joins == len(self.edges)
 
     @cached_property
-    def _component_count(self) -> int:
-        nodes = [("L", a) for a in self.left] + [("R", b) for b in self.right]
-        adj: dict[tuple[str, str], list[tuple[str, str]]] = {v: [] for v in nodes}
+    def _joins(self) -> int:
+        """Edges that join two components, by union-find: each lowers the component
+        count by one, and an edge that joins none closes a cycle."""
+        root: dict[tuple[int, str], tuple[int, str]] = {}
+
+        def find(v: tuple[int, str]) -> tuple[int, str]:
+            while v in root:
+                v = root[v]
+            return v
+
+        joins = 0
         for a, b in self.edges:
-            adj[("L", a)].append(("R", b))
-            adj[("R", b)].append(("L", a))
-        seen: set[tuple[str, str]] = set()
-        count = 0
-        for v in nodes:
-            if v in seen:
-                continue
-            count += 1
-            seen.add(v)
-            stack = [v]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return count
+            if (s := find((0, a))) != (t := find((1, b))):
+                root[s] = t
+                joins += 1
+        return joins
 
     def to_dot(self) -> str:
         lines = ["graph extension {", "  rankdir=LR;"]
@@ -67,15 +60,20 @@ class ExtensionGraph:
         return "\n".join(lines)
 
 
+def _extensions(
+    factors: frozenset[str], letters: tuple[str, ...], w: str
+) -> tuple[list[str], list[str], list[tuple[str, str]]]:
+    """Left letters, right letters and the pairs of them that extend ``w`` to a factor."""
+    left = [a for a in letters if a + w in factors]
+    right = [b for b in letters if w + b in factors]
+    return left, right, [(a, b) for a in left for b in right if a + w + b in factors]
+
+
 def extension_graph(F: FactorSet, w: str) -> ExtensionGraph:
     """Left/right letter extensions of ``w`` in ``F`` and their pairings."""
     needed = len(w) + 2
     F.certify(needed, f"extension graph of a length-{len(w)} word needs horizon {needed}", w)
-    letters = F.alphabet.letters
-    left = tuple(a for a in letters if a + w in F)
-    right = tuple(b for b in letters if w + b in F)
-    edges = tuple((a, b) for a in left for b in right if a + w + b in F)
-    return ExtensionGraph(w, left, right, edges)
+    return ExtensionGraph(w, *map(tuple, _extensions(F.factors, F.alphabet.letters, w)))
 
 
 def multiplicity(F: FactorSet, w: str) -> int:
@@ -124,10 +122,11 @@ def classify(F: FactorSet, max_length: int) -> Classification:
     """Classify every factor of length <= ``max_length``, empty word included.
 
     Only a bispecial factor can break the tree property (Berthé et al.,
-    "Acyclic, connected and tree sets", Monatsh. Math. 176, 2015).  When one
-    side of w has a single letter and it pairs with every extension on the
-    other side, the graph is a star, of multiplicity 0, connected and
-    acyclic, so no graph is built; every other word gets its graph.
+    "Acyclic, connected and tree sets", Monatsh. Math. 176, 2015).  Each word's
+    extensions are scanned once.  When one side of w has a single letter, the
+    graph is a star less its missing edges: acyclic, and connected iff its
+    multiplicity is 0, so the record is read off the counts; every other word
+    gets its graph from the same scan.
     """
     if max_length < 0:
         raise InputError(f"classify({max_length}) of a negative length")
@@ -137,15 +136,11 @@ def classify(F: FactorSet, max_length: int) -> Classification:
     records = []
     for n in range(max_length + 1):
         for w in F.words_of_length(n):
-            left = [a for a in letters if a + w in factors]
-            right = [b for b in letters if w + b in factors]
-            if len(left) == 1:
-                star = all(left[0] + w + b in factors for b in right)
-            else:
-                star = len(right) == 1 and all(a + w + right[0] in factors for a in left)
-            if star:
-                records.append(WordRecord(w, 0, True, True))
+            left, right, edges = _extensions(factors, letters, w)
+            if len(left) == 1 or len(right) == 1:
+                m = len(edges) - len(left) - len(right) + 1
+                records.append(WordRecord(w, m, m == 0, True))
                 continue
-            g = extension_graph(F, w)
+            g = ExtensionGraph(w, tuple(left), tuple(right), tuple(edges))
             records.append(WordRecord(w, g.multiplicity(), g.is_connected(), g.is_acyclic()))
     return Classification(max_length, tuple(records))

@@ -134,13 +134,11 @@ class SubgroupGraph:
     def rank(self) -> int:
         return len(self.triples) - len(self.vertices) + 1
 
-    def is_complete(self) -> bool:
-        """Every vertex has an edge out, and so (folded) one in, for every letter."""
-        return len(self.triples) == len(self.alphabet) * len(self.vertices)
-
     def index(self) -> int | None:
-        """Subgroup index: the vertex count if complete, else None (infinite)."""
-        return len(self.vertices) if self.is_complete() else None
+        """Subgroup index: the vertex count if the graph is complete, with an edge out of
+        (and so, folded, one into) every vertex for every letter, else None (infinite)."""
+        n = len(self.vertices)
+        return n if len(self.triples) == len(self.alphabet) * n else None
 
     def trace(self, word: str) -> int | None:
         v: int | None = self.base

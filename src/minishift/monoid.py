@@ -106,11 +106,6 @@ def compose(x: StateMap, y: StateMap) -> StateMap:
     return tuple([None if q is None else y[q] for q in x])
 
 
-def transformation_rank(t: StateMap) -> int:
-    """Number of positions reached, for either encoding (see ``transformation_image``)."""
-    return len(transformation_image(t))
-
-
 def transformation_image(t: StateMap) -> frozenset[int]:
     """Positions reached by a ``_state_map`` of either kind: the byte n and None are no state."""
     return frozenset(t) - {None, len(t)}
@@ -349,8 +344,7 @@ class GreenStructure:
 
     @cached_property
     def idempotent(self) -> list[bool]:
-        mul = self.monoid.mul
-        return [mul(x, x) == x for x in self.monoid.elements]
+        return list(map(self.monoid.is_idempotent, self.monoid.elements))
 
     def classes(self, kind: str) -> dict[int, list[int]]:
         """Member indices of each class of kind R, L, J or H.
@@ -611,7 +605,7 @@ def f_min_rank_data(
                 w: compose(current[w[:-1]], letter_maps[w[-1]]) for w in F.words_of_length(n)
             }
         for word, t in current.items():
-            rank = transformation_rank(t)
+            rank = len(transformation_image(t))
             if rank >= best_rank:
                 continue
             best_rank = rank
@@ -628,7 +622,7 @@ def f_min_rank_data(
                 for a in u:
                     s = compose(s, letter_maps[a])
                     images.add(transformation_image(s))
-                if transformation_rank(s) < rank:
+                if len(transformation_image(s)) < rank:
                     break
             else:
                 return rank, word, images
@@ -655,7 +649,7 @@ def f_group(
         F.certify(word=base)
         word = base
     t = A.transformation(word)
-    if base is not None and (base_rank := transformation_rank(t)) != rank:
+    if base is not None and (base_rank := len(transformation_image(t))) != rank:
         raise InputError(f"base word {base!r} has rank {base_rank}, above the minimal rank {rank}")
     image = sorted(transformation_image(t))
     gens = []

@@ -52,6 +52,10 @@ class SubstOmega(PseudowordExpr):
     subst: Substitution
     letter: str
 
+    def __post_init__(self) -> None:
+        if self.letter not in self.subst.alphabet:
+            raise InputError(f"{self.letter!r} is not a letter of {self.subst.serialize()!r}")
+
 
 @dataclass(frozen=True)
 class MorphismToFinite:
@@ -163,8 +167,6 @@ def parse_expression(
             name, a = parts
             if name not in substitutions:
                 raise ParseError(f"unknown substitution {name!r}")
-            if a not in substitutions[name].alphabet:
-                raise ParseError(f"{a!r} is not a letter of {name!r}")
             return SubstOmega(substitutions[name], a)
         if peek() == "(":
             pos += 1
@@ -308,10 +310,7 @@ def separation_witness(
             if q in index:
                 row[index[q]] = M.identity
             if q in X:
-                entry = psi.images[decode[q]]
-                if row[index[""]] is not None and row[index[""]] != entry:
-                    raise InternalInvariantError("conflicting decoder moves")
-                row[index[""]] = entry
+                row[index[""]] = psi.images[decode[q]]
             rows.append(tuple(row))
         letter_matrix[a] = tuple(rows)
 

@@ -359,11 +359,9 @@ class FactorSet:
         (Fogg, Substitutions in Dynamics, Arithmetics and Combinatorics,
         LNM 1794, ch. 1; Droubay, Justin, Pirillo, TCS 255, 2001).
         ``tail_pairs(k)`` gives L2(s_k) for the depth k reached, and raises
-        ``InsufficientHorizon`` past the end of a finite directive; horizon 0
-        does not ask it.  A one-letter shift is the constant word.
+        ``InsufficientHorizon`` past the end of a finite directive; a horizon
+        below 1 does not ask it.  A one-letter shift is the constant word.
         """
-        if horizon < 0:
-            raise InputError(f"horizon must be nonnegative, got {horizon}")
         if len(alphabet) == 1:
             return cls.from_periodic(alphabet.letters[0], horizon)
         power, k = {c: c for c in alphabet}, 0
@@ -375,7 +373,7 @@ class FactorSet:
             if max(map(len, power.values())) > DEFAULT_MAX_PREFIX:
                 raise BudgetExceeded("fixed-point prefix budget exceeded")
 
-        pairs = sorted(tail_pairs(k), key=alphabet.key) if horizon else []
+        pairs = sorted(tail_pairs(k), key=alphabet.key) if horizon > 0 else []
         words = [power[ab[0]] + power[ab[1]] for ab in pairs]
         windows = {w[i : i + horizon] for w in words for i in range(len(w) - horizon + 1)}
         source = f"{source}: factors of tau_[0,{k})(ab) for ab in L2 = {{{','.join(pairs)}}}"
@@ -419,8 +417,6 @@ class FactorSet:
         """Factors of the periodic word ``word^infinity``."""
         if not word:
             raise InputError("periodic word must be nonempty")
-        if horizon < 0:
-            raise InputError(f"horizon must be nonnegative, got {horizon}")
         text = word * (horizon // len(word) + 2)
         windows = {text[i : i + horizon] for i in range(len(word))}
         return cls._of_windows(Alphabet.of(sorted(set(word))), horizon, windows, f"periodic {word}")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minishift.episturmian import (
+    elementary_morphism,
     episturmian_factor_set,
     episturmian_left_returns,
     is_palindrome,
@@ -23,6 +24,15 @@ from minishift.words import Alphabet, FactorSet
 
 AB = Alphabet.of("ab")
 words_ab = st.text(alphabet="ab", max_size=10)
+
+
+def per_letter_psi(u: str, alphabet: Alphabet) -> dict[str, str]:
+    """Oracle: psi_u as one elementary morphism applied per letter of u, last letter first."""
+    images = {b: b for b in alphabet}
+    for a in reversed(u):
+        step = elementary_morphism(a, alphabet)
+        images = {b: step.apply(images[b]) for b in alphabet}
+    return images
 
 
 def palindromic_closure_bruteforce(w: str) -> str:
@@ -144,6 +154,17 @@ class TestPsi:
         m = psi("ab", AB)
         for letter in "ab":
             assert m.apply(letter) == fib.apply(fib.apply(letter))
+
+    @settings(max_examples=80)
+    @given(st.sampled_from(["ab", "abc"]).flatmap(
+        lambda letters: st.tuples(st.just(letters), st.text(alphabet=letters, max_size=12))),
+        st.data())
+    def test_matches_the_per_letter_composition(self, drawn, data):
+        letters, u = drawn
+        alphabet = Alphabet.of(letters)
+        assert psi(u, alphabet).images == per_letter_psi(u, alphabet)
+        cut = data.draw(st.integers(0, len(u)))
+        assert justin_check(u[:cut], u[cut:], alphabet)
 
 
 class TestJustin:

@@ -52,6 +52,53 @@ def per_word_classify(F, max_length):
     return Classification(max_length, tuple(records))
 
 
+def reference_verdicts(g):
+    """Oracle: (connected, acyclic) from a component count by an adjacency map and a
+    depth-first search, independent of the library's union-find."""
+    nodes = [("L", a) for a in g.left] + [("R", b) for b in g.right]
+    adj = {v: [] for v in nodes}
+    for a, b in g.edges:
+        adj[("L", a)].append(("R", b))
+        adj[("R", b)].append(("L", a))
+    seen, components = set(), 0
+    for v in nodes:
+        if v in seen:
+            continue
+        components += 1
+        seen.add(v)
+        stack = [v]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+    return components <= 1, len(g.edges) == len(nodes) - components
+
+
+def assert_verdicts_match_reference(F):
+    """Every word up to length L - 2: the graph's verdicts and its classify record
+    against the reference, and the one-sided rule that classify reads off the counts."""
+    records = {r.word: r for r in classify(F, F.horizon - 2).records}
+    for n in range(F.horizon - 1):
+        for w in F.words_of_length(n):
+            g = extension_graph(F, w)
+            verdicts = reference_verdicts(g)
+            assert (g.is_connected(), g.is_acyclic()) == verdicts
+            assert records[w] == WordRecord(w, g.multiplicity(), *verdicts)
+            if len(g.left) == 1 or len(g.right) == 1:
+                assert g.is_acyclic()
+                assert g.is_connected() == (g.multiplicity() == 0)
+
+
+def non_extendable_sets():
+    """Complete sets, built by hand, with words that extend to one side only or to none."""
+    return [
+        FactorSet(Alphabet.of("abc"), 4, ["", "a", "b", "c", "ab", "bc"], True, "hand"),
+        FactorSet(Alphabet.of("abc"), 5, ["", "a", "b", "c", "ab", "cb", "ba", "aba"],
+                  True, "hand"),
+    ]
+
+
 def refusal(f, *args):
     try:
         return f(*args)
@@ -225,3 +272,23 @@ class TestClassifyAgainstEveryGraph:
         with pytest.raises(InsufficientHorizon, match="factor set is not certified complete"):
             classify(F, 4)
         assert refusal(classify, F, 4) == refusal(per_word_classify, F, 4)
+
+
+class TestVerdictsAgainstReference:
+    """Union-find verdicts against a depth-first component count, word by word."""
+
+    @pytest.mark.parametrize("horizon", [32, 64])
+    @pytest.mark.parametrize("name", ["fib", "tm", "trib", "quad"])
+    def test_fixtures(self, request, name, horizon):
+        assert_verdicts_match_reference(
+            FactorSet.from_substitution(request.getfixturevalue(name), "a", horizon))
+
+    @settings(max_examples=40)
+    @given(primitive_substitutions(), st.integers(2, 24), st.data())
+    def test_primitive_substitutions(self, sigma, horizon, data):
+        start = data.draw(st.sampled_from(sigma.alphabet.letters))
+        assert_verdicts_match_reference(FactorSet.from_substitution(sigma, start, horizon))
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_extendable_sets(self, index):
+        assert_verdicts_match_reference(non_extendable_sets()[index])

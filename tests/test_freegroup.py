@@ -301,6 +301,14 @@ class TestSubgroupGraph:
             for v in words:
                 assert H.membership(reduce(u + v))
 
+    def test_index_of_a_complete_and_an_incomplete_graph(self):
+        # complete: an edge out of each of the 2 vertices for each of the 2 letters
+        H = subgroup(["aa", "ab", "ba"], AB)
+        assert (len(H.vertices), len(H.triples), H.index()) == (2, 4, 2)
+        # the vertex a reaches has no b-edge, so the index is infinite
+        K = subgroup(["aa", "b"], AB)
+        assert (len(K.vertices), len(K.triples), K.index()) == (2, 3, None)
+
     def test_nielsen_schreier_rank(self):
         # finite index d in free group of rank r: rank = 1 + d (r - 1)
         H = subgroup(["aa", "ab", "ba"], AB)

@@ -122,6 +122,13 @@ class TestEvaluate:
         with pytest.raises(InputError, match="morphism has no image for 'b'"):
             evaluate(parse_expression("ab"), a_only)
 
+    def test_a_letter_outside_the_substitution_is_refused(self, fib):
+        # refused when the expression is built, before any orbit is computed
+        with pytest.raises(InputError, match=r"^'c' is not a letter of 'a->ab;b->a'$"):
+            SubstOmega(fib, "c")
+        with pytest.raises(InputError, match=r"^'c' is not a letter of 'a->ab;b->a'$"):
+            parse_expression("subst^w(phi, c)", substitutions={"phi": fib})
+
 
 class TestHOrder:
     def test_fibonacci_small_moduli(self, fib, mod2, mod3):

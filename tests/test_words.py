@@ -544,6 +544,26 @@ class TestPositionalChecks:
         assert G.words_of_length(0) == ("",) and len(G) == 1
 
 
+class TestHorizonGate:
+    """The constructor is the one gate of a negative horizon, for every builder."""
+
+    BUILDERS = {
+        "substitution": lambda h: FactorSet.from_substitution(
+            Substitution.parse("a->ab;b->a"), "a", h),
+        "episturmian abbbbb": lambda h: episturmian_factor_set("abbbbb", h),
+        "episturmian aaa": lambda h: episturmian_factor_set("aaa", h),
+        "periodic": lambda h: FactorSet.from_periodic("abc", h),
+    }
+
+    @pytest.mark.parametrize("horizon", [-1, -3, -10**6])
+    @pytest.mark.parametrize("name", list(BUILDERS))
+    def test_a_negative_horizon_is_an_input_error(self, name, horizon):
+        # "abbbbb" lacks an a after depth 0, so a tail asked at a negative
+        # horizon would raise InsufficientHorizon instead
+        with pytest.raises(InputError, match=f"^horizon must be nonnegative, got {horizon}$"):
+            self.BUILDERS[name](horizon)
+
+
 class TestDifferentialOracles:
     """Certified queries against direct scans of a long iterate."""
 
