@@ -7,24 +7,27 @@ A residue modulo (k+1)! is stored as its factorial digits c_1..c_k with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
 class FactorialDigits:
-    """Residue modulo (k+1)! in the factorial number system."""
+    """Residue modulo (k+1)! in the factorial number system; equal digits make equal residues."""
 
-    digits: tuple[int, ...]  # little-endian: digits[i-1] = c_i
-
-    def __post_init__(self) -> None:
-        if not self.digits:
+    def __init__(self, digits: tuple[int, ...]) -> None:  # little-endian: digits[i-1] = c_i
+        if not digits:
             raise InputError("need at least one digit")
-        for i, c in enumerate(self.digits, start=1):
+        for i, c in enumerate(digits, start=1):
             if not 0 <= c <= i:
                 raise InputError(f"digit c_{i}={c} out of range 0..{i}")
+        self.digits = digits
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FactorialDigits) and self.digits == other.digits
+
+    def __hash__(self) -> int:
+        return hash(self.digits)
 
     @property
     def precision(self) -> int:

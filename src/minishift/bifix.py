@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InputError, InsufficientHorizon
 from .words import Alphabet, FactorSet, shortlex, star_factorization
@@ -31,15 +30,13 @@ def is_bifix(words: Iterable[str]) -> bool:
     return is_prefix_free(ws) and is_suffix_free(ws)
 
 
-@dataclass(frozen=True)
 class BifixCode:
-    words: frozenset[str]
-
-    def __post_init__(self) -> None:
-        if not self.words:
+    def __init__(self, words: frozenset[str]) -> None:
+        if not words:
             raise InputError("a bifix code needs at least one word")
-        if not is_bifix(self.words):
+        if not is_bifix(words):
             raise InputError("word set is not bifix")
+        self.words = words
 
     @classmethod
     def of(cls, words: Iterable[str]) -> "BifixCode":
@@ -52,8 +49,7 @@ class BifixCode:
         return max(len(w) for w in self.words)
 
 
-@dataclass(frozen=True)
-class Parse:
+class Parse(NamedTuple):
     prefix: str
     blocks: tuple[str, ...]
     suffix: str
@@ -104,33 +100,29 @@ def f_degree(X: BifixCode, F: FactorSet) -> int:
 # ------------------------------------------------------------ group codes
 
 
-@dataclass(frozen=True)
 class _Shift:
     """The permutation p -> (p + k) mod m of 0..m-1, read as ``shift[p]``
     like a permutation dict, and kept in two ints whatever m is."""
 
-    k: int
-    m: int
+    def __init__(self, k: int, m: int) -> None:
+        self.k, self.m = k, m
 
     def __getitem__(self, p: int) -> int:
         return (p + self.k) % self.m
 
 
-@dataclass(frozen=True)
 class GroupCodeSpec:
     """Transitive permutation morphism with a distinguished stabilized point.
 
     The group code is the set of words whose image stabilizes ``base_point``
-    along a path that first returns to it exactly at the end.
+    along a path that first returns to it exactly at the end.  ``images``
+    maps each letter to a point permutation, read as images[letter][point].
     """
 
-    domain: tuple | range
-    images: dict  # letter -> point permutation, read as images[letter][point]
-    base_point: object
-
-    def __post_init__(self) -> None:
-        if self.base_point not in self.domain:
-            raise InputError(f"base point {self.base_point!r} not in domain {self.domain}")
+    def __init__(self, domain: tuple | range, images: dict, base_point: object) -> None:
+        if base_point not in domain:
+            raise InputError(f"base point {base_point!r} not in domain {domain}")
+        self.domain, self.images, self.base_point = domain, images, base_point
 
     @classmethod
     def from_cycles(

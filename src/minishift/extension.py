@@ -2,21 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InputError
 from .words import FactorSet
 
 
-@dataclass(frozen=True)
 class ExtensionGraph:
     """Bipartite graph of one-letter extensions of a factor."""
 
-    word: str
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    def __init__(
+        self,
+        word: str,
+        left: tuple[str, ...],
+        right: tuple[str, ...],
+        edges: tuple[tuple[str, str], ...],
+    ) -> None:
+        self.word, self.left, self.right, self.edges = word, left, right, edges
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ExtensionGraph) and (
+            self.word, self.left, self.right, self.edges
+        ) == (other.word, other.left, other.right, other.edges)
 
     def multiplicity(self) -> int:
         return len(self.edges) - len(self.left) - len(self.right) + 1
@@ -80,16 +88,14 @@ def multiplicity(F: FactorSet, w: str) -> int:
     return extension_graph(F, w).multiplicity()
 
 
-@dataclass(frozen=True)
-class WordRecord:
+class WordRecord(NamedTuple):
     word: str
     multiplicity: int
     connected: bool
     acyclic: bool
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Per-word extension-graph verdicts up to a length bound."""
 
     max_length: int

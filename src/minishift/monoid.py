@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, product
 from typing import Callable, Hashable, Iterable
@@ -27,29 +26,29 @@ _TAILS = [bytes(range(n, 256)) for n in range(257)]  # y + _TAILS[len(y)] sends 
 # ---------------------------------------------------------------- automata
 
 
-@dataclass(eq=False)
 class Automaton:
     """Deterministic partial automaton.  The pass that checks the transitions builds ``pos``
     (state to position) and ``letter_maps`` (see ``_state_map``); nothing changes them after."""
 
-    alphabet: Alphabet
-    states: tuple[Hashable, ...]
-    initial: Hashable
-    terminals: frozenset
-    transitions: dict[tuple[Hashable, str], Hashable]
-    pos: dict = field(init=False, repr=False)
-    letter_maps: dict[str, StateMap] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        pos = self.pos = {q: i for i, q in enumerate(self.states)}
-        if len(pos) != len(self.states):
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        states: tuple[Hashable, ...],
+        initial: Hashable,
+        terminals: frozenset,
+        transitions: dict[tuple[Hashable, str], Hashable],
+    ) -> None:
+        pos = self.pos = {q: i for i, q in enumerate(states)}
+        if len(pos) != len(states):
             raise InputError("repeated state")
-        if self.initial not in pos:
+        if initial not in pos:
             raise InputError("initial state unknown")
-        if not self.terminals <= pos.keys():
+        if not terminals <= pos.keys():
             raise InputError("terminal state unknown")
-        targets: dict[str, list] = {a: [None] * len(pos) for a in self.alphabet}
-        for (q, a), r in self.transitions.items():
+        self.alphabet, self.states, self.initial = alphabet, states, initial
+        self.terminals, self.transitions = terminals, transitions
+        targets: dict[str, list] = {a: [None] * len(pos) for a in alphabet}
+        for (q, a), r in transitions.items():
             if q not in pos or r not in pos:
                 raise InputError(f"transition ({q!r},{a!r})->{r!r} uses unknown state")
             if a not in targets:
@@ -139,7 +138,6 @@ def omega_index(start: int, period: int) -> int:
 # ---------------------------------------------------------------- monoids
 
 
-@dataclass(eq=False, repr=False)
 class FiniteMonoid:
     """Finite monoid with explicit elements, generator witnesses and Cayley graph.
 
@@ -149,13 +147,18 @@ class FiniteMonoid:
     the identity): a spanning tree, read by ``unwind``.
     """
 
-    elements: list
-    pos: dict
-    mul: Callable
-    identity: Hashable
-    generators: dict[str, Hashable]
-    right: list[int]
-    found_at: list[int]
+    def __init__(
+        self,
+        elements: list,
+        pos: dict,
+        mul: Callable,
+        identity: Hashable,
+        generators: dict[str, Hashable],
+        right: list[int],
+        found_at: list[int],
+    ) -> None:
+        self.elements, self.pos, self.mul, self.identity = elements, pos, mul, identity
+        self.generators, self.right, self.found_at = generators, right, found_at
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -189,7 +192,12 @@ class FiniteMonoid:
         return acc
 
     def image_of_word(self, word: str):
-        return self.product(self.generators[a] for a in word)
+        """The element ``word`` names, read off the right Cayley graph from the identity."""
+        right, d, k = self.right, len(self.generators), 0
+        index = {a: j for j, a in enumerate(self.generators)}
+        for a in word:
+            k = right[k * d + index[a]]
+        return self.elements[k]
 
     def is_idempotent(self, x) -> bool:
         return self.mul(x, x) == x
@@ -318,7 +326,6 @@ def _sccs(n: int, d: int, graph: list[int]) -> list[int]:
     return ids
 
 
-@dataclass
 class GreenStructure:
     """Green's relations on ``monoid``, as a class id per element position.
 
@@ -326,10 +333,9 @@ class GreenStructure:
     on first read and kept.
     """
 
-    monoid: FiniteMonoid
-    r_class: list[int]
-    j_class: list[int]
-    _groups: dict[str, dict[int, list[int]]] = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, monoid: FiniteMonoid, r_class: list[int], j_class: list[int]) -> None:
+        self.monoid, self.r_class, self.j_class = monoid, r_class, j_class
+        self._groups: dict[str, dict[int, list[int]]] = {}
 
     @cached_property
     def l_class(self) -> list[int]:
@@ -621,8 +627,8 @@ def f_min_rank_data(
                 s = t
                 for a in u:
                     s = compose(s, letter_maps[a])
-                    images.add(transformation_image(s))
-                if len(transformation_image(s)) < rank:
+                    images.add(image := transformation_image(s))
+                if len(image) < rank:
                     break
             else:
                 return rank, word, images

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, InsufficientHorizon, InternalInvariantError
 from .words import FactorSet, shortlex, star_factorization
 
 
-@dataclass(frozen=True)
-class ReturnSet:
+class ReturnSet(NamedTuple):
     """Return words to a base factor, right or left variant."""
 
     base: str
@@ -74,8 +72,7 @@ def check_gamma_identity(F: FactorSet, x: str, maxlen: int) -> bool:
     return all(len(w) in star_factorization(w, 0, returns) for w in words)
 
 
-@dataclass(frozen=True)
-class TruncationStage:
+class TruncationStage(NamedTuple):
     left_part: str
     right_part: str
     words: frozenset[str]

@@ -8,8 +8,7 @@ monoid, where every such limit exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from .errors import (
     InputError,
@@ -27,38 +26,30 @@ from .words import FactorSet, Substitution, shortlex
 # ------------------------------------------------------------ expressions
 
 
-class PseudowordExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class Letter(PseudowordExpr):
+class Letter(NamedTuple):
     letter: str
 
 
-@dataclass(frozen=True)
-class Concat(PseudowordExpr):
+class Concat(NamedTuple):
     left: PseudowordExpr
     right: PseudowordExpr
 
 
-@dataclass(frozen=True)
-class OmegaPower(PseudowordExpr):
+class OmegaPower(NamedTuple):
     body: PseudowordExpr
 
 
-@dataclass(frozen=True)
-class SubstOmega(PseudowordExpr):
-    subst: Substitution
-    letter: str
-
-    def __post_init__(self) -> None:
-        if self.letter not in self.subst.alphabet:
-            raise InputError(f"{self.letter!r} is not a letter of {self.subst.serialize()!r}")
+class SubstOmega:
+    def __init__(self, subst: Substitution, letter: str) -> None:
+        if letter not in subst.alphabet:
+            raise InputError(f"{letter!r} is not a letter of {subst.serialize()!r}")
+        self.subst, self.letter = subst, letter
 
 
-@dataclass(frozen=True)
-class MorphismToFinite:
+PseudowordExpr = Letter | Concat | OmegaPower | SubstOmega
+
+
+class MorphismToFinite(NamedTuple):
     target: FiniteMonoid
     images: dict[str, Hashable]
 
@@ -256,8 +247,7 @@ def _matrix_mul(A, B, mul):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     prefixes: tuple[str, ...]
     alpha_u: tuple
     alpha_v: tuple

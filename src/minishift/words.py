@@ -7,7 +7,6 @@ horizon ``L`` together with a completeness certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain, compress, groupby, repeat
 from operator import itemgetter, ne, or_
@@ -25,20 +24,25 @@ from .errors import (
 DEFAULT_MAX_PREFIX = 10**6
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Ordered finite set of single-character letters."""
+    """Ordered finite set of single-character letters; equal letters make equal
+    alphabets of one hash, so an alphabet can key a cache."""
 
-    letters: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: tuple[str, ...]) -> None:
+        if not letters:
             raise InputError("alphabet must be nonempty")
-        if len(set(self.letters)) != len(self.letters):
+        if len(set(letters)) != len(letters):
             raise InputError("alphabet has duplicate letters")
-        for c in self.letters:
+        for c in letters:
             if len(c) != 1:
                 raise InputError(f"letters must be single characters, got {c!r}")
+        self.letters = letters
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Alphabet) and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     @classmethod
     def of(cls, letters: Iterable[str]) -> "Alphabet":
@@ -121,22 +125,20 @@ def star_factorization(w: str, start: int, X: frozenset[str]) -> dict[int, tuple
     return out
 
 
-@dataclass(frozen=True)
 class Substitution:
     """A letter-to-word morphism with nonempty images."""
 
-    alphabet: Alphabet
-    images: dict[str, str]
-
-    def __post_init__(self) -> None:
-        for a in self.alphabet:
-            img = self.images.get(a)
+    def __init__(self, alphabet: Alphabet, images: dict[str, str]) -> None:
+        for a in alphabet:
+            img = images.get(a)
             if not img:
                 raise InputError(f"image of {a!r} missing or empty")
-            self.alphabet.check_word(img)
-        extra = set(self.images) - set(self.alphabet.letters)
+            alphabet.check_word(img)
+        extra = set(images) - set(alphabet.letters)
         if extra:
             raise InputError(f"images given for unknown letters {sorted(extra)}")
+        self.alphabet = alphabet
+        self.images = images
 
     @classmethod
     def parse(cls, text: str) -> "Substitution":

@@ -23,14 +23,18 @@ def test_every_module_is_listed():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
-    # and only the CLI loads json: the layers return plain values, which it renders
+    # and only the CLI loads json: the layers return plain values, which it renders;
+    # no module loads dataclasses (or the inspect it imports), a start-up cost of every process
     r = subprocess.run(
-        [sys.executable, "-c", f"import sys, minishift.{module}\nprint('json' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, minishift.{module}\n"
+         "print(*(m in sys.modules for m in ('json', 'dataclasses', 'inspect')))"],
         capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr
+    json_loaded, *start_up = r.stdout.split()
+    assert start_up == ["False", "False"]
     if module != "cli":
-        assert r.stdout == "False\n"
+        assert json_loaded == "False"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "cli"])

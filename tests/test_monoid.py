@@ -44,6 +44,7 @@ from minishift.monoid import (
 )
 from minishift.monoid import _left_graph, _right_action, _sccs
 from minishift.returns import right_return_words
+from minishift.shadow import MorphismToFinite, separation_witness
 from minishift.words import Alphabet, FactorSet, shortlex
 from test_bifix import bifix_codes
 from test_returns import count_walks
@@ -525,6 +526,28 @@ def three_state_monoid(three_state):
     return transition_monoid(three_state)
 
 
+@pytest.fixture
+def separation_matrices(monkeypatch):
+    """The monoid of decoder matrices that ``separation_witness`` builds for {ab, aab} over Z/2."""
+    psi = MorphismToFinite(cyclic_monoid(2), {"a": 1, "b": 1})
+    built = []
+    closure = FiniteMonoid.from_generators.__func__
+
+    def kept(cls, *args):
+        built.append(closure(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(FiniteMonoid, "from_generators", classmethod(kept))
+    separation_witness({"ab", "aab"}, {"a": "ab", "b": "aab"}, psi, "a", "ab")
+    (matrices,) = built
+    return matrices
+
+
+@pytest.fixture
+def cyclic_five():
+    return cyclic_monoid(5)
+
+
 class TestTransformations:
     def test_compose_order(self):
         x = bytes((1, 2, 0))
@@ -631,9 +654,12 @@ class TestFiniteMonoid:
     def test_not_a_group(self, three_state_monoid):
         assert not three_state_monoid.is_group()
 
-    def test_image_of_word(self, three_state, three_state_monoid):
-        for w in ["", "a", "ab", "baab"]:
-            assert three_state_monoid.image_of_word(w) == three_state.transformation(w)
+    @pytest.mark.parametrize("name", ["three_state_monoid", "separation_matrices", "cyclic_five"])
+    def test_image_of_word(self, request, name):
+        # the walk along the right Cayley graph against multiplying the generators
+        M = request.getfixturevalue(name)
+        for w in words_up_to(list(M.generators), 6):
+            assert M.image_of_word(w) == M.product(M.generators[a] for a in w)
 
     def test_index_period_and_omega(self, three_state_monoid):
         M = three_state_monoid

@@ -125,6 +125,12 @@ class TestAlphabet:
         words = ["ba", "a", "", "ab", "b"]
         assert sorted(words, key=ab.key) == ["", "a", "b", "ab", "ba"]
 
+    def test_equal_letters_make_one_cache_key(self):
+        # freegroup._letters is cached per alphabet, so a second equal alphabet must hit it
+        ab, again = Alphabet.of("ab"), Alphabet.of("ab")
+        assert ab == again and hash(ab) == hash(again)
+        assert Alphabet.of("ab") != Alphabet.of("ba")
+
 
 class TestSubstitution:
     def test_parse_serialize_roundtrip(self):
