@@ -131,6 +131,8 @@ class GroupCodeSpec:
         from .monoid import parse_permutation
 
         dom = tuple(domain)
+        if base_point is None and not dom:
+            raise InputError("an empty domain has no base point")
         images = {a: parse_permutation(text, dom) for a, text in cycles.items()}
         return cls(dom, images, dom[0] if base_point is None else base_point)
 

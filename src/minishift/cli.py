@@ -2,6 +2,10 @@
 It parses text and maps errors to exit codes; the library checks each value it
 reads and refuses it as ``InputError``, which exits 2, so no check is written twice.
 
+Each input notation has one reader: ``words.parse_assignments`` for letter-assignment
+lists (rules, weights, ``--images``, ``--beta``), ``monoid.cycles`` for cycle notation,
+``shadow.parse_expression`` for ``--expr``, and the option type ``word_list`` for word lists.
+
 Each process runs one command, and start-up is most of its time, so ``main``
 builds an ``argparse`` parser for the invoked command alone, and the module
 imports only ``errors`` and ``words`` at the top.  Every command and helper
@@ -24,7 +28,7 @@ from .errors import (
     MinishiftError,
     ParseError,
 )
-from .words import Alphabet, FactorSet, Substitution, shortlex
+from .words import Alphabet, FactorSet, Substitution, parse_assignments, shortlex
 
 if TYPE_CHECKING:
     from . import shadow as shadow_mod
@@ -73,23 +77,9 @@ def build_factor_set(subst: str, start: str, horizon: int) -> FactorSet:
     return FactorSet.from_substitution(Substitution.parse(subst), start, horizon)
 
 
-def parse_assignments(text: str, sep: str, eq: str, what: str) -> dict[str, str]:
-    """Parse "a=1,b=1" (``sep`` ",", ``eq`` "=") into letter -> value text."""
-    out = {}
-    for part in text.split(sep):
-        part = part.strip()
-        if not part:
-            continue
-        if eq not in part:
-            raise ParseError(f"missing {eq!r} in {what} {part!r}")
-        letter, _, value = part.partition(eq)
-        letter = letter.strip()
-        if letter in out:
-            raise ParseError(f"{what} of {letter!r} given twice")
-        out[letter] = value.strip()
-    if not out:
-        raise ParseError(f"no {what}s given")
-    return out
+def word_list(text: str) -> list[str]:
+    """Option type of a comma-separated word list: each word stripped, empty ones dropped."""
+    return [w for w in map(str.strip, text.split(",")) if w]
 
 
 def parse_weights(text: str) -> dict[str, int]:
@@ -112,8 +102,7 @@ def parse_images(group: str, images: str, letters) -> tuple[int | None, tuple, d
 
         # permutation images define the group; its name is only a label
         cycles = parse_assignments(images, ";", ":", "image")
-        points = {p for text in cycles.values() for p in monoid_mod.cycle_tokens(text)}
-        points -= {"(", ")"}
+        points = {p for text in cycles.values() for c in monoid_mod.cycles(text) for p in c}
         try:
             domain = tuple(sorted(points))
         except TypeError:
@@ -163,6 +152,7 @@ SUBST, START = option("--subst", required=True), option("--start", required=True
 GROUP = option("--group", required=True, check=nonempty,
                help="cyclic:M, or a name that is only a label: the --images define the group")
 IMAGES = option("--images", required=True)
+CODE = option("--code", required=True, type=word_list, help="comma-separated code words")
 
 
 def command(path: str, *options):
@@ -283,20 +273,19 @@ def episturmian_cmd(directive, word, pal, horizon):
 
 
 @command("freegroup", option("--alphabet", dest="alphabet_text", required=True),
-         option("--generators", required=True, help="comma-separated group words"),
+         option("--generators", required=True, type=word_list, help="comma-separated group words"),
          option("--member"), option("--separate"), option("--dot", metavar="PATH"))
 def freegroup_cmd(alphabet_text, generators, member, separate, dot):
     """Folded subgroup graph: rank, index, membership, Hall separation."""
     from . import freegroup as fg_mod
 
     alphabet = Alphabet.of(alphabet_text)
-    gens = [g for g in map(str.strip, generators.split(",")) if g]
-    H = fg_mod.subgroup(gens, alphabet)
+    H = fg_mod.subgroup(generators, alphabet)
     out = {
         "rank": H.rank(),
         "index": H.index(),
         "generates": H.index() == 1,
-        "basis": fg_mod.is_basis_of_free_group(gens, alphabet),
+        "basis": fg_mod.is_basis_of_free_group(generators, alphabet),
     }
     if member is not None:
         out["member"] = H.membership(H.check_word(member))  # membership("c") is False, no refusal
@@ -313,7 +302,7 @@ def freegroup_cmd(alphabet_text, generators, member, separate, dot):
     emit(out)
 
 
-@command("monoid", option("--code", required=True, help="comma-separated code words"),
+@command("monoid", CODE,
          option("--subst"), option("--start"), option("--horizon", default=24, check=nonnegative),
          option("--eggbox", action="store_true", help="print the F-minimal eggbox as text"),
          option("--budget", default=DEFAULT_MONOID_BUDGET, check=at_least(1)))
@@ -326,8 +315,7 @@ def monoid_cmd(code, subst, start, horizon, eggbox, budget):
         raise ParseError("need both --subst and --start, or neither")
     if eggbox and subst is None:
         raise ParseError("--eggbox needs --subst and --start")
-    words = {w.strip() for w in code.split(",") if w.strip()}
-    A = bifix_mod.minimal_automaton_of_star(bifix_mod.BifixCode.of(words))
+    A = bifix_mod.minimal_automaton_of_star(bifix_mod.BifixCode.of(code))
     M = monoid_mod.transition_monoid(A, budget)
     structure = monoid_mod.green(M)
     out = {"states": len(A.states), "monoid_size": len(M),
@@ -383,7 +371,9 @@ def shadow_eval_cmd(expr, subst_def, group, images):
         name, _, body = d.partition("=")
         if not name or not body:
             raise ParseError(f"bad substitution definition {d!r}")
-        named[name.strip()] = Substitution.parse(body)
+        if (name := name.strip()) in named:
+            raise ParseError(f"substitution {name!r} defined twice")
+        named[name] = Substitution.parse(body)
     tree = shadow_mod.parse_expression(expr, named)
     morphism = morphism_from_options(group, images, shadow_mod.expression_letters(tree))
     value = shadow_mod.evaluate(tree, morphism)
@@ -408,17 +398,15 @@ def shadow_horder_cmd(subst, group, images):
 COMMANDS["horder",] = COMMANDS["shadow", "horder"]
 
 
-@command("shadow separate", option("--code", required=True, help="comma-separated code words"),
-         option("--beta", required=True, help='"x=a,y=ab,z=bb"'), GROUP, IMAGES,
-         option("-u", required=True), option("-v", required=True))
+@command("shadow separate", CODE, option("--beta", required=True, help='"x=a,y=ab,z=bb"'),
+         GROUP, IMAGES, option("-u", required=True), option("-v", required=True))
 def shadow_separate_cmd(code, beta, group, images, u, v):
     """Matrix decoding morphism separating two differently valued words."""
     from . import shadow as shadow_mod
 
-    X = {w.strip() for w in code.split(",") if w.strip()}
     bmap = parse_assignments(beta, ",", "=", "--beta entry")
     psi = morphism_from_options(group, images, bmap)
-    report = shadow_mod.separation_witness(X, bmap, psi, u, v)
+    report = shadow_mod.separation_witness(set(code), bmap, psi, u, v)
 
     def show(matrix):
         return [["." if e is None else str(e) for e in row] for row in matrix]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from contextlib import suppress
 from functools import cached_property, reduce
 from itertools import chain, product
@@ -433,55 +434,49 @@ def green(M: FiniteMonoid) -> GreenStructure:
 # ---------------------------------------------------------------- permutations
 
 
-def cycle_tokens(text: str) -> list:
-    """Cycle notation "(1 2 3)(4 5)" as "(", ")" and points, the one reader of it.
+def cycles(text: str) -> list[list]:
+    """Cycle notation "(1 2 3)(4 5)" as its cycles of points, the one reader of it.
 
     Commas separate points like spaces, a point that reads as an integer is
-    one, and "e" or "id" alone is the identity, with no token.
+    one, and "e" or "id" alone is the identity, with no cycle.
     """
     body = text.strip()
     if body in ("e", "id"):
         return []
+    body = body.replace(",", " ")
+    if not re.fullmatch(r"(\s*\([^()]*\))*\s*", body):
+        raise ParseError(f"malformed cycles in {text!r}")
     return [
-        tok if tok in ("(", ")") else int(tok) if tok.removeprefix("-").isdecimal() else tok
-        for tok in body.replace("(", " ( ").replace(")", " ) ").replace(",", " ").split()
+        [int(p) if p.removeprefix("-").isdecimal() else p for p in cycle.split()]
+        for cycle in re.findall(r"\(([^()]*)\)", body)
     ]
 
 
 def parse_permutation(text: str, domain: tuple) -> dict:
-    """Cycle notation "(1 2 3)(4 5)" over the given domain points (see ``cycle_tokens``)."""
+    """Cycle notation "(1 2 3)(4 5)" over the given domain points (see ``cycles``);
+    the cycles must be disjoint, since they are not read as a product."""
     mapping = {p: p for p in domain}
-    tokens = cycle_tokens(text)
-    if tokens.count("(") != tokens.count(")"):
-        raise ParseError(f"unbalanced cycles in {text!r}")
     moved: set = set()
-    i = 0
-    while i < len(tokens):
-        if tokens[i] != "(":
-            raise ParseError(f"expected '(' in {text!r}")
-        j = tokens.index(")", i)
-        points = tokens[i + 1 : j]
-        for point in points:
+    for cycle in cycles(text):
+        for point in cycle:
             if point not in mapping:
                 raise ParseError(f"point {point!r} outside domain {domain}")
             if point in moved:
                 raise ParseError(f"point {point!r} appears twice in {text!r}")
             moved.add(point)
-        for k, p in enumerate(points):
-            mapping[p] = points[(k + 1) % len(points)]
-        i = j + 1
+        mapping.update(zip(cycle, cycle[1:] + cycle[:1]))
     return mapping
 
 
 def cycle_notation(mapping: dict) -> str:
     seen = set()
-    cycles = []
+    shown = []
     for p in _sorted_points(mapping):
         if p not in seen and mapping[p] != p:
             cycle = orbit(p, mapping.__getitem__)[0]
             seen.update(cycle)
-            cycles.append("(" + " ".join(str(x) for x in cycle) + ")")
-    return "".join(cycles) or "()"
+            shown.append("(" + " ".join(str(x) for x in cycle) + ")")
+    return "".join(shown) or "()"
 
 
 def _sorted_points(domain: Iterable) -> tuple:

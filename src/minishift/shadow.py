@@ -8,6 +8,8 @@ monoid, where every such limit exists.
 
 from __future__ import annotations
 
+import re
+from functools import reduce
 from typing import Hashable, NamedTuple
 
 from .errors import (
@@ -127,77 +129,51 @@ def h_order(
 # ------------------------------------------------------------ parsing
 
 
+_TOKEN = re.compile(r"subst\^w\(([^)]*)(\)?)|\^w|\S")  # whitespace between tokens is skipped
+
+
 def parse_expression(
     text: str, substitutions: dict[str, Substitution] | None = None
 ) -> PseudowordExpr:
-    """Grammar: letters, juxtaposition, "^w" postfix, "subst^w(name, a)"."""
+    """Grammar: letters, juxtaposition, "^w" postfix, "subst^w(name, a)", parentheses.
+
+    One left-to-right pass over the tokens keeps a list of juxtaposed factors
+    for the whole text and one for each open "(": "^w" wraps the last factor,
+    and ")" joins its list into a ``Concat`` chain, nested to the left, that
+    ends the list below.  A refusal at a token names the token's position.
+    """
     substitutions = substitutions or {}
-    pos = 0
-
-    def peek() -> str:
-        return text[pos] if pos < len(text) else ""
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_atom() -> PseudowordExpr:
-        nonlocal pos
-        skip_ws()
-        if text.startswith("subst^w(", pos):
-            pos += len("subst^w(")
-            close = text.find(")", pos)
-            if close < 0:
+    open_lists: list[list] = [[]]
+    for m in _TOKEN.finditer(text):
+        token, factors = m[0], open_lists[-1]
+        if token == "^w" and factors:
+            factors[-1] = OmegaPower(factors[-1])
+        elif token == "(":
+            open_lists.append([])
+        elif token == ")" and factors:
+            if len(open_lists) == 1:
+                raise ParseError(f"trailing input {text[m.start():]!r}")
+            open_lists.pop()
+            open_lists[-1].append(reduce(Concat, factors))
+        elif m[1] is not None:
+            if not m[2]:
                 raise ParseError("missing ')' in subst^w(...)")
-            inner = text[pos:close]
-            pos = close + 1
-            parts = [p.strip() for p in inner.split(",")]
+            parts = [p.strip() for p in m[1].split(",")]
             if len(parts) != 2:
-                raise ParseError(f"subst^w needs (name, letter), got {inner!r}")
+                raise ParseError(f"subst^w needs (name, letter), got {m[1]!r}")
             name, a = parts
             if name not in substitutions:
                 raise ParseError(f"unknown substitution {name!r}")
-            return SubstOmega(substitutions[name], a)
-        if peek() == "(":
-            pos += 1
-            node = parse_concat()
-            skip_ws()
-            if peek() != ")":
-                raise ParseError("missing ')'")
-            pos += 1
-            return node
-        c = peek()
-        if c.isalpha() and c.islower():
-            pos += 1
-            return Letter(c)
-        raise ParseError(f"unexpected {c!r} at position {pos}")
-
-    def parse_postfix() -> PseudowordExpr:
-        nonlocal pos
-        node = parse_atom()
-        skip_ws()
-        while text.startswith("^w", pos):
-            pos += 2
-            node = OmegaPower(node)
-            skip_ws()
-        return node
-
-    def parse_concat() -> PseudowordExpr:
-        nonlocal pos
-        node = parse_postfix()
-        skip_ws()
-        while pos < len(text) and peek() not in ")":
-            right = parse_postfix()
-            node = Concat(node, right)
-            skip_ws()
-        return node
-
-    node = parse_concat()
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos:]!r}")
-    return node
+            factors.append(SubstOmega(substitutions[name], a))
+        elif token.isalpha() and token.islower():
+            factors.append(Letter(token))
+        else:
+            raise ParseError(f"unexpected {token[0]!r} at position {m.start()}")
+    if not open_lists[-1]:
+        raise ParseError(f"unexpected '' at position {len(text)}")
+    if len(open_lists) > 1:
+        raise ParseError("missing ')'")
+    return reduce(Concat, open_lists[0])
 
 
 # ------------------------------------------------------------ codes

@@ -125,6 +125,26 @@ def star_factorization(w: str, start: int, X: frozenset[str]) -> dict[int, tuple
     return out
 
 
+def parse_assignments(text: str, sep: str, eq: str, what: str) -> dict[str, str]:
+    """Parse "a=1,b=1" (``sep`` ",", ``eq`` "=") into letter -> value text, the one
+    reader of letter-assignment lists: rules, weights, ``--images`` and ``--beta``."""
+    out = {}
+    for part in text.split(sep):
+        part = part.strip()
+        if not part:
+            continue
+        if eq not in part:
+            raise ParseError(f"missing {eq!r} in {what} {part!r}")
+        letter, _, value = part.partition(eq)
+        letter = letter.strip()
+        if letter in out:
+            raise ParseError(f"{what} of {letter!r} given twice")
+        out[letter] = value.strip()
+    if not out:
+        raise ParseError(f"no {what}s given")
+    return out
+
+
 class Substitution:
     """A letter-to-word morphism with nonempty images."""
 
@@ -142,23 +162,9 @@ class Substitution:
 
     @classmethod
     def parse(cls, text: str) -> "Substitution":
-        """Parse the ``"a->ab;b->a"`` serialization."""
-        images: dict[str, str] = {}
-        for part in text.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            if "->" not in part:
-                raise ParseError(f"missing '->' in {part!r}")
-            left, _, right = part.partition("->")
-            left, right = left.strip(), right.strip()
-            if len(left) != 1 or not right:
-                raise ParseError(f"bad rule {part!r}")
-            if left in images:
-                raise ParseError(f"duplicate rule for {left!r}")
-            images[left] = right
-        if not images:
-            raise ParseError("no rules given")
+        """Parse the ``"a->ab;b->a"`` serialization.  The constructor refuses a rule
+        whose left side is not one letter or whose image is empty, as a ``ParseError`` here."""
+        images = parse_assignments(text, ";", "->", "rule")
         try:
             return cls(Alphabet.of(sorted(images)), images)
         except InputError as exc:

@@ -302,6 +302,10 @@ class TestGroupCodes:
         assert spec.degree() == 3
         assert spec.base_point == 1
 
+    def test_an_empty_domain_without_a_base_point_is_refused(self):
+        with pytest.raises(InputError, match="an empty domain has no base point"):
+            GroupCodeSpec.from_cycles((), {})
+
     @pytest.mark.parametrize("base_point", ["1", 0, 6])
     def test_base_point_outside_the_domain_is_refused(self, base_point):
         # refused where it is given, not as a KeyError in the intersection's point walk

@@ -235,6 +235,16 @@ class TestShadow:
         ))
         assert out["value"] == "1"
 
+    def test_a_substitution_defined_twice_is_refused(self):
+        # each definition evaluates alone; given both, neither is picked in silence
+        first, second = "phi=a->ab;b->a", "phi=a->ab;b->ba"
+        args = ["shadow", "eval", "--expr", "subst^w(phi, a)",
+                "--group", "S3", "--images", "a:(1 2 3);b:(1 2)"]
+        assert run(*args, "--subst-def", first) != run(*args, "--subst-def", second)
+        code, stdout, stderr = invoke(*args, "--subst-def", first, "--subst-def", second)
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: substitution 'phi' defined twice\n"
+
     def test_separate(self):
         out = json.loads(run(
             "shadow", "separate", "--code", "ab,aab",
@@ -262,6 +272,16 @@ class TestImages:
                                  "--images", "a:(1 x)")
         assert code == 2
         assert "mix numbers and names" in stderr
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["monoid", "--code"], "aa,ab,ba"),
+    (["freegroup", "--alphabet", "ab", "--generators"], "aa,b,abA"),
+    (["shadow", "separate", "--beta", "a=ab,b=aab", "--group", "cyclic:2",
+      "--images", "a=1,b=1", "-u", "a", "-v", "ab", "--code"], "ab,aab"),
+], ids=["monoid", "freegroup", "separate"])
+def test_word_lists_drop_spaces_and_empty_entries(argv, words):
+    assert run(*argv, words) == run(*argv, " " + words.replace(",", " ,, ") + ", ")
 
 
 class TestArith:

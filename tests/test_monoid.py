@@ -29,6 +29,7 @@ from minishift.monoid import (
     PermGroup,
     compose,
     cycle_notation,
+    cycles,
     cyclic_monoid,
     f_group,
     f_min_rank,
@@ -977,7 +978,80 @@ class TestSccs:
         assert _sccs(0, 2, []) == []
 
 
+def reference_cycle_tokens(text: str) -> list:
+    """Oracle: cycle notation as "(", ")" and points, the tokens of the walk below."""
+    body = text.strip()
+    if body in ("e", "id"):
+        return []
+    return [
+        tok if tok in ("(", ")") else int(tok) if tok.removeprefix("-").isdecimal() else tok
+        for tok in body.replace("(", " ( ").replace(")", " ) ").replace(",", " ").split()
+    ]
+
+
+def reference_parse_permutation(text: str, domain: tuple) -> dict:
+    """Oracle: the token walk that read cycle notation before ``cycles`` checked the
+    whole text against one pattern."""
+    mapping = {p: p for p in domain}
+    tokens = reference_cycle_tokens(text)
+    if tokens.count("(") != tokens.count(")"):
+        raise ParseError(f"unbalanced cycles in {text!r}")
+    moved: set = set()
+    i = 0
+    while i < len(tokens):
+        if tokens[i] != "(":
+            raise ParseError(f"expected '(' in {text!r}")
+        j = tokens.index(")", i)
+        points = tokens[i + 1 : j]
+        for point in points:
+            if point not in mapping:
+                raise ParseError(f"point {point!r} outside domain {domain}")
+            if point in moved:
+                raise ParseError(f"point {point!r} appears twice in {text!r}")
+            moved.add(point)
+        for k, p in enumerate(points):
+            mapping[p] = points[(k + 1) % len(points)]
+        i = j + 1
+    return mapping
+
+
+def value_or_class(read, *args):
+    """("value", what ``read(*args)`` gives) or ("raises", the class it raises)."""
+    try:
+        return "value", read(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+# text of cycle notation: runs of cycles, mostly well formed, over numbered and named
+# points (a point may repeat or lie outside DOMAIN), and free runs of its tokens
+DOMAIN = (-1, 1, 2, 3, 4, "x", "e")
+POINTS = st.lists(st.sampled_from(["1", "2", "3", "4", "-1", "x", "e", "9", "(", "1,2"]),
+                  max_size=3)
+CYCLE = st.tuples(st.sampled_from(["(", "(", "( ", " ("]), POINTS,
+                  st.sampled_from([" ", " ", ",", ", "]), st.sampled_from([")", ")", " )", ""]))
+CYCLE_TEXT = st.one_of(
+    st.lists(CYCLE.map(lambda c: c[0] + c[2].join(c[1]) + c[3]), max_size=3).map("".join),
+    st.lists(st.sampled_from(["(", ")", "1", "2", "-", "x", ",", " ", "e", "id", ":", ";"]),
+             max_size=10).map("".join),
+)
+
+
 class TestPermutations:
+    @settings(max_examples=2000)
+    @given(CYCLE_TEXT)
+    def test_parse_agrees_with_the_reference(self, text):
+        assert value_or_class(parse_permutation, text, DOMAIN) == \
+            value_or_class(reference_parse_permutation, text, DOMAIN)
+
+    @settings(max_examples=2000)
+    @given(CYCLE_TEXT)
+    def test_cycles_are_the_reference_tokens(self, text):
+        # where the reader accepts the text, its cycles are the walk's tokens grouped
+        kind, read = value_or_class(cycles, text)
+        if kind == "value":
+            assert [t for c in read for t in ("(", *c, ")")] == reference_cycle_tokens(text)
+
     def test_parse_and_format(self):
         dom = (1, 2, 3, 4, 5)
         m = parse_permutation("(1 2 3)(4 5)", dom)

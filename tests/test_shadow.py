@@ -157,7 +157,118 @@ class TestHOrder:
             h_order(fib, a_only)
 
 
+def reference_parse_expression(text, substitutions=None):
+    """Oracle: the recursive-descent reader (concatenation of postfix atoms) that stood
+    before the one-pass token reader, with the same refusal messages."""
+    substitutions = substitutions or {}
+    pos = 0
+
+    def peek() -> str:
+        return text[pos] if pos < len(text) else ""
+
+    def skip_ws() -> None:
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def parse_atom():
+        nonlocal pos
+        skip_ws()
+        if text.startswith("subst^w(", pos):
+            pos += len("subst^w(")
+            close = text.find(")", pos)
+            if close < 0:
+                raise ParseError("missing ')' in subst^w(...)")
+            inner = text[pos:close]
+            pos = close + 1
+            parts = [p.strip() for p in inner.split(",")]
+            if len(parts) != 2:
+                raise ParseError(f"subst^w needs (name, letter), got {inner!r}")
+            name, a = parts
+            if name not in substitutions:
+                raise ParseError(f"unknown substitution {name!r}")
+            return SubstOmega(substitutions[name], a)
+        if peek() == "(":
+            pos += 1
+            node = parse_concat()
+            skip_ws()
+            if peek() != ")":
+                raise ParseError("missing ')'")
+            pos += 1
+            return node
+        c = peek()
+        if c.isalpha() and c.islower():
+            pos += 1
+            return Letter(c)
+        raise ParseError(f"unexpected {c!r} at position {pos}")
+
+    def parse_postfix():
+        nonlocal pos
+        node = parse_atom()
+        skip_ws()
+        while text.startswith("^w", pos):
+            pos += 2
+            node = OmegaPower(node)
+            skip_ws()
+        return node
+
+    def parse_concat():
+        nonlocal pos
+        node = parse_postfix()
+        skip_ws()
+        while pos < len(text) and peek() not in ")":
+            node = Concat(node, parse_postfix())
+            skip_ws()
+        return node
+
+    node = parse_concat()
+    skip_ws()
+    if pos != len(text):
+        raise ParseError(f"trailing input {text[pos:]!r}")
+    return node
+
+
+def tree_or_refusal(read, text, substitutions):
+    """The tree ``read`` builds, with each ``SubstOmega`` as (its substitution's id, its
+    letter), or the class and message of its refusal."""
+
+    def shape(e):
+        if isinstance(e, SubstOmega):
+            return "subst", id(e.subst), e.letter
+        return e if isinstance(e, Letter) else (type(e).__name__, *map(shape, e))
+
+    try:
+        return shape(read(text, substitutions))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# text of the expression notation: well-formed expressions, spaced or not, and free
+# runs of its tokens
+SPACE = st.sampled_from(["", "", " "])
+WELL_FORMED = st.recursive(
+    st.sampled_from(["a", "b", "subst^w(phi, a)", "subst^w( phi ,b )"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, SPACE, inner).map("".join),
+        st.tuples(SPACE, inner, SPACE).map(lambda t: "(" + "".join(t) + ")"),
+        st.tuples(inner, SPACE).map(lambda t: "".join(t) + "^w"),
+    ),
+    max_leaves=6,
+)
+EXPRESSION_TEXT = WELL_FORMED | st.lists(st.sampled_from(
+    ["a", "b", "c", "ab", "A", "1", "(", ")", "^w", "^", "w", " ", ",", "subst^w(phi, a)",
+     "subst^w(psi, a)", "subst^w(phi, c)", "subst^w(", "subst^w(phi)", "phi", "s"]
+), max_size=10).map("".join)
+
+
 class TestParser:
+    @settings(max_examples=3000)
+    @given(EXPRESSION_TEXT)
+    def test_parse_agrees_with_the_reference(self, fib, text):
+        named = {"phi": fib}
+        assert tree_or_refusal(parse_expression, text, named) == \
+            tree_or_refusal(reference_parse_expression, text, named)
+
     def test_letters(self, mod3):
         assert evaluate(parse_expression("aba"), mod3) == 0
 

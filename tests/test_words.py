@@ -132,7 +132,58 @@ class TestAlphabet:
         assert Alphabet.of("ab") != Alphabet.of("ba")
 
 
+def reference_parse(text: str) -> Substitution:
+    """Oracle: the rule reader before it shared the assignment reader, a loop of its
+    own that refuses a left side that is not one letter, or an empty image, itself."""
+    images: dict[str, str] = {}
+    for part in text.split(";"):
+        part = part.strip()
+        if not part:
+            continue
+        if "->" not in part:
+            raise ParseError(f"missing '->' in {part!r}")
+        left, _, right = part.partition("->")
+        left, right = left.strip(), right.strip()
+        if len(left) != 1 or not right:
+            raise ParseError(f"bad rule {part!r}")
+        if left in images:
+            raise ParseError(f"duplicate rule for {left!r}")
+        images[left] = right
+    if not images:
+        raise ParseError("no rules given")
+    try:
+        return Substitution(Alphabet.of(sorted(images)), images)
+    except InputError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def value_or_class(read, text):
+    """What ``read(text)`` gives: ("value", its serialization) or ("raises", the class)."""
+    try:
+        return "value", read(text).serialize()
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+# text of the rule notation: rule lists over "ab" (an image may be empty, a letter may
+# lack its rule or have two), spaced and separated in every way the reader allows
+# or refuses, and free runs of the notation's tokens
+SPACE = st.sampled_from(["", "", " ", "  "])
+RULE = st.tuples(SPACE, st.sampled_from("ab"), SPACE, st.sampled_from(["->"] * 6 + ["-", ":"]),
+                 SPACE, st.sampled_from(["a", "b", "ab", "ba", "aab", "bab", ""]), SPACE)
+RULES = st.tuples(st.lists(RULE.map("".join), min_size=1, max_size=3),
+                  st.sampled_from([";"] * 4 + [" ; ", ";;", ","])).map(lambda r: r[1].join(r[0]))
+TOKENS = st.lists(st.sampled_from(["a", "b", "c", "ab", "->", "-", ">", ";", ",", ":", "1", " "]),
+                  max_size=12).map("".join)
+RULE_TEXT = RULES | TOKENS
+
+
 class TestSubstitution:
+    @settings(max_examples=2000)
+    @given(RULE_TEXT)
+    def test_parse_agrees_with_the_reference(self, text):
+        assert value_or_class(Substitution.parse, text) == value_or_class(reference_parse, text)
+
     def test_parse_serialize_roundtrip(self):
         text = "a->ab;b->a"
         assert Substitution.parse(text).serialize() == text
