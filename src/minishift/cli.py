@@ -369,9 +369,9 @@ def shadow_eval_cmd(expr, subst_def, group, images):
     named = {}
     for d in subst_def:
         name, _, body = d.partition("=")
-        if not name or not body:
+        if not (name := name.strip()) or not body:
             raise ParseError(f"bad substitution definition {d!r}")
-        if (name := name.strip()) in named:
+        if name in named:
             raise ParseError(f"substitution {name!r} defined twice")
         named[name] = Substitution.parse(body)
     tree = shadow_mod.parse_expression(expr, named)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InputError
@@ -68,20 +70,19 @@ class ExtensionGraph:
         return "\n".join(lines)
 
 
-def _extensions(
-    factors: frozenset[str], letters: tuple[str, ...], w: str
-) -> tuple[list[str], list[str], list[tuple[str, str]]]:
-    """Left letters, right letters and the pairs of them that extend ``w`` to a factor."""
-    left = [a for a in letters if a + w in factors]
-    right = [b for b in letters if w + b in factors]
-    return left, right, [(a, b) for a in left for b in right if a + w + b in factors]
+def _extensions(F: FactorSet, w: str) -> ExtensionGraph:
+    """The graph of ``w`` read off levels |w| + 1 and |w| + 2, in their order: the alphabet's."""
+    upper, top = F.words_of_length(len(w) + 1), F.words_of_length(len(w) + 2)
+    left = tuple(u[0] for u in upper if u[1:] == w)
+    right = tuple(u[-1] for u in upper if u[:-1] == w)
+    return ExtensionGraph(w, left, right, tuple((u[0], u[-1]) for u in top if u[1:-1] == w))
 
 
 def extension_graph(F: FactorSet, w: str) -> ExtensionGraph:
     """Left/right letter extensions of ``w`` in ``F`` and their pairings."""
     needed = len(w) + 2
     F.certify(needed, f"extension graph of a length-{len(w)} word needs horizon {needed}", w)
-    return ExtensionGraph(w, *map(tuple, _extensions(F.factors, F.alphabet.letters, w)))
+    return _extensions(F, w)
 
 
 def multiplicity(F: FactorSet, w: str) -> int:
@@ -128,25 +129,32 @@ def classify(F: FactorSet, max_length: int) -> Classification:
     """Classify every factor of length <= ``max_length``, empty word included.
 
     Only a bispecial factor can break the tree property (Berthé et al.,
-    "Acyclic, connected and tree sets", Monatsh. Math. 176, 2015).  Each word's
-    extensions are scanned once.  When one side of w has a single letter, the
-    graph is a star less its missing edges: acyclic, and connected iff its
-    multiplicity is 0, so the record is read off the counts; every other word
-    gets its graph from the same scan.
+    "Acyclic, connected and tree sets", Monatsh. Math. 176, 2015).  For each
+    length n, level n + 1 is counted by tail (left letters) and by head (right
+    letters), and level n + 2 by middle (edges).  When one side of w has a
+    single letter, the graph is a star less its missing edges: acyclic, and
+    connected iff its multiplicity is 0, so the record is read off the counts;
+    every other word gets its graph from the same two levels.
     """
     if max_length < 0:
         raise InputError(f"classify({max_length}) of a negative length")
     needed = max_length + 2
     F.certify(needed, f"classification up to length {max_length} needs horizon {needed}")
-    factors, letters = F.factors, F.alphabet.letters
-    records = []
+    tail, middle = itemgetter(slice(1, None)), itemgetter(slice(1, -1))
+    head = itemgetter(slice(None, -1))
+    upper, top = F.words_of_length(1), F.words_of_length(2)
+    # tuple.__new__ builds a WordRecord at half the cost of the named tuple's own __new__
+    record, records = partial(tuple.__new__, WordRecord), []
     for n in range(max_length + 1):
+        lefts, rights = Counter(map(tail, upper)), Counter(map(head, upper))
+        edges = Counter(map(middle, top))
         for w in F.words_of_length(n):
-            left, right, edges = _extensions(factors, letters, w)
-            if len(left) == 1 or len(right) == 1:
-                m = len(edges) - len(left) - len(right) + 1
-                records.append(WordRecord(w, m, m == 0, True))
-                continue
-            g = ExtensionGraph(w, tuple(left), tuple(right), tuple(edges))
-            records.append(WordRecord(w, g.multiplicity(), g.is_connected(), g.is_acyclic()))
+            left, right = lefts[w], rights[w]
+            if left == 1 or right == 1:
+                m = edges[w] - left - right + 1
+                records.append(record((w, m, m == 0, True)))
+            else:
+                g = _extensions(F, w)
+                records.append(record((w, g.multiplicity(), g.is_connected(), g.is_acyclic())))
+        upper, top = top, F.words_of_length(n + 3)
     return Classification(max_length, tuple(records))

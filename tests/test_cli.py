@@ -245,6 +245,16 @@ class TestShadow:
         assert (code, stdout) == (2, "")
         assert stderr == "error: substitution 'phi' defined twice\n"
 
+    @pytest.mark.parametrize("definition", ["=a->ab;b->a", " =a->ab;b->a", "phi="])
+    def test_an_empty_name_or_body_is_refused(self, definition):
+        # the name is stripped before it is tested, so a blank name defines nothing
+        # that "subst^w(, a)" could read
+        code, stdout, stderr = invoke(
+            "shadow", "eval", "--expr", "subst^w(, a)", "--subst-def", definition,
+            "--group", "cyclic:3", "--images", "a=1,b=1")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: bad substitution definition {definition!r}\n"
+
     def test_separate(self):
         out = json.loads(run(
             "shadow", "separate", "--code", "ab,aab",

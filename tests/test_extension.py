@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minishift.episturmian import episturmian_factor_set
 from minishift.errors import InputError, InsufficientHorizon
 from minishift.extension import (
     Classification,
@@ -90,6 +91,40 @@ def assert_verdicts_match_reference(F):
                 assert g.is_connected() == (g.multiplicity() == 0)
 
 
+def probing_extensions(factors, letters, w):
+    """Reference: the left letters, right letters and edges of ``w`` by membership
+    probes of concatenated words, in alphabet order."""
+    left = [a for a in letters if a + w in factors]
+    right = [b for b in letters if w + b in factors]
+    return left, right, [(a, b) for a in left for b in right if a + w + b in factors]
+
+
+def probing_graph(F, w):
+    """Reference: the extension graph of ``w`` from the probing scan."""
+    return ExtensionGraph(w, *map(tuple, probing_extensions(F.factors, F.alphabet.letters, w)))
+
+
+def probing_classify(F, max_length):
+    """Reference: classify by one probing scan per word, records read off its counts
+    where a side has a single letter."""
+    if max_length < 0:
+        raise InputError(f"classify({max_length}) of a negative length")
+    needed = max_length + 2
+    F.certify(needed, f"classification up to length {max_length} needs horizon {needed}")
+    factors, letters = F.factors, F.alphabet.letters
+    records = []
+    for n in range(max_length + 1):
+        for w in F.words_of_length(n):
+            left, right, edges = probing_extensions(factors, letters, w)
+            if len(left) == 1 or len(right) == 1:
+                m = len(edges) - len(left) - len(right) + 1
+                records.append(WordRecord(w, m, m == 0, True))
+                continue
+            g = ExtensionGraph(w, tuple(left), tuple(right), tuple(edges))
+            records.append(WordRecord(w, g.multiplicity(), g.is_connected(), g.is_acyclic()))
+    return Classification(max_length, tuple(records))
+
+
 def non_extendable_sets():
     """Complete sets, built by hand, with words that extend to one side only or to none."""
     return [
@@ -97,6 +132,34 @@ def non_extendable_sets():
         FactorSet(Alphabet.of("abc"), 5, ["", "a", "b", "c", "ab", "cb", "ba", "aba"],
                   True, "hand"),
     ]
+
+
+@st.composite
+def classified_sets(draw):
+    """Complete sets of every kind: a primitive substitution, an Arnoux-Rauzy
+    directive (every letter in a repeated unit), a periodic word or a hand-built
+    set, kept as built or given again positionally with the alphabet reversed, so
+    its levels are sorted by ``Alphabet.key``."""
+    kind = draw(st.sampled_from(["substitution", "arnoux-rauzy", "periodic", "hand"]))
+    horizon = draw(st.integers(2, 24))
+    if kind == "substitution":
+        sigma = draw(primitive_substitutions())
+        F = FactorSet.from_substitution(sigma, draw(st.sampled_from(sigma.alphabet.letters)),
+                                        horizon)
+    elif kind == "arnoux-rauzy":
+        letters = "abc"[: draw(st.integers(2, 3))]
+        unit = draw(st.permutations(letters)) + draw(st.lists(st.sampled_from(letters),
+                                                              max_size=4))
+        F = episturmian_factor_set("".join(unit) * 24, horizon)
+    elif kind == "periodic":
+        F = FactorSet.from_periodic(draw(st.text(alphabet="abc", min_size=1, max_size=7)),
+                                    horizon)
+    else:
+        F = draw(st.sampled_from(non_extendable_sets()))
+    if draw(st.booleans()):
+        F = FactorSet(Alphabet.of(F.alphabet.letters[::-1]), F.horizon, F.sorted_words(),
+                      True, "positional")
+    return F
 
 
 def refusal(f, *args):
@@ -292,3 +355,35 @@ class TestVerdictsAgainstReference:
     @pytest.mark.parametrize("index", [0, 1])
     def test_non_extendable_sets(self, index):
         assert_verdicts_match_reference(non_extendable_sets()[index])
+
+
+class TestAgainstProbingReference:
+    """The level reads against the membership probes they replace: equal records, and
+    equal graphs with ``left``, ``right`` and ``edges`` in the same order."""
+
+    def assert_same_as_probing(self, F, max_length):
+        assert refusal(classify, F, max_length) == refusal(probing_classify, F, max_length)
+        assert classify(F, F.horizon - 2) == probing_classify(F, F.horizon - 2)
+        for n in range(F.horizon - 1):
+            for w in F.words_of_length(n):
+                assert extension_graph(F, w) == probing_graph(F, w)
+
+    @settings(max_examples=150)
+    @given(classified_sets(), st.data())
+    def test_every_kind_of_set(self, F, data):
+        self.assert_same_as_probing(F, data.draw(st.integers(-1, F.horizon - 1)))
+
+    @pytest.mark.parametrize("name", ["fib", "tm", "quad"])
+    def test_a_positional_set_over_ba(self, request, name):
+        built = FactorSet.from_substitution(request.getfixturevalue(name), "a", 32)
+        F = FactorSet(Alphabet.of("ba"), 32, built.sorted_words(), True, "positional")
+        assert F.words_of_length(1) == ("b", "a")
+        self.assert_same_as_probing(F, 30)
+        assert extension_graph(F, "").left == ("b", "a")
+
+    def test_classify_reads_no_membership_set(self, fib, tm, trib, quad):
+        builds = [FactorSet.from_substitution(sigma, "a", 64) for sigma in (fib, tm, trib, quad)]
+        builds += [episturmian_factor_set("abc" * 20, 64), FactorSet.from_periodic("abcabba", 64)]
+        for F in builds:
+            classify(F, 62)
+            assert "factors" not in F.__dict__
